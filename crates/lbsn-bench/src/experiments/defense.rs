@@ -4,12 +4,13 @@ use std::sync::Arc;
 
 use lbsn_defense::{
     evaluate_verifier, AddressMapping, AttackScenario, DistanceBounding, IpOrigin,
-    LocationVerifier, VerifierStack, WifiVerifier,
+    LocationVerifier, RouterRegistry, VerifierStack, VerifierStage, WifiVerifier,
 };
 use lbsn_geo::{destination, GeoPoint};
 use lbsn_server::cheatercode::CheaterCodeConfig;
 use lbsn_server::{
-    CheatFlag, CheckinRequest, CheckinSource, LbsnServer, ServerConfig, UserSpec, VenueSpec,
+    AdmissionOutcome, CheatFlag, CheckinEvidence, CheckinRequest, CheckinSource, LbsnServer,
+    ServerConfig, UserSpec, VenueSpec,
 };
 use lbsn_sim::{Duration, SimClock};
 use lbsn_workload::PopulationSpec;
@@ -134,18 +135,23 @@ pub fn e10_defenses() -> Experiment {
         row.detection_rate == 1.0 && row.false_positive_rate == 0.0,
     );
     // End-to-end deployment (the §6.2.2 future work, built): the §3.1
-    // emulator attack against a server fronted by venue-side
-    // verification.
+    // emulator attack against a server whose admission pipeline runs
+    // venue-side verification as its first stage.
     let deployment_stopped = {
-        use lbsn_defense::integration::{VerifiedCheckinService, VerifiedOutcome};
-        let server = Arc::new(LbsnServer::new(SimClock::new(), ServerConfig::default()));
-        let wharf = server.register_venue(VenueSpec::new("Wharf", venue()));
-        let attacker = server.register_user(UserSpec::anonymous());
-        let service = VerifiedCheckinService::new(
-            Arc::clone(&server),
+        let routers = Arc::new(RouterRegistry::new());
+        let stage = VerifierStage::new(
             VerifierStack::new().push(Box::new(WifiVerifier::default())),
+            Arc::clone(&routers),
         );
-        service.register_router(wharf);
+        let server = LbsnServer::with_pipeline(
+            SimClock::new(),
+            ServerConfig::default(),
+            lbsn_obs::global(),
+            vec![Box::new(stage)],
+        );
+        let wharf = server.register_venue(VenueSpec::new("Wharf", venue()));
+        routers.register(wharf);
+        let attacker = server.register_user(UserSpec::anonymous());
         // The spoofed request is byte-identical to an honest one; only
         // the physical evidence differs.
         let spoof = CheckinRequest {
@@ -155,13 +161,13 @@ pub fn e10_defenses() -> Experiment {
             source: CheckinSource::MobileApp,
         };
         let abq = GeoPoint::new(35.0844, -106.6504).unwrap();
-        let attack = service
-            .check_in(&spoof, abq, lbsn_defense::IpOrigin::Local(abq))
+        let attack = server
+            .check_in_with_evidence(&spoof, Some(&CheckinEvidence::local(abq)))
             .unwrap();
-        let honest = service
-            .check_in(&spoof, venue(), lbsn_defense::IpOrigin::Local(venue()))
+        let honest = server
+            .check_in_with_evidence(&spoof, Some(&CheckinEvidence::local(venue())))
             .unwrap();
-        attack == VerifiedOutcome::RejectedByVerifier && honest.rewarded()
+        matches!(attack, AdmissionOutcome::VerifierRejected { .. }) && honest.rewarded()
     };
     exp.row(
         "deployed venue-side verification vs the §3.1 attack",
@@ -175,6 +181,7 @@ pub fn e10_defenses() -> Experiment {
         deployment_stopped,
     );
     exp.note("Scenario matrix: 2 honest (Wi-Fi / cellular egress) + 4 attacks (cross-country ×2, same-city, 50 m next-door).");
+    exp.note("The deployed row runs on the stage-based deployment: a `VerifierStage` + `RouterRegistry` installed with `LbsnServer::with_pipeline`, each check-in judged through `check_in_with_evidence`.");
     exp
 }
 

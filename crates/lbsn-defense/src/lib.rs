@@ -11,9 +11,8 @@
 //!   "intrinsic distance bounding" within radio range). A
 //!   [`VerifierStack`] composes them and the evaluation harness scores
 //!   each against a matrix of honest and attack scenarios.
-//!   [`VerifierStage`] installs a stack as a first-class stage of the
-//!   server's own admission pipeline (the preferred deployment);
-//!   [`VerifiedCheckinService`] is the older external-wrapper shape.
+//!   [`VerifierStage`] installs a stack as a stage of the server's own
+//!   admission pipeline, so every check-in entry point is verified.
 //!
 //! * **Crawl mitigation** (§5.2) — [`crawl_control`] gates the web
 //!   frontend with login requirements, per-IP rate limits and automatic
@@ -32,7 +31,6 @@
 mod address_mapping;
 pub mod crawl_control;
 mod distance_bounding;
-pub mod integration;
 pub mod privacy;
 mod stack;
 pub mod stage;
@@ -41,7 +39,6 @@ mod wifi;
 
 pub use address_mapping::AddressMapping;
 pub use distance_bounding::DistanceBounding;
-pub use integration::{VerifiedCheckinService, VerifiedOutcome};
 pub use stack::{classify, evaluate_verifier, EvaluationRow, ScenarioOutcome, VerifierStack};
 pub use stage::{RouterRegistry, VerifierStage};
 pub use verify::{

@@ -1,12 +1,9 @@
-//! The verifier stack as a first-class admission-pipeline stage.
+//! The verifier stack as an admission-pipeline stage: the §5.1
+//! deployment ("the Wi-Fi router sends the verification information to
+//! the corresponding LBS server"), the §6.2.2 future work, built.
 //!
-//! Historically this crate fronted the server with a wrapper service
-//! ([`crate::VerifiedCheckinService`]): callers had to remember to go
-//! through the wrapper, and a code path that called
-//! `LbsnServer::check_in` directly silently bypassed verification.
-//! [`VerifierStage`] closes that hole by adapting a [`VerifierStack`]
-//! to the server's own [`CheckinVerifier`] stage trait, so a verified
-//! deployment is built as
+//! [`VerifierStage`] adapts a [`VerifierStack`] to the server's own
+//! [`CheckinVerifier`] stage trait, so a verified deployment is built as
 //!
 //! ```
 //! use std::sync::Arc;

@@ -2,10 +2,12 @@
 //! verifier stack installed inside the server's admission pipeline via
 //! [`LbsnServer::with_pipeline`], not fronting it as a wrapper service.
 //!
-//! Mirrors the `VerifiedCheckinService` behaviour tests one for one,
-//! then stresses the deployment concurrently: the verify stage runs
-//! before any shard lock is taken, so installing it must not perturb
-//! the lock discipline or the exact counter accounting.
+//! Covers the deployment's behaviour (honest visitor, spoofers on
+//! broadband and cellular, unequipped venues, cheater code after a
+//! verifier pass, unknown venues), then stresses the deployment
+//! concurrently: the verify stage runs before any shard lock is taken,
+//! so installing it must not perturb the lock discipline or the exact
+//! counter accounting.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -14,8 +16,8 @@ use lbsn_defense::{AddressMapping, RouterRegistry, VerifierStack, VerifierStage,
 use lbsn_geo::{destination, GeoPoint};
 use lbsn_obs::Registry;
 use lbsn_server::{
-    AdmissionOutcome, CheckinEvidence, CheckinRequest, CheckinSource, LbsnServer, ServerConfig,
-    UserId, UserSpec, VenueId, VenueSpec,
+    AdmissionOutcome, CheckinError, CheckinEvidence, CheckinRequest, CheckinSource, LbsnServer,
+    ServerConfig, UserId, UserSpec, VenueId, VenueSpec,
 };
 use lbsn_sim::{Duration, SimClock};
 
@@ -169,6 +171,17 @@ fn routers_enrolled_after_server_build_take_effect() {
         .check_in_with_evidence(&req(user, late), Some(&spoof))
         .unwrap();
     assert!(matches!(out, AdmissionOutcome::VerifierRejected { .. }));
+}
+
+#[test]
+fn unknown_venue_errors() {
+    let (server, _, user, _) = deploy();
+    let out = server.check_in_with_evidence(
+        &req(user, VenueId(99)),
+        Some(&CheckinEvidence::local(wharf())),
+    );
+    assert_eq!(out, Err(CheckinError::UnknownVenue(VenueId(99))));
+    assert_eq!(server.user(user).unwrap().total_checkins, 0);
 }
 
 /// Many threads submit evidence-carrying check-ins — honest and spoofed

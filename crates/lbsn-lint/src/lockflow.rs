@@ -7,7 +7,7 @@
 //!
 //! The analysis is summary-based, lockdep style. Acquisitions are
 //! recognized from *method names on known lock types* — `read_shard`,
-//! `write_shard`, `write_set` ([`ShardedVec`]), `read`/`write` on the
+//! `write_shard`, `write_set` (`ShardedVec`), `read`/`write` on the
 //! named side-map leaves, `lock` on an arena mutex — never from
 //! integer literals alone. Summaries are computed over the SCC
 //! condensation of the call graph in reverse topological order; a

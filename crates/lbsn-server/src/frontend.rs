@@ -292,23 +292,26 @@ impl RequestFrontend {
         let shard = shared.server.user_shard(req.user);
         let (worker, queue) = shared.route(shard);
         let state = &shared.workers[worker];
-        let ticket = {
+        let (ticket, depth) = {
             let mut inbox = state.inbox.lock().unwrap_or_else(PoisonError::into_inner);
             let q = &mut inbox.queues[queue];
             if q.len() >= shared.config.queue_depth || shared.shutdown.load(Ordering::Acquire) {
                 drop(inbox);
                 return self.shed(&req);
             }
+            // Count before the push is visible: the worker takes the
+            // batch under this lock and then subtracts it, so counting
+            // after the push lets its subtraction run first and wrap.
+            let depth = shared.queued.fetch_add(1, Ordering::AcqRel) + 1;
+            shared.in_flight.fetch_add(1, Ordering::AcqRel);
             let ticket = Ticket::new();
             q.push_back(Pending {
                 req,
                 ticket: Arc::clone(&ticket),
                 submitted: Instant::now(),
             });
-            ticket
+            (ticket, depth)
         };
-        let depth = shared.queued.fetch_add(1, Ordering::AcqRel) + 1;
-        shared.in_flight.fetch_add(1, Ordering::AcqRel);
         metrics.frontend_queue_depth.set(depth as f64);
         state.wake.notify_one();
         SubmitOutcome::Enqueued(CheckinTicket { inner: ticket })

@@ -176,9 +176,10 @@ pub struct LbsnServer {
     /// the next one runs.
     mem_sweep_ops: AtomicU64,
     /// Test seam for the check-in lock-acquisition loop: called with
-    /// the attempt number at the top of every iteration, with no locks
-    /// held, so a test can deterministically force the mayor to hop
-    /// shards between attempts and drive the all-shards fallback.
+    /// the attempt number after the incumbent peek and before the
+    /// acquisition, with no locks held, so a test can deterministically
+    /// force the mayor to hop out of the peeked set and drive the
+    /// all-shards fallback.
     #[cfg(test)]
     retry_probe: Mutex<Option<RetryProbe>>,
 }
@@ -187,6 +188,19 @@ pub struct LbsnServer {
 /// check-in lock-acquisition attempts.
 #[cfg(test)]
 type RetryProbe = Box<dyn FnMut(u32) + Send>;
+
+/// Maps a verify-stage rejection onto the error channel of the entry
+/// points that return a plain [`CheckinOutcome`].
+fn processed(
+    result: Result<AdmissionOutcome, CheckinError>,
+) -> Result<CheckinOutcome, CheckinError> {
+    match result? {
+        AdmissionOutcome::Processed(outcome) => Ok(outcome),
+        AdmissionOutcome::VerifierRejected { verifier } => {
+            Err(CheckinError::VerifierRejected(verifier))
+        }
+    }
+}
 
 impl std::fmt::Debug for LbsnServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -650,16 +664,13 @@ impl LbsnServer {
         Ok(())
     }
 
-    /// Processes a check-in through the full pipeline.
+    /// Processes a check-in through the full pipeline: a batch of one
+    /// through [`LbsnServer::check_in_batch`]'s admission loop, whose
+    /// docs describe the lock protocol.
     ///
     /// Flagged check-ins are recorded (they count toward the user's
     /// total) but earn nothing and do not touch venue state — exactly the
     /// policy §4.2 infers from the caught-cheater cohort.
-    ///
-    /// Locking: the submitting user's shard and the venue's shard are
-    /// held for the whole pipeline; the incumbent mayor's shard (needed
-    /// to judge a mayorship challenge) is discovered optimistically and
-    /// added to the lock set on retry if the first guess misses.
     ///
     /// # Errors
     ///
@@ -670,17 +681,13 @@ impl LbsnServer {
     /// [`LbsnServer::check_in_with_evidence`] to observe it as an
     /// [`AdmissionOutcome`] instead.
     pub fn check_in(&self, req: &CheckinRequest) -> Result<CheckinOutcome, CheckinError> {
-        match self.check_in_with_evidence(req, None)? {
-            AdmissionOutcome::Processed(outcome) => Ok(outcome),
-            AdmissionOutcome::VerifierRejected { verifier } => {
-                Err(CheckinError::VerifierRejected(verifier))
-            }
-        }
+        processed(self.check_in_with_evidence(req, None))
     }
 
     /// Processes a check-in through the full admission pipeline,
     /// including the pre-admission verifier stages, with optional
-    /// out-of-band [`CheckinEvidence`] for the verifiers to judge.
+    /// out-of-band [`CheckinEvidence`] for the verifiers to judge. Like
+    /// [`LbsnServer::check_in`], this is a batch of one.
     ///
     /// The verify stage runs *before* any shard lock is taken: a
     /// rejected check-in is dropped, not recorded, so it must not touch
@@ -697,100 +704,12 @@ impl LbsnServer {
         req: &CheckinRequest,
         evidence: Option<&CheckinEvidence>,
     ) -> Result<AdmissionOutcome, CheckinError> {
-        let now = self.clock.now();
-        // No locks are held yet: safe point for the periodic sweep.
-        self.maybe_sample_memory(now);
-        // The wide-event accumulator for this decision: stack-allocated,
-        // `Copy` contents only, so the unsampled accept path allocates
-        // nothing (see `lbsn_obs::audit`).
-        let mut decision = DecisionBuilder::new(req.user.value(), req.venue.value(), now.secs());
-        if self.pipeline.has_verifiers() {
-            let mut span = self.metrics.registry().span(obs_names::STAGE_VERIFY);
-            span.attr("user", req.user.value());
-            span.attr("venue", req.venue.value());
-            let stage = self.metrics.stage_verify.start_timer();
-            let venue_location = self
-                .with_venue(req.venue, |v| v.location)
-                .ok_or(CheckinError::UnknownVenue(req.venue))?;
-            let ctx = VerifyContext {
-                request: req,
-                venue_location,
-                evidence,
-                now,
-            };
-            let rejected_by = self.pipeline.verify(&ctx, &mut decision);
-            decision.verify_ns(stage.stop());
-            if let Some(verifier) = rejected_by {
-                self.metrics.verifier_rejected.inc();
-                span.event_with(|| format!("verifier.rejected.{verifier}"));
-                span.end();
-                self.metrics
-                    .audit
-                    .finish(&decision, DecisionOutcome::VerifierRejected(verifier));
-                return Ok(AdmissionOutcome::VerifierRejected { verifier });
-            }
-            span.end();
-        }
-        let user_shard = self.users.shard_of(req.user.value());
-        let venue_shard = self.venues.shard_of(req.venue.value());
-        let venue_slot = self.venues.slot_of(req.venue.value());
-
-        // Peek the incumbent mayor's shard with a cheap try-read so the
-        // first real acquisition almost always covers it (the venue's
-        // mayor usually lives in a different user shard than the
-        // requester; without the peek nearly every check-in would pay
-        // an acquire-drop-reacquire round trip). Racy by design — the
-        // covered-incumbent re-check under the real locks catches any
-        // change.
-        let mut incumbent_shard: Option<usize> = self
-            .venues
-            .try_read_shard(venue_shard)
-            .and_then(|guard| guard.get(venue_slot).and_then(|v| v.mayor))
-            .map(|m| self.users.shard_of(m.value()));
-        let mut shard_ids: Vec<usize> = Vec::with_capacity(2);
-        let mut attempt: u32 = 0;
-        loop {
-            #[cfg(test)]
-            if let Some(probe) = self.retry_probe.lock().as_mut() {
-                probe(attempt);
-            }
-            // User shards (ascending) strictly before the venue shard.
-            shard_ids.clear();
-            if attempt >= MAYOR_LOCK_RETRIES {
-                self.metrics.lock_fallback.inc();
-                shard_ids.extend(0..self.users.shard_count());
-            } else {
-                shard_ids.push(user_shard);
-                if let Some(extra) = incumbent_shard {
-                    shard_ids.push(extra);
-                }
-            }
-            let uset = self.users.write_set(&mut shard_ids);
-            if uset.get(req.user.value()).is_none() {
-                return Err(CheckinError::UnknownUser(req.user));
-            }
-            let vguard = self.venues.write_shard(venue_shard);
-            let Some(venue) = vguard.get(venue_slot) else {
-                return Err(CheckinError::UnknownVenue(req.venue));
-            };
-            // The mayorship decision reads the incumbent's record; if
-            // the current mayor's shard is outside the held set, retry
-            // with it included (the venue shard is re-checked because
-            // the mayor may change between attempts).
-            if let Some(mayor) = venue.mayor {
-                if !uset.covers(mayor.value()) {
-                    self.metrics.lock_retry.inc();
-                    incumbent_shard = Some(self.users.shard_of(mayor.value()));
-                    attempt += 1;
-                    drop(vguard);
-                    drop(uset);
-                    continue;
-                }
-            }
-            return Ok(AdmissionOutcome::Processed(
-                self.check_in_locked(req, now, decision, uset, vguard, venue_slot),
-            ));
-        }
+        let mut result = None;
+        self.admit(std::slice::from_ref(req), evidence, |r| result = Some(r));
+        let Some(result) = result else {
+            unreachable!("admit reports every op")
+        };
+        result
     }
 
     /// Processes a slice of check-ins in submission order under an
@@ -799,16 +718,17 @@ impl LbsnServer {
     /// is acquired once, and ops are walked FIFO under it, switching
     /// the single held venue-shard guard as the venue changes. This is
     /// the batch-drain entry point the request frontend uses to admit
-    /// up to `batch_max` queued check-ins per acquisition.
+    /// up to `batch_max` queued check-ins per acquisition, and the only
+    /// admission loop: [`LbsnServer::check_in`] and
+    /// [`LbsnServer::check_in_with_evidence`] run it on a batch of one.
     ///
-    /// Decisions are bit-for-bit identical to calling
+    /// Decisions are therefore bit-for-bit identical to calling
     /// [`LbsnServer::check_in`] per element in the same order under the
     /// same clock: ops are never reordered, every mayorship challenge
     /// re-validates incumbent coverage under the real locks (releasing
-    /// and widening exactly like the per-op retry loop, with the same
-    /// `MAYOR_LOCK_RETRIES` all-shards fallback), and a decision that
-    /// brands the account releases everything for the two-phase mayor
-    /// strip before later ops run.
+    /// and widening the set, with a `MAYOR_LOCK_RETRIES` all-shards
+    /// fallback), and a decision that brands the account releases
+    /// everything for the two-phase mayor strip before later ops run.
     ///
     /// Lock-order discipline is preserved: user shards are acquired
     /// ascending and strictly before any venue shard (rules 1–2), at
@@ -816,22 +736,43 @@ impl LbsnServer {
     /// dropped before the next venue's is taken), and no side map is
     /// held across acquisitions (rule 4).
     ///
-    /// On a server built with verifier stages the batch falls back to
-    /// per-op admission (verifiers judge out-of-band evidence the batch
-    /// path does not carry); correctness is unchanged, only the
-    /// amortization is lost. Unknown ids yield per-op `Err` entries
-    /// without disturbing the rest of the batch.
+    /// On a server built with verifier stages, every op passes the
+    /// verify stage (with no evidence) before the first acquisition; an
+    /// op it rejects is reported as [`CheckinError::VerifierRejected`]
+    /// in its position and takes no lock. Unknown ids yield per-op
+    /// `Err` entries without disturbing the rest of the batch.
     pub fn check_in_batch(
         &self,
         reqs: &[CheckinRequest],
     ) -> Vec<Result<CheckinOutcome, CheckinError>> {
-        if reqs.is_empty() {
-            return Vec::new();
-        }
-        if self.pipeline.has_verifiers() {
-            return reqs.iter().map(|r| self.check_in(r)).collect();
-        }
-        let mut results: Vec<Result<CheckinOutcome, CheckinError>> = Vec::with_capacity(reqs.len());
+        let mut results = Vec::with_capacity(reqs.len());
+        self.admit(reqs, None, |r| results.push(processed(r)));
+        results
+    }
+
+    /// The admission loop behind every check-in entry point, and the
+    /// only code that takes admission locks (see
+    /// [`LbsnServer::check_in_batch`]). Reports one result per op to
+    /// `report`, in submission order. `evidence` goes to the verify
+    /// stage; only the batch-of-one entry point passes any.
+    fn admit(
+        &self,
+        reqs: &[CheckinRequest],
+        evidence: Option<&CheckinEvidence>,
+        mut report: impl FnMut(Result<AdmissionOutcome, CheckinError>),
+    ) {
+        // Verify pre-pass, before the first acquisition. Left empty
+        // (no allocation) when no verifier stage is installed; an `Err`
+        // verdict drops its op, which the lock walk then skips.
+        let verdicts: Vec<Result<DecisionBuilder, CheckinError>> = if self.pipeline.has_verifiers()
+        {
+            let now = self.clock.now();
+            reqs.iter()
+                .map(|req| self.verify(req, evidence, now))
+                .collect()
+        } else {
+            Vec::new()
+        };
         // `i` is the next unprocessed op; `attempt` counts lock-set
         // acquisitions made on op `i`'s behalf (reset as `i` advances).
         let mut i = 0usize;
@@ -843,20 +784,19 @@ impl LbsnServer {
         'acquire: while i < reqs.len() {
             // No locks are held here: safe point for the periodic sweep.
             self.maybe_sample_memory(self.clock.now());
-            #[cfg(test)]
-            if let Some(probe) = self.retry_probe.lock().as_mut() {
-                probe(attempt);
-            }
             shard_ids.clear();
             if attempt >= MAYOR_LOCK_RETRIES {
                 self.metrics.lock_fallback.inc();
                 shard_ids.extend(0..self.users.shard_count());
             } else {
-                // Requester shards for every remaining op, plus each
-                // remaining venue's incumbent-mayor shard peeked with a
+                // Requester shards for every remaining admitted op,
+                // plus each one's incumbent-mayor shard peeked with a
                 // cheap try-read. Racy by design — the coverage
                 // re-check under the real locks catches any change.
-                for req in &reqs[i..] {
+                for (k, req) in reqs.iter().enumerate().skip(i) {
+                    if matches!(verdicts.get(k), Some(Err(_))) {
+                        continue;
+                    }
                     shard_ids.push(self.users.shard_of(req.user.value()));
                     let vshard = self.venues.shard_of(req.venue.value());
                     let vslot = self.venues.slot_of(req.venue.value());
@@ -870,6 +810,10 @@ impl LbsnServer {
                 }
                 shard_ids.extend_from_slice(&extra_shards);
             }
+            #[cfg(test)]
+            if let Some(probe) = self.retry_probe.lock().as_mut() {
+                probe(attempt);
+            }
             let mut uset = self.users.write_set(&mut shard_ids);
             // Walk ops FIFO under this one user lock set. Rule 3: the
             // venue guard is held one shard at a time, released before
@@ -878,8 +822,23 @@ impl LbsnServer {
             while i < reqs.len() {
                 let req = &reqs[i];
                 let now = self.clock.now();
+                let decision = match verdicts.get(i) {
+                    None => DecisionBuilder::new(req.user.value(), req.venue.value(), now.secs()),
+                    Some(Ok(decision)) => decision.clone(),
+                    Some(Err(dropped)) => {
+                        report(match *dropped {
+                            CheckinError::VerifierRejected(verifier) => {
+                                Ok(AdmissionOutcome::VerifierRejected { verifier })
+                            }
+                            error => Err(error),
+                        });
+                        i += 1;
+                        attempt = 0;
+                        continue;
+                    }
+                };
                 if uset.get(req.user.value()).is_none() {
-                    results.push(Err(CheckinError::UnknownUser(req.user)));
+                    report(Err(CheckinError::UnknownUser(req.user)));
                     i += 1;
                     attempt = 0;
                     continue;
@@ -894,14 +853,15 @@ impl LbsnServer {
                     unreachable!("venue guard installed above")
                 };
                 let Some(venue) = guard.get(vslot) else {
-                    results.push(Err(CheckinError::UnknownVenue(req.venue)));
+                    report(Err(CheckinError::UnknownVenue(req.venue)));
                     i += 1;
                     attempt = 0;
                     continue;
                 };
-                // Same re-validation as the per-op loop: if the current
-                // incumbent's shard is outside the held set, release
-                // everything and re-acquire with it included.
+                // The mayorship decision reads the incumbent's record:
+                // if the current incumbent's shard is outside the held
+                // set, release everything and re-acquire with it
+                // included.
                 if let Some(mayor) = venue.mayor {
                     if !uset.covers(mayor.value()) {
                         self.metrics.lock_retry.inc();
@@ -910,56 +870,73 @@ impl LbsnServer {
                         continue 'acquire;
                     }
                 }
-                let decision =
-                    DecisionBuilder::new(req.user.value(), req.venue.value(), now.secs());
                 let (outcome, stripped) =
                     self.check_in_core(req, now, decision, &mut uset, guard, vslot);
-                results.push(Ok(outcome));
+                report(Ok(AdmissionOutcome::Processed(outcome)));
                 i += 1;
                 attempt = 0;
                 if !stripped.is_empty() {
                     // This decision branded the account: run the
-                    // two-phase mayor strip with nothing held, then
-                    // re-acquire for the remainder of the batch.
+                    // two-phase mayor strip with nothing held (lock
+                    // rule 3), then re-acquire for the remainder of the
+                    // batch. A later check-in by this user is already
+                    // rejected (`branded_cheater` is set), so nothing
+                    // re-enters the mayorship set.
                     drop(vguard.take());
                     drop(uset);
                     self.strip_mayor_seats(req.user, &stripped);
                     continue 'acquire;
                 }
             }
-            return results;
         }
-        results
     }
 
-    /// The pipeline body, entered with the user lock set and the venue
-    /// shard held and every id validated. Owns the guards so it can
-    /// release them before the two-phase mayor strip.
-    fn check_in_locked(
+    /// The verify stage for one op, run with no lock held. `Ok` carries
+    /// the op's decision, with the stage votes on it; `Err` is the op's
+    /// final answer: [`CheckinError::VerifierRejected`] when a stage
+    /// dropped it, [`CheckinError::UnknownVenue`] when there is no venue
+    /// to verify against.
+    fn verify(
         &self,
         req: &CheckinRequest,
+        evidence: Option<&CheckinEvidence>,
         now: Timestamp,
-        decision: DecisionBuilder,
-        mut uset: WriteSet<'_, User>,
-        mut vguard: ShardWriteGuard<'_, Venue>,
-        venue_slot: usize,
-    ) -> CheckinOutcome {
-        let (outcome, stripped) =
-            self.check_in_core(req, now, decision, &mut uset, &mut vguard, venue_slot);
-        // Two-phase strip (lock rule 3): the user-side mayorship set is
-        // already drained; release the held shards, then clear the
-        // venue-side seats one shard at a time. A concurrent check-in
-        // by this user is already rejected (`branded_cheater` is set),
-        // so nothing re-enters the set.
-        drop(vguard);
-        drop(uset);
-        self.strip_mayor_seats(req.user, &stripped);
-        outcome
+    ) -> Result<DecisionBuilder, CheckinError> {
+        // The wide-event accumulator for this decision: stack-allocated,
+        // `Copy` contents only (see `lbsn_obs::audit`).
+        let mut decision = DecisionBuilder::new(req.user.value(), req.venue.value(), now.secs());
+        let mut span = self.metrics.registry().span(obs_names::STAGE_VERIFY);
+        span.attr("user", req.user.value());
+        span.attr("venue", req.venue.value());
+        let stage = self.metrics.stage_verify.start_timer();
+        let Some(venue_location) = self.with_venue(req.venue, |v| v.location) else {
+            return Err(CheckinError::UnknownVenue(req.venue));
+        };
+        let ctx = VerifyContext {
+            request: req,
+            venue_location,
+            evidence,
+            now,
+        };
+        let rejected_by = self.pipeline.verify(&ctx, &mut decision);
+        decision.verify_ns(stage.stop());
+        if let Some(verifier) = rejected_by {
+            self.metrics.verifier_rejected.inc();
+            span.event_with(|| format!("verifier.rejected.{verifier}"));
+            span.end();
+            self.metrics
+                .audit
+                .finish(&decision, DecisionOutcome::VerifierRejected(verifier));
+            return Err(CheckinError::VerifierRejected(verifier));
+        }
+        span.end();
+        Ok(decision)
     }
 
-    /// The pipeline body proper, borrowing the caller's held locks so
-    /// [`LbsnServer::check_in_batch`] can run many ops under one
-    /// acquisition. Returns the venue seats to strip when this decision
+    /// The pipeline body, entered from the admission loop with the user
+    /// lock set and the venue shard held and every id validated; it
+    /// borrows the held locks so many ops run under one acquisition.
+    /// Returns the venue seats to strip when this decision
     /// branded the account: the caller must release every held shard,
     /// run [`LbsnServer::strip_mayor_seats`], and only then process
     /// further ops — a branded account's subsequent check-ins are
@@ -1117,7 +1094,7 @@ impl LbsnServer {
 
         // 4. Run the reward-rule chain (mayorship → badges → points →
         // specials under the default policy). The incumbent mayor (if
-        // any) is covered by the lock set — `check_in_with_evidence`
+        // any) is covered by the lock set — the admission loop
         // validated that before entering.
         let reward = self.pipeline.reward(
             req,

@@ -17,8 +17,9 @@ use lbsn_geo::{destination, GeoPoint};
 use lbsn_obs::names::server as obs_names;
 use lbsn_obs::Registry;
 use lbsn_server::{
-    CheckinError, CheckinOutcome, CheckinRequest, CheckinSource, FrontendConfig, LbsnServer,
-    RequestFrontend, ServerConfig, SubmitOutcome, UserId, UserSpec, VenueId, VenueSpec,
+    CheckinError, CheckinOutcome, CheckinRequest, CheckinSource, CheckinVerifier, FrontendConfig,
+    LbsnServer, RequestFrontend, ServerConfig, SubmitOutcome, UserId, UserSpec, VenueId, VenueSpec,
+    VerifierVerdict, VerifyContext,
 };
 use lbsn_sim::{Duration, SimClock};
 use proptest::prelude::*;
@@ -79,11 +80,46 @@ fn arb_step(users: u64, venues: u64) -> impl Strategy<Value = Step> {
         )
 }
 
+/// A verifier stage that rejects even user ids at venue 1 and abstains
+/// on everything else: a deterministic subset of any op stream.
+struct EvenUsersAtVenueOne;
+
+impl CheckinVerifier for EvenUsersAtVenueOne {
+    fn name(&self) -> &'static str {
+        "even-users-at-venue-one"
+    }
+
+    fn verify(&self, ctx: &VerifyContext<'_>) -> VerifierVerdict {
+        if ctx.request.venue == VenueId(1) && ctx.request.user.value().is_multiple_of(2) {
+            VerifierVerdict::Reject
+        } else {
+            VerifierVerdict::Abstain
+        }
+    }
+}
+
 fn build_world(users: u64, venues: u64, registry: Arc<Registry>) -> Arc<LbsnServer> {
-    let server = Arc::new(LbsnServer::with_registry(
+    build_verified_world(users, venues, registry, false)
+}
+
+/// [`build_world`], with [`EvenUsersAtVenueOne`] installed as a
+/// verifier stage when `verified` is set.
+fn build_verified_world(
+    users: u64,
+    venues: u64,
+    registry: Arc<Registry>,
+    verified: bool,
+) -> Arc<LbsnServer> {
+    let verifiers: Vec<Box<dyn CheckinVerifier>> = if verified {
+        vec![Box::new(EvenUsersAtVenueOne)]
+    } else {
+        Vec::new()
+    };
+    let server = Arc::new(LbsnServer::with_pipeline(
         SimClock::new(),
         ServerConfig::default(),
         registry,
+        verifiers,
     ));
     for i in 0..venues {
         let loc = destination(abq(), (i * 67 % 360) as f64, 200.0 + 1_500.0 * i as f64);
@@ -131,15 +167,18 @@ fn partition<'a>(steps: &'a [Step], sizes: &[usize]) -> Vec<&'a [Step]> {
 
 /// Replays `steps` under the hoisted clock schedule (advance by the
 /// chunk's sum before each chunk), admitting each chunk either through
-/// `check_in_batch` or per-op. Returns every result in order plus the
-/// terminal counters from the server's private registry.
+/// `check_in_batch` or per-op, on a server with or without the
+/// [`EvenUsersAtVenueOne`] verifier stage. Returns every result in
+/// order plus the terminal counters from the server's private
+/// registry.
 fn replay(
     steps: &[Step],
     sizes: &[usize],
     batched: bool,
-) -> (Vec<Result<CheckinOutcome, CheckinError>>, [u64; 3]) {
+    verified: bool,
+) -> (Vec<Result<CheckinOutcome, CheckinError>>, [u64; 4]) {
     let registry = Arc::new(Registry::new());
-    let server = build_world(4, 6, Arc::clone(&registry));
+    let server = build_verified_world(4, 6, Arc::clone(&registry), verified);
     let mut results = Vec::with_capacity(steps.len());
     for chunk in partition(steps, sizes) {
         let advance: u64 = chunk.iter().map(|s| s.advance_secs).sum();
@@ -156,6 +195,7 @@ fn replay(
         snap.counter(obs_names::ACCEPTED),
         snap.counter(obs_names::REJECTED),
         snap.counter(obs_names::BRANDED),
+        snap.counter(obs_names::VERIFIER_REJECTED),
     ];
     (results, counters)
 }
@@ -165,21 +205,23 @@ proptest! {
 
     /// Any batching of a mixed op stream — ragged partitions included —
     /// decides exactly like per-op admission under the same clock
-    /// schedule: identical per-op outcomes (errors included) and
-    /// identical accepted/rejected/branded counters.
+    /// schedule, with or without a verifier stage: identical per-op
+    /// outcomes (errors and verifier rejections included) and identical
+    /// accepted/rejected/branded/verifier-rejected counters.
     #[test]
     fn any_batching_matches_per_op_admission(
         steps in prop::collection::vec(arb_step(4, 6), 1..80),
         sizes in prop::collection::vec(1..17usize, 1..6),
+        verified in any::<bool>(),
     ) {
-        let (per_op, per_op_counters) = replay(&steps, &sizes, false);
-        let (batched, batched_counters) = replay(&steps, &sizes, true);
+        let (per_op, per_op_counters) = replay(&steps, &sizes, false, verified);
+        let (batched, batched_counters) = replay(&steps, &sizes, true, verified);
         prop_assert_eq!(batched.len(), per_op.len());
         for (i, (b, p)) in batched.iter().zip(per_op.iter()).enumerate() {
             prop_assert_eq!(b, p, "op {} diverged under batching", i);
         }
         prop_assert_eq!(batched_counters, per_op_counters,
-            "accepted/rejected/branded counters diverged");
+            "accepted/rejected/branded/verifier-rejected counters diverged");
     }
 }
 
@@ -313,4 +355,58 @@ fn shed_decisions_reach_the_audit_plane() {
         .filter(|r| r.outcome == lbsn_obs::names::reasons::SHED_QUEUE_FULL)
         .count() as u64;
     assert_eq!(shed_records, shed, "one audit record per shed submission");
+}
+
+/// Many one-op submit → wait round trips from a few threads through a
+/// single worker. The worker takes an op as soon as it is queued, so
+/// `submit` must count it in `queued`/`in_flight` before the push is
+/// visible; otherwise a submitter preempted between push and count
+/// lets the worker's subtraction run first and wrap (a panic under
+/// overflow checks, leaving its tickets unfulfilled). `quiesce`
+/// returns only once both counters are back at zero.
+#[test]
+fn round_trips_keep_queue_counters_balanced() {
+    with_watchdog("round_trips_keep_queue_counters_balanced", || {
+        const THREADS: u64 = 4;
+        const ROUND_TRIPS: u64 = 5_000;
+        let registry = Arc::new(Registry::new());
+        let server = build_world(THREADS, 2, Arc::clone(&registry));
+        let frontend = Arc::new(RequestFrontend::new(
+            Arc::clone(&server),
+            FrontendConfig {
+                workers: 1,
+                queue_depth: 64,
+                batch_max: 1,
+            },
+        ));
+        let venue = VenueId(1);
+        let loc = server.venue(venue).expect("registered").location;
+        let handles: Vec<_> = (1..=THREADS)
+            .map(|user| {
+                let frontend = Arc::clone(&frontend);
+                std::thread::spawn(move || {
+                    for _ in 0..ROUND_TRIPS {
+                        let outcome = frontend.submit(CheckinRequest {
+                            user: UserId(user),
+                            venue,
+                            reported_location: loc,
+                            source: CheckinSource::MobileApp,
+                        });
+                        assert!(!outcome.is_shed(), "one op per thread never fills a queue");
+                        outcome.wait().expect("registered ids decide cleanly");
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().expect("submitter panicked");
+        }
+        frontend.quiesce();
+        let snap = registry.snapshot();
+        assert_eq!(
+            snap.counter(obs_names::FRONTEND_DECIDED),
+            THREADS * ROUND_TRIPS
+        );
+        assert_eq!(snap.counter(obs_names::FRONTEND_SHED), 0);
+    });
 }
