@@ -96,8 +96,7 @@ impl FnTable {
     /// Resolves a call made from `caller` to workspace candidates.
     ///
     /// Empty candidates with `declared_only: false` means *foreign*
-    /// (std / vendored dep): treated as effect-free, exactly like the
-    /// token-level lint treated any line it did not recognize.
+    /// (std / vendored dep): treated as effect-free.
     pub fn resolve(&self, caller: usize, call: &CallRef) -> Resolution {
         let Some(all_ids) = self.by_name.get(&call.name) else {
             return Resolution::default();

@@ -34,8 +34,9 @@
 //!    ([`rules::LOCK_DISCIPLINE`]); call edges whose effects cannot be
 //!    bounded (recursion, dynamic dispatch) degrade to
 //!    [`rules::LOCK_EFFECT_UNKNOWN`] while locks are held, never to a
-//!    false pass. Files the parser cannot model fall back to the old
-//!    token-level [`rules::SHARD_LOCK_ORDER`] rule.
+//!    false pass. A server file the parser cannot model gets one
+//!    [`rules::LOCK_EFFECT_UNKNOWN`] finding: its lock flow is
+//!    unchecked.
 //! 6. **Waiver and registry hygiene** — a `lint:allow` marker whose
 //!    line no longer triggers its rule is itself a violation
 //!    ([`rules::STALE_WAIVER`]), and a name registered in
@@ -105,7 +106,7 @@ pub struct FileCtx {
     /// The lexer's views of the file.
     pub scan: lexer::Scan,
     /// Item-level parse, `None` when the file can't be modeled (the
-    /// token-level fallback rules cover it instead).
+    /// lock-flow pass then reports a server file as unchecked).
     pub parsed: Option<Vec<parse::FnItem>>,
 }
 
@@ -153,7 +154,7 @@ pub fn run(root: &Path) -> io::Result<Vec<Violation>> {
     let files = load_files(root)?;
     let mut violations = Vec::new();
     for f in &files {
-        rules::check_source(&f.rel, &f.scan, f.parsed.is_none(), &mut violations);
+        rules::check_source(&f.rel, &f.scan, &mut violations);
     }
     lockflow::check(&files, &mut violations);
     rules::check_slo_baseline(root, &mut violations)?;

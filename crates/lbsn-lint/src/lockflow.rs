@@ -2,8 +2,8 @@
 //! computed effect signature (which shard / side-map / arena locks it
 //! may acquire), propagated through the call graph with a held-set
 //! dataflow that verifies the DESIGN.md §7 discipline across function
-//! boundaries — the gap the token-level `shard-lock-order` rule and
-//! the runtime sentinel both leave open.
+//! boundaries — the gap a per-function token scan and the runtime
+//! sentinel both leave open.
 //!
 //! The analysis is summary-based, lockdep style. Acquisitions are
 //! recognized from *method names on known lock types* — `read_shard`,
@@ -596,7 +596,9 @@ fn check_acquisition(
     }
 }
 
-/// Runs the full interprocedural pass over every parsed file.
+/// Runs the full interprocedural pass over every parsed file. A
+/// server file the item parser cannot model gets one
+/// [`LOCK_EFFECT_UNKNOWN`] finding at line 1 instead.
 pub fn check(files: &[FileCtx], out: &mut Vec<Violation>) {
     // 1. The function table, excluding `#[cfg(test)]` regions (the
     //    sentinel's own tests violate the discipline on purpose).
@@ -604,7 +606,20 @@ pub fn check(files: &[FileCtx], out: &mut Vec<Violation>) {
     let mut file_of: Vec<usize> = Vec::new();
     let mut line_maps: HashMap<usize, LineMap> = HashMap::new();
     for (fi, f) in files.iter().enumerate() {
-        let Some(items) = &f.parsed else { continue };
+        let Some(items) = &f.parsed else {
+            if f.rel.starts_with("crates/lbsn-server/src/") {
+                rules::push_violation(
+                    &f.scan,
+                    out,
+                    f.rel.clone(),
+                    1,
+                    LOCK_EFFECT_UNKNOWN,
+                    "the item parser cannot model this file; its lock flow is unchecked"
+                        .to_string(),
+                );
+            }
+            continue;
+        };
         let test_lines = rules::test_region_lines(&f.scan.code);
         let kept: Vec<_> = items
             .iter()
@@ -901,6 +916,22 @@ mod tests {
         assert_eq!(v[0].rule, LOCK_DISCIPLINE);
         assert_eq!(v[0].line, 3);
         assert!(v[0].message.contains("rule 1"), "{}", v[0].message);
+        // Guards still live at scope end, variable shard indices.
+        let live = run_src(&[(
+            "a.rs",
+            "fn f(&self) {\n    let v = self.venues.write_shard(s);\n    \
+             let u = self.users.read_shard(t);\n}\n",
+        )]);
+        assert_eq!(live.len(), 1, "{live:?}");
+        assert_eq!(live[0].rule, LOCK_DISCIPLINE);
+        assert_eq!(live[0].line, 3);
+        // try_read_shard peeks don't count as venue acquisitions.
+        let peek = run_src(&[(
+            "a.rs",
+            "fn f(&self) {\n    let v = self.venues.try_read_shard(s);\n    \
+             let u = self.users.read_shard(t);\n}\n",
+        )]);
+        assert!(peek.is_empty(), "{peek:?}");
     }
 
     #[test]
@@ -966,6 +997,20 @@ mod tests {
             "{}",
             bad[0].message
         );
+        // Guards still live at scope end.
+        let live = run_src(&[(
+            "a.rs",
+            "fn f(m: &S) {\n    let a = m.write_shard(3);\n    let b = m.write_shard(1);\n}\n",
+        )]);
+        assert_eq!(live.len(), 1, "{live:?}");
+        assert_eq!(live[0].line, 3);
+        // Each function holds only its own guard.
+        let separate = run_src(&[(
+            "a.rs",
+            "fn f(m: &S) { let a = m.write_shard(3); }\n\
+             fn g(m: &S) { let b = m.write_shard(1); }\n",
+        )]);
+        assert!(separate.is_empty(), "{separate:?}");
     }
 
     #[test]

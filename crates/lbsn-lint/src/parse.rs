@@ -8,8 +8,8 @@
 //! and keyword matching cannot be fooled by either. There is no `syn`
 //! and no `rustc` — the grammar subset is exactly what this
 //! rustfmt-formatted workspace uses. [`parse`] returns `None` for
-//! input it cannot model (unbalanced braces); callers fall back to the
-//! token-level rules for those files.
+//! input it cannot model (unbalanced braces); the lock-flow pass then
+//! reports a server file as unchecked.
 
 /// One `fn` item found in a file.
 #[derive(Debug, Clone)]
@@ -154,8 +154,8 @@ fn trait_name(header: &str) -> Option<String> {
 }
 
 /// Parses blanked source into its `fn` items, or `None` if the brace
-/// structure cannot be modeled (the caller then uses token-level
-/// fallback rules for this file).
+/// structure cannot be modeled (the lock-flow pass then reports a
+/// server file as unchecked).
 pub fn parse(code: &str) -> Option<Vec<FnItem>> {
     let bytes = code.as_bytes();
     let lines = LineMap::new(code);

@@ -21,16 +21,13 @@ pub const NO_STD_SYNC: &str = "no-std-sync";
 pub const NO_WALL_CLOCK: &str = "no-wall-clock";
 /// `unwrap()` / `expect()` in a check-in hot-path module.
 pub const NO_UNWRAP_HOT_PATH: &str = "no-unwrap-hot-path";
-/// Shard acquisitions out of order within one function — the legacy
-/// token-level rule, now a fallback for files the item parser cannot
-/// model (the interprocedural [`LOCK_DISCIPLINE`] covers the rest).
-pub const SHARD_LOCK_ORDER: &str = "shard-lock-order";
 /// A lock acquisition (direct or through a callee's effect signature)
 /// violates the DESIGN.md §7 discipline given the held set.
 pub const LOCK_DISCIPLINE: &str = "lock-discipline";
 /// A call whose lock effects cannot be bounded (recursion through
 /// acquisitions, dynamic dispatch with no workspace body) happens
-/// while locks are held.
+/// while locks are held — or a whole server file the item parser
+/// cannot model, so its lock flow is unchecked.
 pub const LOCK_EFFECT_UNKNOWN: &str = "lock-effect-unknown";
 /// A `lint:allow` marker whose line no longer triggers the waived
 /// rule — waivers must not rot.
@@ -85,10 +82,7 @@ const POLICY_STRUCTS: &[(&str, &str)] = &[
 const REASON_SLUG_CRATES: &[&str] = &["crates/lbsn-server/src/", "crates/lbsn-defense/src/"];
 
 /// Runs every source-level rule over one scanned `.rs` file.
-/// `fallback` is set when the item parser could not model the file:
-/// the legacy token-level shard-order rule then covers what the
-/// interprocedural analysis cannot see.
-pub fn check_source(rel: &str, scan: &Scan, fallback: bool, out: &mut Vec<Violation>) {
+pub fn check_source(rel: &str, scan: &Scan, out: &mut Vec<Violation>) {
     let test_lines = test_region_lines(&scan.code);
     check_metric_literals(rel, scan, &test_lines, out);
     if REASON_SLUG_CRATES.iter().any(|c| rel.starts_with(c)) {
@@ -100,9 +94,6 @@ pub fn check_source(rel: &str, scan: &Scan, fallback: bool, out: &mut Vec<Violat
     }
     if HOT_PATH_MODULES.contains(&rel) {
         check_unwrap(rel, scan, &test_lines, out);
-    }
-    if fallback && rel.starts_with("crates/lbsn-server/src/") {
-        check_shard_order(rel, scan, &test_lines, out);
     }
     check_mem_footprint(rel, scan, &test_lines, out);
 }
@@ -385,82 +376,8 @@ fn check_unwrap(rel: &str, scan: &Scan, test_lines: &BTreeSet<usize>, out: &mut 
 }
 
 // ---------------------------------------------------------------------
-// Rule: shard-lock-order
+// Acquisition-site helpers (used by the lock-flow pass)
 // ---------------------------------------------------------------------
-
-/// Static shadow of the runtime sentinel's rules 1 and 2, at the
-/// granularity a token scan supports: inside one function body,
-/// integer-literal shard acquisitions must strictly ascend, and no
-/// `.users.`-receiver acquisition may follow a `.venues.`-receiver
-/// acquisition. `try_read_shard` is exempt (non-blocking peek).
-fn check_shard_order(
-    rel: &str,
-    scan: &Scan,
-    test_lines: &BTreeSet<usize>,
-    out: &mut Vec<Violation>,
-) {
-    let mut last_literal: Option<u64> = None;
-    let mut venues_acquired = false;
-    for (idx, line) in scan.code.lines().enumerate() {
-        let lineno = idx + 1;
-        if test_lines.contains(&lineno) {
-            continue;
-        }
-        if line.contains("fn ") {
-            last_literal = None;
-            venues_acquired = false;
-        }
-        for call in [".read_shard(", ".write_shard(", ".write_set("] {
-            let mut from = 0;
-            while let Some(pos) = line[from..].find(call) {
-                let at = from + pos;
-                from = at + call.len();
-                let receiver = receiver_ident(&line[..at]);
-                if receiver == Some("venues") {
-                    venues_acquired = true;
-                } else if receiver == Some("users") && venues_acquired {
-                    push(
-                        scan,
-                        out,
-                        Violation {
-                            waived: false,
-                            file: rel.to_string(),
-                            line: lineno,
-                            rule: SHARD_LOCK_ORDER,
-                            message: "user-shard acquisition after a venue-shard \
-                                      acquisition in the same function — rule 1 orders \
-                                      user shards first"
-                                .to_string(),
-                        },
-                    );
-                }
-                if call != ".write_set(" {
-                    if let Some(n) = leading_int(&line[from..]) {
-                        if last_literal.is_some_and(|prev| prev >= n) {
-                            push(
-                                scan,
-                                out,
-                                Violation {
-                                    waived: false,
-                                    file: rel.to_string(),
-                                    line: lineno,
-                                    rule: SHARD_LOCK_ORDER,
-                                    message: format!(
-                                        "shard {n} acquired after shard \
-                                         {} in the same function — rule 2 requires \
-                                         strictly ascending shard order",
-                                        last_literal.unwrap_or_default()
-                                    ),
-                                },
-                            );
-                        }
-                        last_literal = Some(n);
-                    }
-                }
-            }
-        }
-    }
-}
 
 /// The identifier immediately before the final `.` of `prefix`
 /// (e.g. `self.users` → `users`).
@@ -1066,7 +983,7 @@ mod tests {
 
     fn source_violations(rel: &str, src: &str) -> Vec<Violation> {
         let mut out = Vec::new();
-        check_source(rel, &scan(src), true, &mut out);
+        check_source(rel, &scan(src), &mut out);
         out.retain(|v| !v.waived);
         out
     }
@@ -1221,33 +1138,6 @@ mod tests {
         );
         assert!(source_violations("crates/lbsn-server/src/web.rs", src).is_empty());
         assert!(source_violations("crates/lbsn-crawler/src/crawler.rs", src).is_empty());
-    }
-
-    #[test]
-    fn descending_shard_literals_are_flagged() {
-        let src =
-            "fn f(m: &S) {\n    let a = m.write_shard(3);\n    let b = m.write_shard(1);\n}\n";
-        let v = source_violations("crates/lbsn-server/src/demo.rs", src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, SHARD_LOCK_ORDER);
-        assert_eq!(v[0].line, 3);
-        // A new function resets the tracker.
-        let reset = "fn f(m: &S) { let a = m.write_shard(3); }\n\
-                     fn g(m: &S) { let b = m.write_shard(1); }\n";
-        assert!(source_violations("crates/lbsn-server/src/demo.rs", reset).is_empty());
-    }
-
-    #[test]
-    fn venue_before_user_acquisition_is_flagged() {
-        let src = "fn f(&self) {\n    let v = self.venues.write_shard(s);\n    \
-                   let u = self.users.read_shard(t);\n}\n";
-        let v = source_violations("crates/lbsn-server/src/demo.rs", src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, SHARD_LOCK_ORDER);
-        // try_read_shard peeks don't count as venue acquisitions.
-        let peek = "fn f(&self) {\n    let v = self.venues.try_read_shard(s);\n    \
-                    let u = self.users.read_shard(t);\n}\n";
-        assert!(source_violations("crates/lbsn-server/src/demo.rs", peek).is_empty());
     }
 
     #[test]

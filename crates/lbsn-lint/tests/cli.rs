@@ -84,9 +84,10 @@ fn interproc_fixture_reports_cross_function_findings_with_exact_spans() {
         // Arena interned under a shard write lock, one call deep.
         "lock-discipline: crates/lbsn-server/src/arena.rs:10: arena mutex acquisition \
          (via `intern_name`) while a shard write lock is held",
-        // The unparseable file falls back to the token-level rule.
-        "shard-lock-order: crates/lbsn-server/src/fallback.rs:7: user-shard acquisition \
-         after a venue-shard acquisition in the same function",
+        // The parser refuses the unbalanced file: its lock flow is
+        // reported as unchecked rather than passed.
+        "lock-effect-unknown: crates/lbsn-server/src/fallback.rs:1: the item parser \
+         cannot model this file; its lock flow is unchecked",
         // The seeded cross-function rule-1 inversion.
         "lock-discipline: crates/lbsn-server/src/inversion.rs:15: user-shard acquisition \
          (via `audit_user`) while a venue shard is held",
@@ -107,23 +108,6 @@ fn interproc_fixture_reports_cross_function_findings_with_exact_spans() {
         expected.len(),
         "exactly one line per violation:\n{stdout}"
     );
-}
-
-#[test]
-fn token_level_fallback_provably_misses_the_cross_function_inversion() {
-    // The same three functions as the interproc corpus, made
-    // unparseable so only the token-level fallback rule runs: it
-    // resets at every `fn` and reports nothing. Paired with the test
-    // above, this pins the exact miss the interprocedural analysis
-    // exists to close.
-    let out = lint(&fixture("interproc-fallback"), &[]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "token-level fallback must NOT see the cross-function inversion:\n{stdout}"
-    );
-    assert!(stdout.contains("clean"), "{stdout}");
 }
 
 #[test]

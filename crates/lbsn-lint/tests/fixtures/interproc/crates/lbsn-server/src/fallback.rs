@@ -1,6 +1,6 @@
-//! An unbalanced brace defeats the item parser; the file falls back
-//! to the token-level shard-order rule, which still catches the
-//! single-function inversion below.
+//! An unbalanced brace defeats the item parser, so the lock-flow pass
+//! cannot see the single-function inversion below; it reports the
+//! whole file as unchecked instead of passing it.
 
 fn tangled(server: &Server) {
     let a = server.venues.write_shard(1);

@@ -16,8 +16,9 @@
 //! exactly `ceil(accepts / N)` accepted records survive regardless of
 //! thread interleaving. The unsampled accept path allocates nothing —
 //! the builder lives on the caller's stack and holds only `Copy` data
-//! (`&'static str` names, numbers) — which is what keeps the plane
-//! inside the `obs_overhead` budget.
+//! (`&'static str` names, numbers). The plane shares its registry's
+//! enabled flag, so its cost is part of the `perf` benchmark's
+//! `obs.overhead_pct`.
 //!
 //! Captured records land in a lock-striped bounded ring (striped by
 //! user id, evictions exactly counted) and are simultaneously folded

@@ -6,9 +6,11 @@
 //! workers, attack executor) holds pre-resolved handles — a metric
 //! update is one relaxed atomic check plus one atomic RMW, no map
 //! lookups and no locks. Disabling a registry turns every update into
-//! the single flag check, and unsampled spans are fully inert, which is
-//! what keeps instrumentation overhead under the benchmarked budget
-//! (see `lbsn-bench/benches/obs_overhead`).
+//! the single flag check, and unsampled spans are fully inert. The
+//! enabled layer's cost is measured by the `perf` benchmark as
+//! `obs.overhead_pct` (registry on over registry off, per op); on a
+//! 2-core Xeon it ranged from +12 % (single-thread replay) to +122 %
+//! (two threads on eight hot venues).
 //!
 //! Metric names follow `subsystem.component.metric`, e.g.
 //! `server.checkin.flag.gps_mismatch` or

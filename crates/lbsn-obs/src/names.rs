@@ -199,17 +199,6 @@ pub mod attack {
     pub const EVASION_STREAK: &str = "attack.evasion.streak";
 }
 
-/// Names emitted by `lbsn-bench` (overhead benches only — experiment
-/// snapshots reuse the subsystem names above).
-pub mod bench {
-    /// Raw histogram-record cost probe (`obs_overhead`).
-    pub const HISTOGRAM: &str = "bench.histogram";
-    /// Raw sketch-record cost probe.
-    pub const SKETCH: &str = "bench.sketch";
-    /// Composite latency-stat cost probe.
-    pub const LATENCY_STAT: &str = "bench.latency_stat";
-}
-
 /// Terminal-outcome **reason slugs** the decision audit plane writes
 /// into [`crate::DecisionRecord::outcome`]. Slugs are dot-separated like
 /// metric names but live in their own namespace — the first segment is
@@ -357,9 +346,6 @@ pub const REGISTERED: &[&str] = &[
     attack::CHECKINS_FLAGGED,
     attack::CHECKINS_VERIFIER_REJECTED,
     attack::EVASION_STREAK,
-    bench::HISTOGRAM,
-    bench::SKETCH,
-    bench::LATENCY_STAT,
 ];
 
 /// Whether `name` resolves against the registry.
@@ -411,7 +397,7 @@ mod tests {
         assert!(is_registered(server::CHECKIN_TOTAL));
         assert!(is_registered(crawler::THROUGHPUT_USERS_PER_HOUR));
         assert!(is_registered(attack::EVASION_STREAK));
-        assert!(is_registered(bench::LATENCY_STAT));
+        assert!(is_registered(server::FRONTEND_SOJOURN));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! unsampled (or disabled-registry) span is a `None` and every method
 //! on it is a branch on a null pointer: no clock reads, no allocation,
 //! no formatting. Only *finished sampled* spans touch the sink's one
-//! mutex, which is what keeps the tracer inside the `obs_overhead`
-//! budget.
+//! mutex. The tracer's cost is part of the `perf` benchmark's
+//! `obs.overhead_pct`.
 //!
 //! Finished spans land in a bounded ring; once full the oldest is
 //! evicted and `trace.dropped_spans` grows, so truncation is always

@@ -30,9 +30,9 @@
 //! plane with the terminal reason `shed.queue_full`, and returned as
 //! [`SubmitOutcome::Shed`] with a retry-after hint instead of blocking
 //! the caller. Shedding at the edge keeps the sojourn of *admitted*
-//! work bounded — the open-loop bench (`BENCH_checkin_frontend.json`)
-//! shows p999 staying flat past saturation while the shed rate absorbs
-//! the overload.
+//! work bounded: past saturation the shed rate absorbs the overload
+//! instead of the queue. The `perf` benchmark's `paper_rung_frontend`
+//! workload measures sojourn through the frontend.
 //!
 //! # Lock-order discipline
 //!

@@ -53,8 +53,8 @@ const MEM_SAMPLE_INTERVAL_SECS: u64 = 6 * 3600;
 /// nanosecond, so one op per 64 bytes bounds the sweep's amortized
 /// cost to a few tens of nanoseconds per check-in — noise against a
 /// multi-microsecond check-in, regardless of world size or how fast
-/// the caller spins virtual time (the obs-overhead <5% budget holds by
-/// construction). The first sweep (cost 0) runs on the first check-in.
+/// the caller spins virtual time. The first sweep (cost 0) runs on the
+/// first check-in.
 const MEM_SWEEP_BYTES_PER_OP: u64 = 64;
 
 /// Specs staged between lock acquisitions by the bulk registration

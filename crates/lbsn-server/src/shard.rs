@@ -38,10 +38,10 @@
 //! violation panics naming *both* acquisition sites — the lock being
 //! taken and the held lock it conflicts with. Release builds compile
 //! the sentinel out entirely: the guards are transparent newtypes and
-//! acquisition cost is identical to bare `parking_lot`
-//! (`BENCH_checkin_throughput.json` pins this). `try_read_shard` peeks
-//! are deliberately untracked — a try-acquire never blocks, and the
-//! optimistic mayor peek is dropped before any real acquisition.
+//! acquisition cost is identical to bare `parking_lot`.
+//! `try_read_shard` peeks are deliberately untracked — a try-acquire
+//! never blocks, and the optimistic mayor peek is dropped before any
+//! real acquisition.
 //!
 //! Every acquisition is timed into the `server.shard.lock_wait`
 //! latency stat: the uncontended try-lock fast path records 0 ns

@@ -308,11 +308,11 @@ fn flood_conserves_submissions_exactly() {
         let accepted = snap.counter(obs_names::ACCEPTED);
         let rejected = snap.counter(obs_names::REJECTED);
         assert_eq!(accepted + rejected, decided, "pipeline decisions partition");
-        // Sojourn got measured (quantiles resolve once samples exist).
-        assert!(
-            snap.quantile_ns(obs_names::FRONTEND_SOJOURN, 0.99)
-                .is_some(),
-            "sojourn latency recorded"
+        // Every decided submission records exactly one sojourn sample.
+        assert_eq!(
+            snap.sketches[obs_names::FRONTEND_SOJOURN].count,
+            decided,
+            "one sojourn sample per decision"
         );
     });
 }
