@@ -9,11 +9,11 @@
 //!     reason-histogram target/experiments/audit/E13.jsonl
 //! ```
 //!
-//! Input may be a full metrics snapshot (schema ≥ 4) or a decision
-//! JSONL dump; the format is sniffed. Exits 0 when the query was
-//! answered, 1 when the corpus holds no answer (unknown user, no
-//! captured records), 2 on usage or parse errors — including a
-//! snapshot whose schema is newer than this build understands.
+//! Input may be a full metrics snapshot or a decision JSONL dump; the
+//! format is sniffed. Exits 0 when the query was answered, 1 when the
+//! corpus holds no answer (unknown user, no captured records), 2 on
+//! usage or parse errors — including a snapshot of any schema version
+//! but the one this build reads.
 
 use std::process::ExitCode;
 

@@ -2,8 +2,8 @@
 //! behind the `obs-audit` binary.
 //!
 //! Aggregate counters answer *how many*; this module answers *why*.
-//! Input is either a full observability [`Snapshot`] (schema ≥ 4
-//! carries retained decision records and per-account timelines) or a
+//! Input is either a full observability [`Snapshot`] (it carries
+//! retained decision records and per-account timelines) or a
 //! JSONL dump of [`DecisionRecord`]s as written by the experiments
 //! binary under `target/experiments/audit/E*.jsonl`. Three queries:
 //!
@@ -18,13 +18,11 @@ use std::collections::BTreeMap;
 use lbsn_obs::{fold_records, AccountForensics, DecisionRecord, Snapshot};
 use lbsn_sim::Timestamp;
 
-use crate::obsreport::check_schema_ceiling;
-
 /// Where a parsed audit corpus came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AuditSource {
-    /// A full observability snapshot (carries the schema version seen).
-    Snapshot(u32),
+    /// A full observability snapshot.
+    Snapshot,
     /// A JSONL dump of decision records, one per line.
     Jsonl,
 }
@@ -43,16 +41,22 @@ pub struct AuditData {
     pub source: AuditSource,
 }
 
-/// Parses `text` as a snapshot first, then as a decision-record JSONL
-/// dump. `label` names the input in error messages.
+/// Parses `text` as a snapshot when it is one JSON object with a
+/// `counters` field (every snapshot version has one), else as a
+/// decision-record JSONL dump. `label` names the input in error
+/// messages.
 ///
 /// # Errors
 ///
-/// When the text parses as neither format, or parses as a snapshot
-/// whose schema is newer than this build understands.
+/// When the text is a snapshot this build cannot read (another schema
+/// version, a missing field) or is not a JSONL dump of records either.
 pub fn parse_audit_input(text: &str, label: &str) -> Result<AuditData, String> {
-    if let Ok(snap) = Snapshot::from_json(text) {
-        check_schema_ceiling(&snap, label)?;
+    let is_snapshot = serde_json::from_str::<serde_json::Value>(text).is_ok_and(|v| {
+        v.as_object()
+            .is_some_and(|obj| obj.get("counters").is_some())
+    });
+    if is_snapshot {
+        let snap = Snapshot::from_json(text).map_err(|e| format!("cannot parse {label}: {e}"))?;
         let accounts = if snap.account_forensics.is_empty() {
             fold_records(&snap.decisions)
         } else {
@@ -64,7 +68,7 @@ pub fn parse_audit_input(text: &str, label: &str) -> Result<AuditData, String> {
         return Ok(AuditData {
             decisions: snap.decisions,
             accounts,
-            source: AuditSource::Snapshot(snap.schema),
+            source: AuditSource::Snapshot,
         });
     }
     let mut decisions = Vec::new();
@@ -336,7 +340,7 @@ mod tests {
     #[test]
     fn snapshot_input_carries_decisions_and_timelines() {
         let data = corpus();
-        assert_eq!(data.source, AuditSource::Snapshot(4));
+        assert_eq!(data.source, AuditSource::Snapshot);
         assert_eq!(data.decisions.len(), 4);
         assert_eq!(data.accounts.len(), 2);
         assert!(data.accounts[&7].branded);
@@ -366,11 +370,23 @@ mod tests {
     }
 
     #[test]
-    fn future_snapshot_schema_is_rejected() {
+    fn other_snapshot_schema_is_rejected() {
         let mut snap = corpus_registry().snapshot();
-        snap.schema = lbsn_obs::SNAPSHOT_SCHEMA_VERSION + 1;
-        let err = parse_audit_input(&snap.to_json(), "future.json").unwrap_err();
-        assert!(err.contains("future.json"), "{err}");
+        for schema in [
+            lbsn_obs::SNAPSHOT_SCHEMA_VERSION - 1,
+            lbsn_obs::SNAPSHOT_SCHEMA_VERSION + 1,
+        ] {
+            snap.schema = schema;
+            let err = parse_audit_input(&snap.to_json(), "other.json").unwrap_err();
+            assert!(err.contains("other.json"), "{err}");
+            assert!(err.contains(&format!("schema {schema},")), "{err}");
+        }
+        // A schema-3 document lacks the audit sections; it is still
+        // refused by version, not read as a JSONL dump.
+        let v3 = r#"{"schema": 3, "counters": {}, "gauges": {}, "histograms": {},
+            "sketches": {}, "windows": {}, "shard_heat": [], "events": [], "spans": []}"#;
+        let err = parse_audit_input(v3, "v3.json").unwrap_err();
+        assert!(err.contains("schema 3,"), "{err}");
     }
 
     #[test]

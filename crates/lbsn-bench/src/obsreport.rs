@@ -11,7 +11,7 @@
 use std::collections::BTreeSet;
 
 use lbsn_obs::names as obs;
-use lbsn_obs::{SloOutcome, SloPolicy, SloRule, Snapshot, SNAPSHOT_SCHEMA_VERSION};
+use lbsn_obs::{SloOutcome, SloPolicy, SloRule, Snapshot};
 
 /// Quantiles shown per latency metric in the diff table.
 const QUANTILES: [(f64, &str); 3] = [(0.50, "p50"), (0.95, "p95"), (0.99, "p99")];
@@ -54,8 +54,7 @@ fn fmt_delta(row: &DiffRow) -> String {
 }
 
 /// Builds the regression rows: every counter and gauge in either
-/// snapshot, plus p50/p95/p99 for every latency metric that has a
-/// sketch or histogram on either side.
+/// snapshot, plus p50/p95/p99 for every duration sketch on either side.
 pub fn diff_rows(old: &Snapshot, new: &Snapshot) -> Vec<DiffRow> {
     let mut rows = Vec::new();
     let counter_names: BTreeSet<&String> = old.counters.keys().chain(new.counters.keys()).collect();
@@ -74,13 +73,7 @@ pub fn diff_rows(old: &Snapshot, new: &Snapshot) -> Vec<DiffRow> {
             new: new.gauges.get(name).copied(),
         });
     }
-    let latency_names: BTreeSet<&String> = old
-        .sketches
-        .keys()
-        .chain(new.sketches.keys())
-        .chain(old.histograms.keys())
-        .chain(new.histograms.keys())
-        .collect();
+    let latency_names: BTreeSet<&String> = old.sketches.keys().chain(new.sketches.keys()).collect();
     for name in latency_names {
         for (q, label) in QUANTILES {
             rows.push(DiffRow {
@@ -108,34 +101,9 @@ pub fn render_diff_table(rows: &[DiffRow]) -> String {
     out
 }
 
-/// Rejects a snapshot written by a build newer than this one.
-///
-/// Old schemas parse fine (the deserializer fills the gaps), but a
-/// *newer* schema means fields this binary has never heard of were
-/// silently dropped — diffing or gating on such a document would
-/// report false confidence. `label` names the offending file in the
-/// error.
-///
-/// # Errors
-///
-/// A description of the version mismatch when `snap.schema` exceeds
-/// [`SNAPSHOT_SCHEMA_VERSION`].
-pub fn check_schema_ceiling(snap: &Snapshot, label: &str) -> Result<(), String> {
-    if snap.schema > SNAPSHOT_SCHEMA_VERSION {
-        return Err(format!(
-            "{label} carries snapshot schema {} but this obs-report understands \
-             at most {SNAPSHOT_SCHEMA_VERSION}; rebuild obs-report from the same \
-             tree that wrote the snapshot",
-            snap.schema
-        ));
-    }
-    Ok(())
-}
-
 /// Renders every shard family's contention heatmap as Markdown: one
 /// table per family plus a hottest/coldest summary line with the skew
-/// ratio. Empty string when the snapshot has no heatmaps (pre-v3
-/// baselines).
+/// ratio. Empty string when the snapshot has no heatmaps.
 pub fn render_heatmap(snapshot: &Snapshot) -> String {
     let mut out = String::new();
     for family in &snapshot.shard_heat {
@@ -221,10 +189,8 @@ pub fn run_report(old: &Snapshot, new: &Snapshot, policy: &SloPolicy) -> Report 
         format!("\n### Shard contention heatmap\n\n{heatmap}")
     };
     let markdown = format!(
-        "## obs-report — schema {} baseline vs schema {} run\n\n\
+        "## obs-report — baseline vs run\n\n\
          ### Metric diff\n\n{}\n### SLO gate `{}` — {}\n\n{}{}",
-        old.schema,
-        new.schema,
         render_diff_table(&rows),
         policy.name,
         verdict,
@@ -237,8 +203,9 @@ pub fn run_report(old: &Snapshot, new: &Snapshot, policy: &SloPolicy) -> Report 
 /// The default gate for experiment runs: loose enough to hold on any
 /// development machine, tight enough that an order-of-magnitude
 /// check-in regression, a dead crawl, or a spike in fetch errors
-/// breaks CI. Applied to the bed-registry snapshots (`metrics/E8.json`
-/// carries both the check-in pipeline and the stand-up crawl).
+/// breaks CI. Applied to the bed-registry snapshot `metrics/E14.json`:
+/// E14 runs last on the shared bed, so it carries the check-in
+/// pipeline, the stand-up crawl and the request frontend.
 pub fn default_policy() -> SloPolicy {
     SloPolicy {
         name: "experiments-default".to_string(),
@@ -262,8 +229,9 @@ pub fn default_policy() -> SloPolicy {
                 // Per-detector cost gate: each cheater-code rule is an
                 // O(1)-ish predicate over the locked user record; if one
                 // ever grows a scan that pushes its p99 past ~1 ms
-                // (1 << 20 ns, a histogram bucket bound), the admission
-                // pipeline's budget is being spent in the wrong stage.
+                // (1 << 20 ns, read from the detector's sketch within
+                // its ±1 % error), the admission pipeline's budget is
+                // being spent in the wrong stage.
                 // The GPS detector stands proxy for the chain — it runs
                 // on every non-branded check-in under the default
                 // policy.
@@ -331,7 +299,7 @@ mod tests {
         let registry = Registry::new();
         registry.counter("c.pages").add(10);
         registry.gauge("g.rate").set(2.0);
-        registry.latency("lat").record_ns(1_000);
+        registry.sketch("lat").record(1_000);
         registry.snapshot()
     }
 
@@ -429,81 +397,5 @@ mod tests {
             &SloPolicy::default(),
         );
         assert!(!plain.markdown.contains("heatmap"));
-    }
-
-    #[test]
-    fn cross_version_baselines_diff_against_v4_runs() {
-        // One committed fixture per schema generation obs-report has
-        // ever gated on: v1 (counters/gauges/histograms only), v2
-        // (+sketches/windows/spans), v3 (+shard_heat), v4 (+audit
-        // decisions and account forensics). Every one must still load
-        // as a baseline and diff cleanly against a current-schema run.
-        let fixtures: [(u32, &str); 4] = [
-            (
-                1,
-                r#"{"counters": {"c.pages": 5}, "gauges": {}, "histograms": {}, "events": []}"#,
-            ),
-            (
-                2,
-                r#"{"schema": 2, "counters": {"c.pages": 6}, "gauges": {}, "histograms": {},
-                    "sketches": {}, "windows": {}, "events": [], "spans": []}"#,
-            ),
-            (
-                3,
-                r#"{"schema": 3, "counters": {"c.pages": 7}, "gauges": {}, "histograms": {},
-                    "sketches": {}, "windows": {}, "events": [], "spans": [], "shard_heat": []}"#,
-            ),
-            (
-                4,
-                r#"{"schema": 4, "counters": {"c.pages": 8}, "gauges": {}, "histograms": {},
-                    "sketches": {}, "windows": {}, "events": [], "spans": [], "shard_heat": [],
-                    "decisions": [], "account_forensics": []}"#,
-            ),
-        ];
-        let new = sample();
-        for (version, text) in fixtures {
-            let old = Snapshot::from_json(text)
-                .unwrap_or_else(|e| panic!("v{version} fixture must parse: {e}"));
-            assert_eq!(old.schema, version);
-            check_schema_ceiling(&old, "baseline.json")
-                .unwrap_or_else(|e| panic!("v{version} is at or below the ceiling: {e}"));
-            let report = run_report(&old, &new, &SloPolicy::default());
-            assert!(
-                report
-                    .markdown
-                    .contains(&format!("schema {version} baseline vs schema 4 run")),
-                "v{version}: {}",
-                report.markdown
-            );
-            let pages = diff_rows(&old, &new)
-                .into_iter()
-                .find(|r| r.metric == "c.pages")
-                .unwrap();
-            assert_eq!(pages.old, Some(4.0 + version as f64));
-            assert_eq!(pages.new, Some(10.0));
-        }
-    }
-
-    #[test]
-    fn exit_2_message_names_seen_and_max_versions() {
-        let snap = Snapshot {
-            schema: lbsn_obs::SNAPSHOT_SCHEMA_VERSION + 3,
-            ..Snapshot::default()
-        };
-        let err = check_schema_ceiling(&snap, "run.json").unwrap_err();
-        let seen = format!("schema {}", snap.schema);
-        let max = format!("at most {}", lbsn_obs::SNAPSHOT_SCHEMA_VERSION);
-        assert!(err.contains(&seen), "names the version seen: {err}");
-        assert!(err.contains(&max), "names the max supported: {err}");
-    }
-
-    #[test]
-    fn schema_ceiling_rejects_future_snapshots() {
-        let mut snap = Snapshot::default();
-        assert!(check_schema_ceiling(&snap, "run.json").is_ok());
-        snap.schema = lbsn_obs::SNAPSHOT_SCHEMA_VERSION + 1;
-        let err = check_schema_ceiling(&snap, "run.json").unwrap_err();
-        assert!(err.contains("run.json"), "{err}");
-        assert!(err.contains("rebuild obs-report"), "{err}");
     }
 }

@@ -50,7 +50,7 @@ pub struct Experiment {
     /// Free-form notes (scale, substitutions, caveats).
     pub notes: Vec<String>,
     /// Observability snapshot taken when the experiment finished —
-    /// counters, gauges, histograms, and recent events from the
+    /// counters, gauges, sketches, and recent events from the
     /// registry the experiment ran against (see `lbsn-obs`).
     pub metrics: Option<Snapshot>,
 }
@@ -128,10 +128,10 @@ impl Experiment {
             let _ = writeln!(out);
             let _ = writeln!(
                 out,
-                "_metrics snapshot: {} counters, {} gauges, {} histograms, {} events_",
+                "_metrics snapshot: {} counters, {} gauges, {} sketches, {} events_",
                 m.counters.len(),
                 m.gauges.len(),
-                m.histograms.len(),
+                m.sketches.len(),
                 m.events.len()
             );
         }

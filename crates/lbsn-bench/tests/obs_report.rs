@@ -1,5 +1,6 @@
 //! End-to-end test of the `obs-report` binary: exit code 0 when SLOs
-//! hold, 1 on a seeded breach, 2 on usage errors.
+//! hold, 1 on a seeded breach, 2 on usage errors and on snapshots of
+//! any schema but the current one.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -14,15 +15,15 @@ fn bin() -> &'static str {
 /// policy (fast check-ins, quiet crawler, healthy throughput).
 fn healthy_snapshot_json() -> String {
     let registry = Registry::new();
-    let checkin = registry.latency("server.checkin.total");
-    let fetch = registry.latency("crawler.fetch");
-    let lock_wait = registry.latency("server.shard.lock_wait");
-    let gps = registry.latency("server.checkin.detector.gps_proximity.latency");
+    let checkin = registry.sketch("server.checkin.total");
+    let fetch = registry.sketch("crawler.fetch");
+    let lock_wait = registry.sketch("server.shard.lock_wait");
+    let gps = registry.sketch("server.checkin.detector.gps_proximity.latency");
     for _ in 0..200 {
-        checkin.record_ns(1_000_000); // 1 ms
-        fetch.record_ns(40_000_000); // 40 ms
-        lock_wait.record_ns(2_000); // 2 µs
-        gps.record_ns(500); // 500 ns
+        checkin.record(1_000_000); // 1 ms
+        fetch.record(40_000_000); // 40 ms
+        lock_wait.record(2_000); // 2 µs
+        gps.record(500); // 500 ns
     }
     registry.counter("server.checkin.accepted").add(200);
     registry.counter("crawler.store.users").add(200);
@@ -37,9 +38,9 @@ fn healthy_snapshot_json() -> String {
     // a snapshot that never sampled memory.
     registry.gauge("server.mem.bytes_per_user").set(2_048.0);
     // Frontend rules: fast sojourns, nothing shed, submitted = decided.
-    let sojourn = registry.latency("server.frontend.sojourn");
+    let sojourn = registry.sketch("server.frontend.sojourn");
     for _ in 0..200 {
-        sojourn.record_ns(2_000_000); // 2 ms
+        sojourn.record(2_000_000); // 2 ms
     }
     registry.counter("server.frontend.submitted").add(200);
     registry.counter("server.frontend.decided").add(200);
@@ -83,11 +84,11 @@ fn seeded_breach_exits_one() {
     // Seed the regression the gate exists to catch: check-in p99
     // explodes past the 50 ms SLO.
     let registry = Registry::new();
-    let checkin = registry.latency("server.checkin.total");
-    let fetch = registry.latency("crawler.fetch");
+    let checkin = registry.sketch("server.checkin.total");
+    let fetch = registry.sketch("crawler.fetch");
     for _ in 0..200 {
-        checkin.record_ns(900_000_000); // 900 ms
-        fetch.record_ns(40_000_000);
+        checkin.record(900_000_000); // 900 ms
+        fetch.record(40_000_000);
     }
     registry.counter("server.checkin.accepted").add(200);
     registry.counter("crawler.store.users").add(200);
@@ -150,4 +151,40 @@ fn unreadable_snapshot_exits_two() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot parse"));
+
+    // Documents of other schemas are refused by version, whether they
+    // would parse (schema 4 carries every current field plus `windows`)
+    // or not (schema 3 lacks the audit sections).
+    let healthy = dir.join("healthy.json");
+    std::fs::write(&healthy, healthy_snapshot_json()).unwrap();
+    let others = [
+        (
+            3,
+            r#"{"schema": 3, "counters": {}, "gauges": {}, "histograms": {},
+                "sketches": {}, "windows": {}, "shard_heat": [], "events": [],
+                "spans": []}"#,
+        ),
+        (
+            4,
+            r#"{"schema": 4, "counters": {}, "gauges": {}, "histograms": {},
+                "sketches": {}, "windows": {}, "shard_heat": [], "events": [],
+                "spans": [], "decisions": [], "account_forensics": []}"#,
+        ),
+    ];
+    for (seen, doc) in others {
+        let old = dir.join(format!("v{seen}.json"));
+        std::fs::write(&old, doc).unwrap();
+        let out = Command::new(bin()).args([&old, &healthy]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("schema {seen},")),
+            "names the version seen: {stderr}"
+        );
+        let expected = format!("only schema {}", lbsn_obs::SNAPSHOT_SCHEMA_VERSION);
+        assert!(
+            stderr.contains(&expected),
+            "names the version expected: {stderr}"
+        );
+    }
 }

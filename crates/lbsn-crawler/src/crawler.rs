@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use lbsn_obs::names::crawler as obs_names;
-use lbsn_obs::{Counter, LatencyStat, Registry};
+use lbsn_obs::{Counter, QuantileSketch, Registry};
 
 use crate::db::CrawlDatabase;
 use crate::fetch::Fetcher;
@@ -119,10 +119,9 @@ struct CrawlerMetrics {
     /// `crawler.fetch.pages`: HTTP requests issued, retries included.
     pages: Counter,
     /// `crawler.fetch`: per-request simulated network latency,
-    /// nanoseconds — histogram + quantile sketch + per-second window,
-    /// so a run exposes fetch p50/p95/p99 next to the throughput
-    /// gauges.
-    fetch_latency: LatencyStat,
+    /// nanoseconds, as a quantile sketch, so a run exposes fetch
+    /// p50/p95/p99 next to the throughput gauges.
+    fetch_latency: QuantileSketch,
     /// `crawler.fetch.retries`: re-fetches after a transient 503.
     retries: Counter,
     /// `crawler.fetch.errors`: permanently failed pages (retry
@@ -140,7 +139,7 @@ impl CrawlerMetrics {
         let r = &registry;
         CrawlerMetrics {
             pages: r.counter(obs_names::FETCH_PAGES),
-            fetch_latency: r.latency(obs_names::FETCH),
+            fetch_latency: r.sketch(obs_names::FETCH),
             retries: r.counter(obs_names::FETCH_RETRIES),
             errors: r.counter(obs_names::FETCH_ERRORS),
             parse_errors: r.counter(obs_names::PARSE_ERRORS),
@@ -283,11 +282,11 @@ impl MultiThreadCrawler {
     }
 
     /// Records one fetch's simulated network latency into the
-    /// `crawler.fetch` latency stat (milliseconds → nanoseconds).
+    /// `crawler.fetch` sketch (milliseconds → nanoseconds).
     fn record_fetch_latency(&self, response: &crate::fetch::FetchResponse) {
         self.metrics
             .fetch_latency
-            .record_ns((response.simulated_latency_ms * 1_000_000.0) as u64);
+            .record((response.simulated_latency_ms * 1_000_000.0) as u64);
     }
 
     /// One worker: claim the next ID, fetch with retries, scrape, store.

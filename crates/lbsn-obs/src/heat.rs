@@ -1,12 +1,12 @@
 //! Per-shard contention heatmap cells.
 //!
 //! The sharded server funnels every shard's lock-wait into one latency
-//! stat (`server.shard.lock_wait`) — good for the aggregate tail,
+//! sketch (`server.shard.lock_wait`) — good for the aggregate tail,
 //! blind to *which* stripe is hot. A [`ShardHeat`] keeps one row of
 //! relaxed atomics per shard index: acquisitions, contended
 //! acquisitions, total and max wait, and an occupancy gauge the memory
 //! sampler refreshes. Rows serialize compactly into the snapshot's
-//! `shard_heat` section (schema ≥ 3) and `obs-report` renders them as
+//! `shard_heat` section and `obs-report` renders them as
 //! a Markdown heatmap with a hottest/coldest skew ratio.
 //!
 //! The hot path cost is the registry's enabled check plus one or two

@@ -1,16 +1,17 @@
-//! Workspace-wide observability: named metrics, scoped timers, spans,
-//! quantile sketches, windowed time series, SLO rules, and a
-//! structured-event trace behind a global-or-injected [`Registry`].
+//! Workspace-wide observability: named metrics, quantile sketches with
+//! their timers, spans, SLO rules, and a structured-event trace behind a
+//! global-or-injected [`Registry`].
 //!
 //! Every hot path in the reproduction (check-in pipeline, crawler
-//! workers, attack executor) holds pre-resolved handles — a metric
-//! update is one relaxed atomic check plus one atomic RMW, no map
-//! lookups and no locks. Disabling a registry turns every update into
-//! the single flag check, and unsampled spans are fully inert. The
-//! enabled layer's cost is measured by the `perf` benchmark as
-//! `obs.overhead_pct` (registry on over registry off, per op); on a
-//! 2-core Xeon it ranged from +12 % (single-thread replay) to +122 %
-//! (two threads on eight hot venues).
+//! workers, attack executor) holds pre-resolved handles, so no update
+//! takes a map lookup or a lock. After one relaxed check of the enabled
+//! flag, a counter update is one atomic RMW, and a sketch or histogram
+//! record is five (bucket, count, sum, min, max). Disabling a registry
+//! turns every update into the single flag check, and unsampled spans
+//! are fully inert. The enabled layer's cost is measured by the `perf`
+//! benchmark as `obs.overhead_pct` (registry on over registry off, per
+//! op); on a 2-core Xeon the median of three runs ranged from +21 %
+//! (single-thread replay) to +109 % (two threads on eight hot venues).
 //!
 //! Metric names follow `subsystem.component.metric`, e.g.
 //! `server.checkin.flag.gps_mismatch` or
@@ -23,9 +24,9 @@
 //!   check-in, a crawl fetch, or an attack step through its stages, and
 //!   [`chrome_trace_json`] exports them for `chrome://tracing`.
 //! - **What is the tail doing?** [`QuantileSketch`]es give p50/p95/p99
-//!   with a guaranteed relative-error bound; [`TimeWindow`]s give
-//!   per-second rates. [`LatencyStat`] feeds histogram + sketch +
-//!   window from one timer.
+//!   with a guaranteed relative-error bound. The sketch is the only
+//!   type that records durations: [`QuantileSketch::start_timer`] times
+//!   a stage into it. [`Histogram`]s hold count-valued series only.
 //! - **Did this run regress?** A [`Snapshot`] captures everything as
 //!   schema-versioned JSON, and an [`SloPolicy`] turns thresholds into
 //!   a machine-checkable gate (the `obs-report` binary in `lbsn-bench`).
@@ -59,7 +60,6 @@ mod slo;
 mod snapshot;
 mod span;
 mod trace;
-mod window;
 
 pub use audit::{
     fold_records, AccountForensics, AuditConfig, AuditPlane, DecisionBuilder, DecisionOutcome,
@@ -70,32 +70,13 @@ pub use export::chrome_trace_json;
 pub use flight::{arm, disarm, dump_flight, FlightDump, HeldLocksProvider};
 pub use heat::ShardHeat;
 pub use mem::MemFootprint;
-pub use metrics::{Counter, Gauge, Histogram, LatencyStat, LatencyTimer, ScopedTimer};
+pub use metrics::{Counter, Gauge, Histogram};
 pub use registry::{global, ObsConfig, Registry};
-pub use sketch::{QuantileSketch, DEFAULT_SKETCH_ALPHA};
+pub use sketch::{QuantileSketch, SketchTimer, DEFAULT_SKETCH_ALPHA};
 pub use slo::{SloOutcome, SloPolicy, SloRule};
 pub use snapshot::{
     BucketSnapshot, EventRecord, HistogramSnapshot, ShardHeatRow, ShardHeatSnapshot, SketchBucket,
-    SketchSnapshot, Snapshot, WindowSlot, WindowSnapshot, SNAPSHOT_SCHEMA_VERSION,
+    SketchSnapshot, Snapshot, SNAPSHOT_SCHEMA_VERSION,
 };
 pub use span::{OpenSpan, Span, SpanEventRecord, SpanRecord};
 pub use trace::EventTrace;
-pub use window::{TimeWindow, DEFAULT_WINDOW_SLOTS};
-
-/// Default histogram bucket upper bounds, in nanoseconds: exponential
-/// from 256 ns to ~4.4 s, a spread that covers both a sub-microsecond
-/// cheater-code pass and a simulated multi-second HTTP fetch.
-pub const DEFAULT_LATENCY_BUCKETS_NS: [u64; 12] = [
-    256,
-    1 << 10,
-    1 << 12,
-    1 << 14,
-    1 << 16,
-    1 << 18,
-    1 << 20,
-    1 << 22,
-    1 << 24,
-    1 << 27,
-    1 << 30,
-    1 << 32,
-];

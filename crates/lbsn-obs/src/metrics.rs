@@ -3,12 +3,12 @@
 //! Handles are resolved once (through [`crate::Registry`]) and then
 //! updated with relaxed atomics. Every update first checks the owning
 //! registry's enabled flag, so a disabled registry costs one relaxed
-//! load per call site and timers skip the `Instant::now` syscall pair
-//! entirely.
+//! load per call site. Durations go to a
+//! [`QuantileSketch`](crate::QuantileSketch); the [`Histogram`] here
+//! holds count-valued series only.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 pub(crate) struct CounterCell {
     pub(crate) value: AtomicU64,
@@ -101,8 +101,8 @@ impl HistogramCell {
     }
 }
 
-/// A fixed-bucket histogram of `u64` observations (latency in
-/// nanoseconds on the timing paths, raw values elsewhere).
+/// A fixed-bucket histogram of count-valued `u64` observations (batch
+/// sizes, streak lengths).
 #[derive(Clone)]
 pub struct Histogram {
     pub(crate) enabled: Arc<std::sync::atomic::AtomicBool>,
@@ -133,155 +133,6 @@ impl Histogram {
     /// Sum of observations.
     pub fn sum(&self) -> u64 {
         self.cell.sum.load(Ordering::Relaxed)
-    }
-
-    /// Starts a scoped timer that records elapsed nanoseconds into this
-    /// histogram when dropped. When the registry is disabled the timer
-    /// is inert and never reads the clock.
-    #[inline]
-    pub fn start_timer(&self) -> ScopedTimer {
-        ScopedTimer {
-            start: self.enabled.load(Ordering::Relaxed).then(Instant::now),
-            histogram: self.clone(),
-        }
-    }
-}
-
-/// Drop-based per-thread timer tied to a [`Histogram`]; created by
-/// [`Histogram::start_timer`].
-pub struct ScopedTimer {
-    start: Option<Instant>,
-    histogram: Histogram,
-}
-
-impl ScopedTimer {
-    /// Stops the timer now instead of at scope end, recording and
-    /// returning the elapsed nanoseconds (0 when the timer is inert).
-    pub fn stop(mut self) -> u64 {
-        match self.start.take() {
-            Some(start) => {
-                let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                self.histogram.record(nanos);
-                nanos
-            }
-            None => 0,
-        }
-    }
-
-    /// Abandons the timer without recording.
-    pub fn discard(mut self) {
-        self.start = None;
-    }
-}
-
-impl Drop for ScopedTimer {
-    fn drop(&mut self) {
-        if let Some(start) = self.start.take() {
-            let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            self.histogram.record(nanos);
-        }
-    }
-}
-
-/// One latency metric, three views: the fixed-bucket [`Histogram`]
-/// (decade-level shape, v1-compatible), a
-/// [`QuantileSketch`](crate::QuantileSketch) (tight p50/p95/p99), and a
-/// per-second [`TimeWindow`](crate::TimeWindow) (rate over time). All
-/// three share the metric's name and are fed by a single timer or
-/// `record_ns` call, so hot paths pay one clock read for the full
-/// picture. Resolved through [`crate::Registry::latency`].
-#[derive(Clone)]
-pub struct LatencyStat {
-    pub(crate) histogram: Histogram,
-    pub(crate) sketch: crate::QuantileSketch,
-    pub(crate) window: crate::TimeWindow,
-}
-
-impl LatencyStat {
-    /// Records one latency observation (nanoseconds) into the
-    /// histogram, the sketch, and the current window slot.
-    #[inline]
-    pub fn record_ns(&self, nanos: u64) {
-        self.histogram.record(nanos);
-        self.sketch.record(nanos);
-        self.window.record(nanos);
-    }
-
-    /// Records a zero-valued observation into the histogram and sketch
-    /// views only, skipping the window's clock read — for ultra-hot
-    /// fast paths whose observation is known to be 0 (e.g. uncontended
-    /// lock acquisitions). Quantiles stay exact; the window view then
-    /// counts only the slow-path (nonzero) observations, i.e. it
-    /// becomes a contention-rate-over-time signal.
-    #[inline]
-    pub fn record_zero(&self) {
-        self.histogram.record(0);
-        self.sketch.record(0);
-    }
-
-    /// Starts a timer that records elapsed nanoseconds into all three
-    /// views when dropped. Inert when the registry is disabled.
-    #[inline]
-    pub fn start_timer(&self) -> LatencyTimer {
-        LatencyTimer {
-            start: self
-                .histogram
-                .enabled
-                .load(Ordering::Relaxed)
-                .then(Instant::now),
-            stat: self.clone(),
-        }
-    }
-
-    /// The fixed-bucket histogram view.
-    pub fn histogram(&self) -> &Histogram {
-        &self.histogram
-    }
-
-    /// The quantile-sketch view.
-    pub fn sketch(&self) -> &crate::QuantileSketch {
-        &self.sketch
-    }
-
-    /// The per-second window view.
-    pub fn window(&self) -> &crate::TimeWindow {
-        &self.window
-    }
-}
-
-/// Drop-based timer tied to a [`LatencyStat`]; created by
-/// [`LatencyStat::start_timer`].
-pub struct LatencyTimer {
-    start: Option<Instant>,
-    stat: LatencyStat,
-}
-
-impl LatencyTimer {
-    /// Stops the timer now instead of at scope end, recording and
-    /// returning the elapsed nanoseconds (0 when the timer is inert).
-    pub fn stop(mut self) -> u64 {
-        match self.start.take() {
-            Some(start) => {
-                let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                self.stat.record_ns(nanos);
-                nanos
-            }
-            None => 0,
-        }
-    }
-
-    /// Abandons the timer without recording.
-    pub fn discard(mut self) {
-        self.start = None;
-    }
-}
-
-impl Drop for LatencyTimer {
-    fn drop(&mut self) {
-        if let Some(start) = self.start.take() {
-            let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            self.stat.record_ns(nanos);
-        }
     }
 }
 
@@ -326,11 +177,8 @@ mod tests {
         let registry = Registry::new();
         registry.set_enabled(false);
         let c = registry.counter("t.c");
-        let h = registry.histogram("t.h");
+        let h = registry.histogram_with_buckets("t.h", &[10]);
         c.inc();
-        {
-            let _t = h.start_timer();
-        }
         h.record(9);
         assert_eq!(c.get(), 0);
         assert_eq!(h.count(), 0);
@@ -350,65 +198,11 @@ mod tests {
         let hs = &snap.histograms["t.h"];
         // The overflow lands in the +Inf bucket, not silently in the
         // last bounded one, and min/max/sum still see the raw value.
-        assert_eq!(hs.overflow(), 1);
+        let last = hs.buckets.last().unwrap();
+        assert_eq!((last.le, last.count), (u64::MAX, 1));
         assert_eq!(hs.max, 1_000_000);
         assert_eq!(hs.min, 5);
         assert_eq!(hs.sum, 1_000_005);
-        // Quantiles saturate at the observed max instead of u64::MAX.
-        assert_eq!(hs.quantile(1.0), 1_000_000);
-    }
-
-    #[test]
-    fn latency_stat_feeds_all_three_views() {
-        let registry = Registry::new();
-        let stat = registry.latency("t.lat");
-        stat.record_ns(1_000);
-        stat.record_ns(2_000);
-        {
-            let _t = stat.start_timer();
-        }
-        assert_eq!(stat.histogram().count(), 3);
-        assert_eq!(stat.sketch().count(), 3);
-        let snap = registry.snapshot();
-        assert_eq!(snap.histograms["t.lat"].count, 3);
-        assert_eq!(snap.sketches["t.lat"].count, 3);
-        assert_eq!(snap.windows["t.lat"].total_count(), 3);
-
-        let timer = stat.start_timer();
-        timer.discard();
-        assert_eq!(stat.sketch().count(), 3);
-        let timer = stat.start_timer();
-        timer.stop();
-        assert_eq!(stat.sketch().count(), 4);
-    }
-
-    #[test]
-    fn disabled_latency_stat_is_inert() {
-        let registry = Registry::new();
-        registry.set_enabled(false);
-        let stat = registry.latency("t.lat");
-        stat.record_ns(99);
-        {
-            let _t = stat.start_timer();
-        }
-        assert_eq!(stat.histogram().count(), 0);
-        assert_eq!(stat.sketch().count(), 0);
-    }
-
-    #[test]
-    fn scoped_timer_records_on_drop() {
-        let registry = Registry::new();
-        let h = registry.histogram("t.latency");
-        {
-            let _t = h.start_timer();
-            std::hint::black_box(0u64);
-        }
-        assert_eq!(h.count(), 1);
-        let timer = h.start_timer();
-        timer.discard();
-        assert_eq!(h.count(), 1);
-        let timer = h.start_timer();
-        timer.stop();
-        assert_eq!(h.count(), 2);
+        assert_eq!(hs.mean(), 500_002.5);
     }
 }

@@ -16,16 +16,16 @@
 pub mod server {
     /// Root span of one check-in through the admission pipeline.
     pub const CHECKIN_SPAN: &str = "server.checkin";
-    /// Whole-pipeline latency (histogram + sketch + window).
+    /// Whole-pipeline latency (sketch, ns).
     pub const CHECKIN_TOTAL: &str = "server.checkin.total";
-    /// Pre-admission verifier stage (span + histogram); only sampled on
+    /// Pre-admission verifier stage (span + sketch); only sampled on
     /// deployments with verifiers installed.
     pub const STAGE_VERIFY: &str = "server.checkin.stage.verify";
-    /// GPS verification + cheater-code rule evaluation (span + histogram).
+    /// GPS verification + cheater-code rule evaluation (span + sketch).
     pub const STAGE_CHEATER_CODE: &str = "server.checkin.stage.cheater_code";
-    /// History append + flag bookkeeping (span + histogram).
+    /// History append + flag bookkeeping (span + sketch).
     pub const STAGE_RECORD: &str = "server.checkin.stage.record";
-    /// Mayorship, badges, points, specials (span + histogram).
+    /// Mayorship, badges, points, specials (span + sketch).
     pub const STAGE_REWARDS: &str = "server.checkin.stage.rewards";
     /// Check-ins that earned rewards.
     pub const ACCEPTED: &str = "server.checkin.accepted";
@@ -49,7 +49,7 @@ pub mod server {
     pub const LOCK_FALLBACK: &str = "server.checkin.lock_fallback";
     /// Times detector `{detector}` raised its flag.
     pub const DETECTOR_REJECTED_PATTERN: &str = "server.checkin.detector.{detector}.rejected";
-    /// Per-check-in cost of detector `{detector}`.
+    /// Per-check-in cost of detector `{detector}` (sketch, ns).
     pub const DETECTOR_LATENCY_PATTERN: &str = "server.checkin.detector.{detector}.latency";
     /// Times verifier stage `{verifier}` rejected a check-in.
     pub const VERIFIER_REJECTED_PATTERN: &str = "server.checkin.verifier.{verifier}.rejected";
@@ -59,8 +59,8 @@ pub mod server {
     pub const MAYORSHIPS_GRANTED: &str = "server.rewards.mayorships_granted";
     /// Points awarded.
     pub const POINTS_GRANTED: &str = "server.rewards.points_granted";
-    /// Shard-lock acquisition wait, nanoseconds (0 on the uncontended
-    /// try-lock fast path).
+    /// Shard-lock acquisition wait, nanoseconds (sketch; 0 on the
+    /// uncontended try-lock fast path).
     pub const SHARD_LOCK_WAIT: &str = "server.shard.lock_wait";
     /// Configured lock-stripe count.
     pub const SHARD_COUNT: &str = "server.shard.count";
@@ -95,11 +95,11 @@ pub mod server {
     pub const FRONTEND_SHED: &str = "server.frontend.shed";
     /// Check-ins currently queued across all frontend shard queues.
     pub const FRONTEND_QUEUE_DEPTH: &str = "server.frontend.queue_depth";
-    /// Ops admitted per batch drain (histogram — how much lock
-    /// amortization the workers actually got).
+    /// Ops admitted per batch drain (count histogram with power-of-two
+    /// bounds — how much lock amortization the workers actually got).
     pub const FRONTEND_BATCH_SIZE: &str = "server.frontend.batch_size";
     /// Submit→decision sojourn latency through the frontend queue
-    /// (histogram + sketch + window).
+    /// (sketch, ns).
     pub const FRONTEND_SOJOURN: &str = "server.frontend.sojourn";
     /// Decision records the audit plane captured (negatives + sampled
     /// accepts).
@@ -117,7 +117,7 @@ pub mod server {
         DETECTOR_REJECTED_PATTERN.replace("{detector}", &detector)
     }
 
-    /// Resolved name of the per-detector latency histogram.
+    /// Resolved name of the per-detector latency sketch.
     pub fn detector_latency(detector: &str) -> String {
         let detector = detector.replace('-', "_");
         DETECTOR_LATENCY_PATTERN.replace("{detector}", &detector)
@@ -139,7 +139,7 @@ pub mod server {
 pub mod crawler {
     /// Root span of one crawled page (fetch → parse → store children).
     pub const PAGE_SPAN: &str = "crawler.page";
-    /// Fetch latency (histogram + sketch + window) and the fetch child
+    /// Fetch latency (sketch, simulated ns) and the fetch child
     /// span — one name, two views of the same stage.
     pub const FETCH: &str = "crawler.fetch";
     /// HTTP requests issued (retries included).

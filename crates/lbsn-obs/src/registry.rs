@@ -9,17 +9,13 @@ use parking_lot::RwLock;
 
 use crate::audit::{AuditConfig, AuditPlane, DecisionRecord};
 use crate::heat::{HeatCell, ShardHeat};
-use crate::metrics::{
-    Counter, CounterCell, Gauge, GaugeCell, Histogram, HistogramCell, LatencyStat,
-};
+use crate::metrics::{Counter, CounterCell, Gauge, GaugeCell, Histogram, HistogramCell};
 use crate::names;
 use crate::sketch::{QuantileSketch, SketchCell, DEFAULT_SKETCH_ALPHA};
 use crate::snapshot::{BucketSnapshot, HistogramSnapshot, Snapshot, SNAPSHOT_SCHEMA_VERSION};
 use crate::span::OpenSpan;
 use crate::span::{Span, SpanSink};
 use crate::trace::EventTrace;
-use crate::window::{ObsClock, TimeWindow, WindowCell, DEFAULT_WINDOW_SLOTS};
-use crate::DEFAULT_LATENCY_BUCKETS_NS;
 
 /// Capacities and sampling knobs for a [`Registry`]. The defaults match
 /// what PR 1 hard-coded (1024 retained events) plus conservative span
@@ -54,7 +50,6 @@ struct Cells {
     gauges: BTreeMap<String, Arc<GaugeCell>>,
     histograms: BTreeMap<String, Arc<HistogramCell>>,
     sketches: BTreeMap<String, Arc<SketchCell>>,
-    windows: BTreeMap<String, Arc<WindowCell>>,
     heats: BTreeMap<String, Arc<HeatCell>>,
 }
 
@@ -66,7 +61,6 @@ pub struct Registry {
     enabled: Arc<AtomicBool>,
     cells: RwLock<Cells>,
     events: EventTrace,
-    clock: Arc<ObsClock>,
     spans: Arc<SpanSink>,
     audit: OnceLock<Arc<AuditPlane>>,
 }
@@ -85,7 +79,6 @@ impl Registry {
 
     /// An enabled registry with explicit capacities and span sampling.
     pub fn with_config(config: ObsConfig) -> Self {
-        let clock = Arc::new(ObsClock::new());
         Registry {
             enabled: Arc::new(AtomicBool::new(true)),
             cells: RwLock::new(Cells::default()),
@@ -94,9 +87,7 @@ impl Registry {
                 config.span_capacity,
                 config.span_sample_every,
                 config.span_sample_all,
-                Arc::clone(&clock),
             )),
-            clock,
             audit: OnceLock::new(),
         }
     }
@@ -153,15 +144,10 @@ impl Registry {
         }
     }
 
-    /// Resolves the histogram `name` with the default latency buckets
-    /// (nanoseconds, see [`DEFAULT_LATENCY_BUCKETS_NS`]).
-    pub fn histogram(&self, name: &str) -> Histogram {
-        self.histogram_with_buckets(name, &DEFAULT_LATENCY_BUCKETS_NS)
-    }
-
-    /// Resolves the histogram `name`, creating it with `bounds`
+    /// Resolves the count histogram `name`, creating it with `bounds`
     /// (inclusive upper bucket bounds) on first use. A histogram keeps
-    /// the bounds it was first registered with.
+    /// the bounds it was first registered with. Durations belong in a
+    /// [`Registry::sketch`] instead.
     pub fn histogram_with_buckets(&self, name: &str, bounds: &[u64]) -> Histogram {
         if let Some(cell) = self.cells.read().histograms.get(name) {
             return Histogram {
@@ -203,28 +189,6 @@ impl Registry {
             .or_insert_with(|| Arc::new(SketchCell::new(alpha)));
         QuantileSketch {
             enabled: Arc::clone(&self.enabled),
-            cell: Arc::clone(cell),
-        }
-    }
-
-    /// Resolves the per-second window ring `name` (one minute of
-    /// history, see [`DEFAULT_WINDOW_SLOTS`]).
-    pub fn window(&self, name: &str) -> TimeWindow {
-        if let Some(cell) = self.cells.read().windows.get(name) {
-            return TimeWindow {
-                enabled: Arc::clone(&self.enabled),
-                clock: Arc::clone(&self.clock),
-                cell: Arc::clone(cell),
-            };
-        }
-        let mut cells = self.cells.write();
-        let cell = cells
-            .windows
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(WindowCell::new(DEFAULT_WINDOW_SLOTS)));
-        TimeWindow {
-            enabled: Arc::clone(&self.enabled),
-            clock: Arc::clone(&self.clock),
             cell: Arc::clone(cell),
         }
     }
@@ -273,16 +237,6 @@ impl Registry {
             .get()
             .map(|plane| plane.last_decisions(n))
             .unwrap_or_default()
-    }
-
-    /// Resolves the composite latency metric `name`: one histogram, one
-    /// sketch, and one window sharing the name, fed by a single timer.
-    pub fn latency(&self, name: &str) -> LatencyStat {
-        LatencyStat {
-            histogram: self.histogram(name),
-            sketch: self.sketch(name),
-            window: self.window(name),
-        }
     }
 
     /// Opens a root span named `name`, subject to head sampling (and
@@ -383,11 +337,6 @@ impl Registry {
             .iter()
             .map(|(name, cell)| (name.clone(), cell.snapshot()))
             .collect();
-        let windows = cells
-            .windows
-            .iter()
-            .map(|(name, cell)| (name.clone(), cell.snapshot()))
-            .collect();
         let shard_heat = cells
             .heats
             .iter()
@@ -411,7 +360,6 @@ impl Registry {
             gauges,
             histograms,
             sketches,
-            windows,
             shard_heat,
             events: self.events.drain_copy(),
             spans: self.spans.drain_copy(),
@@ -449,9 +397,6 @@ impl Registry {
             cell.max.store(0, Ordering::Relaxed);
         }
         for cell in cells.sketches.values() {
-            cell.reset();
-        }
-        for cell in cells.windows.values() {
             cell.reset();
         }
         for cell in cells.heats.values() {
@@ -492,7 +437,6 @@ mod tests {
         registry.gauge("a.g").set(1.5);
         registry.histogram_with_buckets("a.h", &[10]).record(4);
         registry.sketch("a.s").record(7);
-        registry.window("a.w").record(1);
         registry.event("boot", &[("phase", "one".to_string())]);
         registry.span_forced("a.root").end();
         registry.reset();
@@ -502,7 +446,6 @@ mod tests {
         assert_eq!(snap.histograms["a.h"].count, 0);
         assert_eq!(snap.histograms["a.h"].min, 0);
         assert_eq!(snap.sketches["a.s"].count, 0);
-        assert!(snap.windows["a.w"].slots.is_empty());
         assert!(snap.events.is_empty());
         assert!(snap.spans.is_empty());
         // The old handle still points at the registered cell.

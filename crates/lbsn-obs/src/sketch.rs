@@ -1,17 +1,19 @@
 //! Log-bucket quantile sketch (DDSketch-style) with a guaranteed
-//! relative-error bound.
+//! relative-error bound — the workspace's one type for durations.
 //!
-//! The fixed 12-bucket latency histogram answers "which decade did this
-//! land in"; the sketch answers "what is p99, within ±1%". Buckets grow
+//! The sketch answers "what is p99, within ±1%". Buckets grow
 //! geometrically with ratio `gamma = (1 + alpha) / (1 - alpha)`, so any
 //! observation in bucket `i` is within `alpha` relative error of the
 //! bucket's midpoint estimate `2·gamma^i / (gamma + 1)` — the property
 //! the vendored-proptest oracle test pins down. Recording is one `ln`
-//! plus one relaxed atomic RMW; the bucket array is dense in memory
-//! (~18 KB at the default accuracy) but serialized sparsely.
+//! plus five relaxed atomic RMWs (bucket, count, sum, min, max); the
+//! bucket array is dense in memory (~18 KB at the default accuracy) but
+//! serialized sparsely. [`QuantileSketch::start_timer`] times a span of
+//! work into the sketch with one clock read at each end.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use crate::snapshot::{SketchBucket, SketchSnapshot};
 
@@ -114,8 +116,8 @@ impl SketchCell {
 }
 
 /// A named quantile sketch behind a cheap cloneable handle; resolved
-/// through [`crate::Registry::sketch`]. Recording costs one `ln` and a
-/// handful of relaxed atomics behind the registry's enabled check.
+/// through [`crate::Registry::sketch`]. Recording costs one `ln` and
+/// five relaxed atomic RMWs behind the registry's enabled check.
 #[derive(Clone)]
 pub struct QuantileSketch {
     pub(crate) enabled: Arc<AtomicBool>,
@@ -131,6 +133,17 @@ impl QuantileSketch {
         }
     }
 
+    /// Starts a timer that records elapsed nanoseconds into this sketch
+    /// when stopped or dropped. When the registry is disabled the timer
+    /// is inert and never reads the clock.
+    #[inline]
+    pub fn start_timer(&self) -> SketchTimer<'_> {
+        SketchTimer {
+            start: self.enabled.load(Ordering::Relaxed).then(Instant::now),
+            sketch: self,
+        }
+    }
+
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.cell.count.load(Ordering::Relaxed)
@@ -139,6 +152,36 @@ impl QuantileSketch {
     /// Estimates the `q`-quantile from the live buckets.
     pub fn quantile(&self, q: f64) -> u64 {
         self.cell.snapshot().quantile(q)
+    }
+}
+
+/// Drop-based timer tied to a [`QuantileSketch`]; created by
+/// [`QuantileSketch::start_timer`].
+pub struct SketchTimer<'a> {
+    start: Option<Instant>,
+    sketch: &'a QuantileSketch,
+}
+
+impl SketchTimer<'_> {
+    /// Stops the timer now instead of at scope end, recording and
+    /// returning the elapsed nanoseconds (0 when the timer is inert).
+    pub fn stop(mut self) -> u64 {
+        self.finish()
+    }
+
+    fn finish(&mut self) -> u64 {
+        let Some(start) = self.start.take() else {
+            return 0;
+        };
+        let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        self.sketch.cell.record(nanos);
+        nanos
+    }
+}
+
+impl Drop for SketchTimer<'_> {
+    fn drop(&mut self) {
+        self.finish();
     }
 }
 
@@ -171,6 +214,17 @@ mod tests {
                 "v={v} est={est} err={err}"
             );
         }
+        // A snapshot racing the first `record` (count bumped, min and
+        // max not yet) or an outside document can carry min > max; the
+        // estimate is still total and within alpha.
+        let mut snap = sketch().snapshot();
+        snap.count = 1;
+        snap.min = u64::MAX;
+        snap.max = 0;
+        snap.buckets = vec![SketchBucket { idx: 231, count: 1 }];
+        let est = snap.quantile(0.5);
+        assert!((99..=101).contains(&est), "estimate {est}");
+        assert_eq!(snap.quantile(1.0), est);
     }
 
     #[test]
@@ -185,6 +239,23 @@ mod tests {
         assert_eq!(snap.quantile(0.5), 0);
         let p99 = snap.quantile(0.99);
         assert!((990..=1010).contains(&p99), "p99 {p99}");
+    }
+
+    #[test]
+    fn timer_records_on_stop_and_drop_and_is_inert_when_disabled() {
+        let registry = crate::Registry::new();
+        let sketch = registry.sketch("t.timer");
+        {
+            let _t = sketch.start_timer();
+        }
+        assert_eq!(sketch.count(), 1);
+        let nanos = sketch.start_timer().stop();
+        assert_eq!(sketch.count(), 2);
+        assert!(registry.snapshot().sketches["t.timer"].sum >= nanos);
+        registry.set_enabled(false);
+        assert_eq!(sketch.start_timer().stop(), 0);
+        sketch.record(9);
+        assert_eq!(sketch.count(), 2);
     }
 
     #[test]

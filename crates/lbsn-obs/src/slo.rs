@@ -15,8 +15,8 @@ use crate::snapshot::Snapshot;
 /// One service-level objective.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SloRule {
-    /// The `q`-quantile of a latency metric (sketch preferred,
-    /// histogram fallback) must be at most `max_ns` nanoseconds.
+    /// The `q`-quantile of a duration sketch must be at most `max_ns`
+    /// nanoseconds.
     QuantileMaxNs {
         /// Latency metric name, e.g. `server.checkin.total`.
         metric: String,
@@ -204,9 +204,9 @@ mod tests {
 
     fn snapshot_with_latency() -> Snapshot {
         let registry = Registry::new();
-        let lat = registry.latency("server.checkin.total");
+        let lat = registry.sketch("server.checkin.total");
         for i in 1..=100u64 {
-            lat.record_ns(i * 10_000); // 10µs .. 1ms
+            lat.record(i * 10_000); // 10µs .. 1ms
         }
         registry
             .gauge("crawler.throughput.users_per_hour")

@@ -2,21 +2,13 @@
 //!
 //! # Schema versioning
 //!
-//! The snapshot JSON carries a `schema` field. Version 1 (PR 1) had
-//! `counters` / `gauges` / `histograms` / `events` only; version 2 adds
-//! `sketches` (log-bucket quantile sketches), `windows` (per-second
-//! ring slots), and `spans` (finished sampled spans); version 3 adds
-//! `shard_heat` (per-shard contention heatmap rows) and a `dropped`
-//! retention tally on each window; version 4 adds `decisions` (retained
-//! wide admission records from the audit plane) and `account_forensics`
-//! (per-account evidence timelines). Deserialization is
-//! backward-compatible: a v1 document (no `schema` field) parses with
-//! the new collections empty and `schema == 1`, a v2 document parses
-//! with `shard_heat` empty and window `dropped` zero, and a v3 document
-//! parses with the audit sections empty, so `obs-report` can diff old
-//! baselines against new runs. Documents *newer* than this build are
-//! rejected by `obs-report` (exit 2) instead of silently dropping
-//! sections it can't see.
+//! The snapshot JSON carries a `schema` field, and this build reads
+//! exactly one version, [`SNAPSHOT_SCHEMA_VERSION`]: every field must be
+//! present. Version 5 holds `counters`, `gauges`, `histograms` (count
+//! values only), `sketches` (every duration), `shard_heat`, `events`,
+//! `spans`, `decisions` and `account_forensics`. A document of any other
+//! version is refused by `obs-report` and `obs-audit` (exit 2) instead
+//! of being diffed or gated on fields this build does not share.
 
 use std::collections::BTreeMap;
 
@@ -26,7 +18,7 @@ use crate::audit::{AccountForensics, DecisionRecord};
 use crate::span::SpanRecord;
 
 /// The snapshot JSON schema version written by this build.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 4;
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 5;
 
 /// One histogram bucket: observations `<= le` (the last bucket has
 /// `le == u64::MAX` and catches overflow).
@@ -38,7 +30,7 @@ pub struct BucketSnapshot {
     pub count: u64,
 }
 
-/// Captured state of one histogram.
+/// Captured state of one fixed-bucket histogram of counts.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     /// Total observations.
@@ -61,37 +53,6 @@ impl HistogramSnapshot {
         } else {
             self.sum as f64 / self.count as f64
         }
-    }
-
-    /// Observations that overflowed past the last finite bound into the
-    /// `+Inf` bucket. These saturate rather than vanish: they still
-    /// drive `max`, `sum`, and `mean`, and [`Self::quantile`] reports
-    /// them at the observed `max` instead of an unbounded sentinel.
-    pub fn overflow(&self) -> u64 {
-        self.buckets
-            .last()
-            .filter(|b| b.le == u64::MAX)
-            .map(|b| b.count)
-            .unwrap_or(0)
-    }
-
-    /// Estimates the `q`-quantile (0..=1) from bucket bounds: returns
-    /// the upper bound of the bucket containing the target rank,
-    /// clamped into `[min, max]` — so overflowed observations saturate
-    /// at the observed maximum.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for bucket in &self.buckets {
-            seen += bucket.count;
-            if seen >= target {
-                return bucket.le.clamp(self.min, self.max);
-            }
-        }
-        self.max
     }
 }
 
@@ -138,7 +99,10 @@ impl SketchSnapshot {
 
     /// Estimates the `q`-quantile (0..=1). The estimate is within
     /// `alpha` relative error of the true rank value, clamped into
-    /// `[min, max]`.
+    /// `[min, max]` when that envelope is well formed. Total over any
+    /// field values: a snapshot racing the first record, or an outside
+    /// document, may carry `min > max`, and then the estimate stands
+    /// unclamped.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -149,88 +113,22 @@ impl SketchSnapshot {
             return 0;
         }
         for bucket in &self.buckets {
-            seen += bucket.count;
+            seen = seen.saturating_add(bucket.count);
             if seen >= target {
                 let est = 2.0 * self.gamma.powi(bucket.idx as i32) / (self.gamma + 1.0);
-                return (est.round() as u64).clamp(self.min, self.max);
+                let est = est.round() as u64;
+                return if self.min <= self.max {
+                    est.clamp(self.min, self.max)
+                } else {
+                    est
+                };
             }
         }
         self.max
     }
 }
 
-/// One live per-second slot of a window ring.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WindowSlot {
-    /// The second this slot covers (since the registry's clock started).
-    pub sec: u64,
-    /// Observations in that second.
-    pub count: u64,
-    /// Sum of observed values in that second.
-    pub sum: u64,
-}
-
-/// Captured state of one window ring (see [`crate::TimeWindow`]):
-/// per-second counts and sums, ascending by second.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct WindowSnapshot {
-    /// Width of each slot in seconds (currently always 1).
-    pub slot_secs: u64,
-    /// Previously-live slots recycled by newer seconds — observations
-    /// lost to retention over the run (schema ≥ 3; 0 in older
-    /// documents).
-    pub dropped: u64,
-    /// Live slots, ascending by `sec`.
-    pub slots: Vec<WindowSlot>,
-}
-
-// Hand-written so v1/v2 documents (no `dropped` field) still parse;
-// the vendored serde derive requires every field to be present.
-impl Deserialize for WindowSnapshot {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("expected object for WindowSnapshot"))?;
-        Ok(WindowSnapshot {
-            slot_secs: Deserialize::deserialize(
-                obj.get("slot_secs")
-                    .ok_or_else(|| serde::Error::missing_field("slot_secs"))?,
-            )?,
-            dropped: match obj.get("dropped") {
-                Some(v) => Deserialize::deserialize(v)?,
-                None => 0,
-            },
-            slots: Deserialize::deserialize(
-                obj.get("slots")
-                    .ok_or_else(|| serde::Error::missing_field("slots"))?,
-            )?,
-        })
-    }
-}
-
-impl WindowSnapshot {
-    /// Observations across all live slots.
-    pub fn total_count(&self) -> u64 {
-        self.slots.iter().map(|s| s.count).sum()
-    }
-
-    /// Sum of values across all live slots.
-    pub fn total_sum(&self) -> u64 {
-        self.slots.iter().map(|s| s.sum).sum()
-    }
-
-    /// Mean observations per second over the covered span (first to
-    /// last live second, inclusive); 0 when empty.
-    pub fn rate_per_sec(&self) -> f64 {
-        let (Some(first), Some(last)) = (self.slots.first(), self.slots.last()) else {
-            return 0.0;
-        };
-        let secs = (last.sec - first.sec + 1) as f64;
-        self.total_count() as f64 / secs
-    }
-}
-
-/// One shard's contention-heatmap row (schema ≥ 3): lock acquisitions,
+/// One shard's contention-heatmap row: lock acquisitions,
 /// how many waited, how long, and how many entities live there.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardHeatRow {
@@ -260,7 +158,7 @@ impl ShardHeatRow {
     }
 }
 
-/// One shard family's contention heatmap (schema ≥ 3): a compact row
+/// One shard family's contention heatmap: a compact row
 /// per shard index, in shard order.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardHeatSnapshot {
@@ -307,9 +205,9 @@ pub struct EventRecord {
 }
 
 /// Full captured state of a [`crate::Registry`]: every counter, gauge,
-/// histogram, sketch, and window by name, plus the retained event trace
-/// and finished sampled spans.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// histogram, and sketch by name, plus the retained event trace and
+/// finished sampled spans.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Snapshot {
     /// Schema version of this document (see
     /// [`SNAPSHOT_SCHEMA_VERSION`]).
@@ -318,24 +216,21 @@ pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
     /// Gauge values by metric name.
     pub gauges: BTreeMap<String, f64>,
-    /// Histogram states by metric name.
+    /// Count-valued histogram states by metric name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Quantile-sketch states by metric name (schema ≥ 2).
+    /// Quantile-sketch states by metric name: every duration series.
     pub sketches: BTreeMap<String, SketchSnapshot>,
-    /// Window-ring states by metric name (schema ≥ 2).
-    pub windows: BTreeMap<String, WindowSnapshot>,
     /// Per-shard contention heatmaps, one entry per registered family,
-    /// ascending by family name (schema ≥ 3).
+    /// ascending by family name.
     pub shard_heat: Vec<ShardHeatSnapshot>,
     /// Retained events, oldest first.
     pub events: Vec<EventRecord>,
-    /// Retained finished spans, oldest first (schema ≥ 2).
+    /// Retained finished spans, oldest first.
     pub spans: Vec<SpanRecord>,
     /// Retained wide admission records from the audit plane, ascending
-    /// by capture sequence (schema ≥ 4).
+    /// by capture sequence.
     pub decisions: Vec<DecisionRecord>,
-    /// Per-account evidence timelines, ascending by user id
-    /// (schema ≥ 4).
+    /// Per-account evidence timelines, ascending by user id.
     pub account_forensics: Vec<AccountForensics>,
 }
 
@@ -347,7 +242,6 @@ impl Default for Snapshot {
             gauges: BTreeMap::new(),
             histograms: BTreeMap::new(),
             sketches: BTreeMap::new(),
-            windows: BTreeMap::new(),
             shard_heat: Vec::new(),
             events: Vec::new(),
             spans: Vec::new(),
@@ -357,58 +251,38 @@ impl Default for Snapshot {
     }
 }
 
-// Hand-written so v1 documents (no `schema`, `sketches`, `windows`, or
-// `spans` fields), v2 documents (no `shard_heat`), and v3 documents (no
-// `decisions` / `account_forensics`) still parse; the vendored serde
-// derive requires every field to be present.
-impl Deserialize for Snapshot {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("expected object for Snapshot"))?;
-        fn required<T: Deserialize>(obj: &serde::Map, key: &str) -> Result<T, serde::Error> {
-            Deserialize::deserialize(
-                obj.get(key)
-                    .ok_or_else(|| serde::Error::missing_field(key))?,
-            )
-        }
-        fn optional<T: Deserialize + Default>(
-            obj: &serde::Map,
-            key: &str,
-        ) -> Result<T, serde::Error> {
-            match obj.get(key) {
-                Some(v) => Deserialize::deserialize(v),
-                None => Ok(T::default()),
-            }
-        }
-        Ok(Snapshot {
-            schema: match obj.get("schema") {
-                Some(v) => Deserialize::deserialize(v)?,
-                None => 1,
-            },
-            counters: required(obj, "counters")?,
-            gauges: required(obj, "gauges")?,
-            histograms: required(obj, "histograms")?,
-            sketches: optional(obj, "sketches")?,
-            windows: optional(obj, "windows")?,
-            shard_heat: optional(obj, "shard_heat")?,
-            events: required(obj, "events")?,
-            spans: optional(obj, "spans")?,
-            decisions: optional(obj, "decisions")?,
-            account_forensics: optional(obj, "account_forensics")?,
-        })
-    }
-}
-
 impl Snapshot {
     /// Serializes to pretty-printed JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("snapshot serializes")
     }
 
-    /// Parses a snapshot from JSON text (schema 1 through 4).
+    /// Parses a snapshot from JSON text.
+    ///
+    /// The `schema` field is read first: a document of any version but
+    /// [`SNAPSHOT_SCHEMA_VERSION`] is refused with an error naming the
+    /// version seen and the one expected, before any other field is
+    /// looked at (a document without the field is schema 1). Its series
+    /// were written under other rules, so diffing or gating on it would
+    /// report false confidence. Otherwise every field must be present.
+    ///
+    /// # Errors
+    ///
+    /// Malformed JSON, another schema version, or a missing field.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
+        let value: serde_json::Value = serde_json::from_str(json)?;
+        let schema = match value.as_object().and_then(|obj| obj.get("schema")) {
+            Some(v) => u32::deserialize(v)?,
+            None => 1,
+        };
+        if schema != SNAPSHOT_SCHEMA_VERSION {
+            return Err(serde_json::Error::custom(format!(
+                "snapshot schema {schema}, but this build reads only schema \
+                 {SNAPSHOT_SCHEMA_VERSION}; regenerate the snapshot with, or rebuild \
+                 this tool from, the same tree"
+            )));
+        }
+        serde_json::from_value(value)
     }
 
     /// Counter value, 0 when absent.
@@ -421,44 +295,16 @@ impl Snapshot {
         self.gauges.get(name).copied().unwrap_or(0.0)
     }
 
-    /// Estimates the `q`-quantile of metric `name`, preferring the
-    /// sketch (tight relative error) and falling back to the
-    /// fixed-bucket histogram. `None` when the metric exists in
-    /// neither map.
+    /// Estimates the `q`-quantile of the duration sketch `name`; `None`
+    /// when no such sketch exists.
     pub fn quantile_ns(&self, name: &str, q: f64) -> Option<u64> {
-        if let Some(sketch) = self.sketches.get(name) {
-            return Some(sketch.quantile(q));
-        }
-        self.histograms.get(name).map(|h| h.quantile(q))
+        self.sketches.get(name).map(|sketch| sketch.quantile(q))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn quantiles_from_buckets() {
-        let hist = HistogramSnapshot {
-            count: 10,
-            sum: 100,
-            min: 1,
-            max: 40,
-            buckets: vec![
-                BucketSnapshot { le: 10, count: 5 },
-                BucketSnapshot { le: 20, count: 3 },
-                BucketSnapshot {
-                    le: u64::MAX,
-                    count: 2,
-                },
-            ],
-        };
-        assert_eq!(hist.quantile(0.5), 10);
-        assert_eq!(hist.quantile(0.8), 20);
-        assert_eq!(hist.quantile(1.0), 40); // overflow bound clamps to max
-        assert_eq!(hist.mean(), 10.0);
-        assert_eq!(hist.overflow(), 2);
-    }
 
     #[test]
     fn json_round_trip() {
@@ -492,18 +338,6 @@ mod tests {
                 min: 100,
                 max: 100,
                 buckets: vec![SketchBucket { idx: 231, count: 1 }],
-            },
-        );
-        snapshot.windows.insert(
-            "a.w".to_string(),
-            WindowSnapshot {
-                slot_secs: 1,
-                dropped: 9,
-                slots: vec![WindowSlot {
-                    sec: 3,
-                    count: 4,
-                    sum: 40,
-                }],
             },
         );
         snapshot.shard_heat.push(ShardHeatSnapshot {
@@ -583,120 +417,44 @@ mod tests {
     }
 
     #[test]
-    fn v1_documents_still_parse() {
-        // A schema-1 snapshot as PR 1 wrote them: no schema, sketches,
-        // windows, or spans fields.
-        let v1 = r#"{
-            "counters": {"server.checkin.accepted": 5},
-            "gauges": {"crawler.throughput.users_per_hour": 98000.0},
-            "histograms": {
-                "server.checkin.total": {
-                    "count": 1, "sum": 512, "min": 512, "max": 512,
-                    "buckets": [
-                        {"le": 1024, "count": 1},
-                        {"le": 18446744073709551615, "count": 0}
-                    ]
-                }
-            },
-            "events": []
-        }"#;
-        let snap = Snapshot::from_json(v1).unwrap();
-        assert_eq!(snap.schema, 1);
-        assert_eq!(snap.counter("server.checkin.accepted"), 5);
-        assert!(snap.sketches.is_empty());
-        assert!(snap.windows.is_empty());
-        assert!(snap.shard_heat.is_empty());
-        assert!(snap.spans.is_empty());
-        assert!(snap.decisions.is_empty());
-        assert!(snap.account_forensics.is_empty());
-        // quantile_ns falls back to the histogram for v1 documents.
-        assert_eq!(snap.quantile_ns("server.checkin.total", 0.99), Some(512));
-        assert_eq!(snap.quantile_ns("absent.metric", 0.5), None);
-    }
-
-    #[test]
-    fn v2_documents_still_parse() {
-        // A schema-2 snapshot as PR 2/3 wrote them: sketches, windows
-        // (without the v3 `dropped` tally), and spans are present, but
-        // there is no `shard_heat` section.
-        let v2 = r#"{
-            "schema": 2,
-            "counters": {"server.checkin.accepted": 7},
-            "gauges": {"server.shard.count": 16.0},
-            "histograms": {},
-            "sketches": {
-                "server.checkin.total": {
-                    "alpha": 0.01, "gamma": 1.0202020202020203,
-                    "count": 1, "sum": 100, "zero": 0,
-                    "min": 100, "max": 100,
-                    "buckets": [{"idx": 231, "count": 1}]
-                }
-            },
-            "windows": {
-                "server.checkin.total": {
-                    "slot_secs": 1,
-                    "slots": [{"sec": 2, "count": 3, "sum": 33}]
-                }
-            },
-            "events": [],
-            "spans": [{
-                "id": 1, "parent": 0, "name": "server.checkin",
-                "thread": 1, "start_ns": 5, "end_ns": 9,
-                "attrs": [], "events": []
-            }]
-        }"#;
-        let snap = Snapshot::from_json(v2).unwrap();
-        assert_eq!(snap.schema, 2);
-        assert_eq!(snap.counter("server.checkin.accepted"), 7);
-        assert_eq!(snap.windows["server.checkin.total"].dropped, 0);
-        assert_eq!(snap.windows["server.checkin.total"].total_count(), 3);
-        assert!(snap.shard_heat.is_empty());
-        assert_eq!(snap.spans.len(), 1);
-        assert!(snap.decisions.is_empty());
-        assert!(snap.account_forensics.is_empty());
-        assert_eq!(snap.quantile_ns("server.checkin.total", 0.5), Some(100));
-    }
-
-    #[test]
-    fn v3_documents_still_parse() {
-        // A schema-3 snapshot as PR 6 wrote them: shard_heat and window
-        // `dropped` are present, but there is no audit plane — no
-        // `decisions` or `account_forensics` sections.
-        let v3 = r#"{
-            "schema": 3,
-            "counters": {"server.checkin.rejected": 2},
-            "gauges": {"server.mem.bytes_per_user": 412.5},
-            "histograms": {},
-            "sketches": {},
-            "windows": {
-                "server.checkin.total": {
-                    "slot_secs": 1,
-                    "dropped": 4,
-                    "slots": [{"sec": 9, "count": 1, "sum": 11}]
-                }
-            },
-            "shard_heat": [{
-                "family": "server.shard.heat.users",
-                "shards": [{
-                    "shard": 0, "ops": 12, "contended": 1,
-                    "wait_total_ns": 800, "wait_max_ns": 800,
-                    "occupancy": 3
-                }]
-            }],
-            "events": [],
-            "spans": []
-        }"#;
-        let snap = Snapshot::from_json(v3).unwrap();
-        assert_eq!(snap.schema, 3);
-        assert_eq!(snap.counter("server.checkin.rejected"), 2);
-        assert_eq!(snap.windows["server.checkin.total"].dropped, 4);
-        assert_eq!(snap.shard_heat.len(), 1);
-        assert!(snap.decisions.is_empty());
-        assert!(snap.account_forensics.is_empty());
-        // And a v3 document re-serialized by this build round-trips as
-        // v4 shape with the audit sections empty.
-        let back = Snapshot::from_json(&snap.to_json()).unwrap();
-        assert_eq!(back, snap);
+    fn other_schema_versions_are_refused_by_name() {
+        let v5 = Snapshot::default().to_json();
+        let v6 = v5.replacen(
+            &format!("\"schema\": {SNAPSHOT_SCHEMA_VERSION}"),
+            &format!("\"schema\": {}", SNAPSHOT_SCHEMA_VERSION + 1),
+            1,
+        );
+        let cases = [
+            // Schema 1 had no `schema` field and no sketches or spans.
+            (
+                1,
+                r#"{"counters": {}, "gauges": {}, "histograms": {}, "events": []}"#.to_string(),
+            ),
+            // Schema 3 had windows but no audit sections.
+            (
+                3,
+                r#"{"schema": 3, "counters": {}, "gauges": {}, "histograms": {},
+                    "sketches": {}, "windows": {}, "shard_heat": [], "events": [],
+                    "spans": []}"#
+                    .to_string(),
+            ),
+            // Schema 4 carries every current field plus `windows`.
+            (
+                4,
+                r#"{"schema": 4, "counters": {}, "gauges": {}, "histograms": {},
+                    "sketches": {}, "windows": {}, "shard_heat": [], "events": [],
+                    "spans": [], "decisions": [], "account_forensics": []}"#
+                    .to_string(),
+            ),
+            (SNAPSHOT_SCHEMA_VERSION + 1, v6),
+        ];
+        for (seen, doc) in cases {
+            let err = Snapshot::from_json(&doc).unwrap_err().to_string();
+            assert!(err.contains(&format!("schema {seen},")), "seen: {err}");
+            let expected = format!("only schema {SNAPSHOT_SCHEMA_VERSION}");
+            assert!(err.contains(&expected), "expected: {err}");
+        }
+        assert_eq!(Snapshot::from_json(&v5).unwrap(), Snapshot::default());
     }
 
     #[test]
@@ -756,34 +514,5 @@ mod tests {
             shards: vec![],
         };
         assert!((empty.skew_ratio() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn window_rates() {
-        let w = WindowSnapshot {
-            slot_secs: 1,
-            dropped: 0,
-            slots: vec![
-                WindowSlot {
-                    sec: 2,
-                    count: 10,
-                    sum: 100,
-                },
-                WindowSlot {
-                    sec: 5,
-                    count: 2,
-                    sum: 20,
-                },
-            ],
-        };
-        assert_eq!(w.total_count(), 12);
-        assert_eq!(w.total_sum(), 120);
-        assert!((w.rate_per_sec() - 3.0).abs() < 1e-9);
-        let empty = WindowSnapshot {
-            slot_secs: 1,
-            dropped: 0,
-            slots: vec![],
-        };
-        assert_eq!(empty.rate_per_sec(), 0.0);
     }
 }

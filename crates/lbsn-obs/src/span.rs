@@ -21,11 +21,10 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-
-use crate::window::ObsClock;
 
 /// One moment inside a span (a cheater flag firing, a retry).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -104,16 +103,13 @@ pub(crate) struct SpanSink {
     ring: Mutex<VecDeque<SpanRecord>>,
     /// Sampled spans started but not yet finished, for flight dumps.
     open: Mutex<Vec<OpenSpan>>,
-    clock: Arc<ObsClock>,
+    /// Time base for span timestamps: the sink (and so its registry)
+    /// was created here.
+    start: Instant,
 }
 
 impl SpanSink {
-    pub(crate) fn new(
-        capacity: usize,
-        sample_every: u64,
-        sample_all: bool,
-        clock: Arc<ObsClock>,
-    ) -> Self {
+    pub(crate) fn new(capacity: usize, sample_every: u64, sample_all: bool) -> Self {
         assert!(capacity > 0, "span sink needs capacity");
         SpanSink {
             capacity,
@@ -125,8 +121,13 @@ impl SpanSink {
             dropped: AtomicU64::new(0),
             ring: Mutex::new(VecDeque::with_capacity(capacity)),
             open: Mutex::new(Vec::new()),
-            clock,
+            start: Instant::now(),
         }
+    }
+
+    /// Nanoseconds since the sink (registry) was created.
+    fn now_ns(&self) -> u64 {
+        self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64
     }
 
     /// The head-sampling decision for a new root span.
@@ -228,7 +229,7 @@ impl Span {
 
     fn start(sink: &Arc<SpanSink>, name: &str, parent: u64) -> Span {
         let id = sink.next_id.fetch_add(1, Ordering::Relaxed);
-        let start_ns = sink.clock.now_ns();
+        let start_ns = sink.now_ns();
         sink.open.lock().push(OpenSpan {
             id,
             parent,
@@ -286,7 +287,7 @@ impl Span {
     /// Records a timestamped event inside the span.
     pub fn event(&mut self, name: &str) {
         if let Some(inner) = &mut self.inner {
-            let at_ns = inner.sink.clock.now_ns();
+            let at_ns = inner.sink.now_ns();
             inner.record.events.push(SpanEventRecord {
                 at_ns,
                 name: name.to_string(),
@@ -311,7 +312,7 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(mut inner) = self.inner.take() {
-            inner.record.end_ns = inner.sink.clock.now_ns();
+            inner.record.end_ns = inner.sink.now_ns();
             let SpanInner { sink, record } = *inner;
             sink.push(record);
         }
@@ -323,12 +324,7 @@ mod tests {
     use super::*;
 
     fn sink(capacity: usize, every: u64) -> Arc<SpanSink> {
-        Arc::new(SpanSink::new(
-            capacity,
-            every,
-            false,
-            Arc::new(ObsClock::new()),
-        ))
+        Arc::new(SpanSink::new(capacity, every, false))
     }
 
     #[test]
@@ -409,7 +405,7 @@ mod tests {
         root.end();
         assert!(sink.open_copy().is_empty());
         // Unsampled spans never appear in the open list.
-        let quiet = Arc::new(SpanSink::new(16, 0, false, Arc::new(ObsClock::new())));
+        let quiet = Arc::new(SpanSink::new(16, 0, false));
         let s = Span::start_root(&quiet, "req", false);
         assert!(quiet.open_copy().is_empty());
         drop(s);

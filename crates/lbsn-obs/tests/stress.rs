@@ -60,7 +60,7 @@ fn concurrent_counters_and_histograms_are_exact() {
 }
 
 /// A snapshot taken from a live registry survives JSON serialization
-/// bit-for-bit, including events and bucket layouts.
+/// bit-for-bit, including events and sketch buckets.
 #[test]
 fn live_snapshot_round_trips_through_json() {
     let registry = Registry::new();
@@ -68,9 +68,9 @@ fn live_snapshot_round_trips_through_json() {
     registry
         .gauge("crawler.throughput.users_per_hour")
         .set(99_500.25);
-    let h = registry.histogram("server.checkin.total");
+    let sketch = registry.sketch("server.checkin.total");
     for v in [120, 900, 40_000, 2_000_000] {
-        h.record(v);
+        sketch.record(v);
     }
     registry.event(
         "server.account.branded",
@@ -88,10 +88,10 @@ fn live_snapshot_round_trips_through_json() {
     // Spot-check the decoded side so equality isn't vacuous.
     assert_eq!(back.counter("server.checkin.accepted"), 41);
     assert_eq!(back.gauge("crawler.throughput.users_per_hour"), 99_500.25);
-    let hist = &back.histograms["server.checkin.total"];
-    assert_eq!(hist.count, 4);
-    assert_eq!(hist.min, 120);
-    assert_eq!(hist.max, 2_000_000);
+    let total = &back.sketches["server.checkin.total"];
+    assert_eq!(total.count, 4);
+    assert_eq!(total.min, 120);
+    assert_eq!(total.max, 2_000_000);
     assert_eq!(back.events.len(), 1);
     assert_eq!(back.events[0].name, "server.account.branded");
 }

@@ -438,7 +438,7 @@ fn worker_loop(shared: &Shared, w: usize) {
         // the batch's own admission time.
         for (pending, result) in batch.into_iter().zip(results.drain(..)) {
             let sojourn_ns = pending.submitted.elapsed().as_nanos() as u64;
-            metrics.frontend_sojourn.record_ns(sojourn_ns);
+            metrics.frontend_sojourn.record(sojourn_ns);
             metrics.frontend_decided.inc();
             pending.ticket.fulfill(result);
             shared.in_flight.fetch_sub(1, Ordering::AcqRel);

@@ -1,24 +1,25 @@
 //! Pre-resolved observability handles for the check-in pipeline.
 //!
 //! All handles are resolved once at server construction so the hot
-//! path never touches the registry's name map — each update is one
-//! relaxed atomic check plus one RMW (see `lbsn-obs`).
+//! path never touches the registry's name map. After one relaxed check
+//! of the enabled flag, a counter update is one atomic RMW and a sketch
+//! or histogram record is five (see `lbsn-obs`).
 //!
 //! Metric names (scheme `subsystem.component.metric`):
 //!
 //! | metric | kind | meaning |
 //! |---|---|---|
-//! | `server.checkin.total` | histogram + sketch + window (ns) | whole-pipeline latency |
-//! | `server.checkin.stage.verify` | histogram (ns) | pre-admission verifier stages (only sampled when verifiers are installed) |
-//! | `server.checkin.stage.cheater_code` | histogram (ns) | GPS verify + cheater-code rules |
-//! | `server.checkin.stage.record` | histogram (ns) | history append + flag bookkeeping |
-//! | `server.checkin.stage.rewards` | histogram (ns) | mayorship, badges, points, specials |
+//! | `server.checkin.total` | sketch (ns) | whole-pipeline latency |
+//! | `server.checkin.stage.verify` | sketch (ns) | pre-admission verifier stages (only sampled when verifiers are installed) |
+//! | `server.checkin.stage.cheater_code` | sketch (ns) | GPS verify + cheater-code rules |
+//! | `server.checkin.stage.record` | sketch (ns) | history append + flag bookkeeping |
+//! | `server.checkin.stage.rewards` | sketch (ns) | mayorship, badges, points, specials |
 //! | `server.checkin.accepted` | counter | check-ins that earned rewards |
 //! | `server.checkin.rejected` | counter | flagged check-ins |
 //! | `server.checkin.verifier_rejected` | counter | check-ins dropped by a verifier stage before recording |
 //! | `server.checkin.flag.*` | counter | one per [`CheatFlag`] rule fired |
 //! | `server.checkin.detector.{name}.rejected` | counter | times detector `{name}` raised its flag |
-//! | `server.checkin.detector.{name}.latency` | histogram (ns) | per-check-in cost of detector `{name}` |
+//! | `server.checkin.detector.{name}.latency` | sketch (ns) | per-check-in cost of detector `{name}` |
 //! | `server.checkin.verifier.{name}.rejected` | counter | times verifier stage `{name}` rejected |
 //! | `server.checkin.branded` | counter | accounts escalated to branded cheater |
 //! | `server.checkin.lock_retry` | counter | optimistic lock-set widenings (uncovered incumbent mayor) |
@@ -26,7 +27,7 @@
 //! | `server.rewards.badges_granted` | counter | badges awarded |
 //! | `server.rewards.mayorships_granted` | counter | mayorship handovers |
 //! | `server.rewards.points_granted` | counter | points awarded |
-//! | `server.shard.lock_wait` | histogram + sketch + window (ns) | shard-lock acquisition wait (0 on the uncontended fast path) |
+//! | `server.shard.lock_wait` | sketch (ns) | shard-lock acquisition wait (0 on the uncontended fast path) |
 //! | `server.shard.count` | gauge | configured lock-stripe count |
 //! | `server.shard.heat.{users,venues}` | shard heat | per-shard ops / contention / wait / occupancy (the heatmap) |
 //! | `server.mem.users_bytes` | gauge | deep owned bytes of all user state at the last sample |
@@ -39,8 +40,8 @@
 //! | `server.frontend.decided` | counter | queued check-ins the batch-drain workers decided |
 //! | `server.frontend.shed` | counter | submissions shed at the queue high-water mark |
 //! | `server.frontend.queue_depth` | gauge | check-ins currently queued across all frontend shard queues |
-//! | `server.frontend.batch_size` | histogram | ops admitted per batch drain |
-//! | `server.frontend.sojourn` | histogram + sketch + window (ns) | submit→decision sojourn through the frontend |
+//! | `server.frontend.batch_size` | histogram (count, power-of-two bounds) | ops admitted per batch drain |
+//! | `server.frontend.sojourn` | sketch (ns) | submit→decision sojourn through the frontend |
 //! | `server.flight.dump` | event | an explicit flight-recorder dump was requested |
 //! | `server.audit.records` | counter (synthesized) | decision records captured by the audit plane |
 //! | `server.audit.sampled_out` | counter (synthesized) | accepted decisions dropped by 1-in-N tail sampling |
@@ -54,25 +55,28 @@
 use std::sync::Arc;
 
 use lbsn_obs::names::server as names;
-use lbsn_obs::{AuditPlane, Counter, Gauge, Histogram, LatencyStat, Registry};
+use lbsn_obs::{AuditPlane, Counter, Gauge, Histogram, QuantileSketch, Registry};
 
 use crate::checkin::CheatFlag;
+
+/// Inclusive upper bounds of the batch-size histogram: powers of two up
+/// to 1024 ops, so every `batch_max` up to that lands in its own bucket.
+const BATCH_SIZE_BUCKETS: [u64; 11] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
 
 /// Handles for every metric the server emits.
 pub struct ServerMetrics {
     registry: Arc<Registry>,
-    /// Whole check-in pipeline latency, nanoseconds — histogram plus
-    /// quantile sketch plus per-second window under one name.
-    pub checkin_total: LatencyStat,
+    /// Whole check-in pipeline latency, nanoseconds.
+    pub checkin_total: QuantileSketch,
     /// Stage 0 (verified deployments only): pre-admission verifier
     /// stages. No samples on the plain pipeline.
-    pub stage_verify: Histogram,
+    pub stage_verify: QuantileSketch,
     /// Stage 1: GPS verification + cheater-code rule evaluation.
-    pub stage_cheater_code: Histogram,
+    pub stage_cheater_code: QuantileSketch,
     /// Stage 2: recording the check-in and flag bookkeeping.
-    pub stage_record: Histogram,
+    pub stage_record: QuantileSketch,
     /// Stage 3: mayorship, badges, points, specials.
-    pub stage_rewards: Histogram,
+    pub stage_rewards: QuantileSketch,
     /// Check-ins that passed the cheater code.
     pub accepted: Counter,
     /// Check-ins flagged by at least one rule.
@@ -99,9 +103,9 @@ pub struct ServerMetrics {
     /// Points awarded.
     pub points_granted: Counter,
     /// Shard-lock acquisition wait, nanoseconds. Uncontended try-lock
-    /// acquisitions record 0 without reading the clock, so the stat's
+    /// acquisitions record 0 without reading the clock, so the sketch's
     /// p99 is a direct contention signal bounded by the SLO gate.
-    pub shard_lock_wait: LatencyStat,
+    pub shard_lock_wait: QuantileSketch,
     /// Number of lock stripes over user/venue state (set once at
     /// construction).
     pub shard_count: Gauge,
@@ -133,7 +137,7 @@ pub struct ServerMetrics {
     /// workers actually got.
     pub frontend_batch_size: Histogram,
     /// Submit→decision sojourn latency through the frontend queue.
-    pub frontend_sojourn: LatencyStat,
+    pub frontend_sojourn: QuantileSketch,
     /// The decision audit plane: one wide event per admission decision,
     /// resolved once (default [`lbsn_obs::AuditConfig`]) so the check-in
     /// hot path pays no `OnceLock` probe.
@@ -145,11 +149,11 @@ impl ServerMetrics {
     pub fn new(registry: Arc<Registry>) -> Self {
         let r = &registry;
         ServerMetrics {
-            checkin_total: r.latency(names::CHECKIN_TOTAL),
-            stage_verify: r.histogram(names::STAGE_VERIFY),
-            stage_cheater_code: r.histogram(names::STAGE_CHEATER_CODE),
-            stage_record: r.histogram(names::STAGE_RECORD),
-            stage_rewards: r.histogram(names::STAGE_REWARDS),
+            checkin_total: r.sketch(names::CHECKIN_TOTAL),
+            stage_verify: r.sketch(names::STAGE_VERIFY),
+            stage_cheater_code: r.sketch(names::STAGE_CHEATER_CODE),
+            stage_record: r.sketch(names::STAGE_RECORD),
+            stage_rewards: r.sketch(names::STAGE_REWARDS),
             accepted: r.counter(names::ACCEPTED),
             rejected: r.counter(names::REJECTED),
             verifier_rejected: r.counter(names::VERIFIER_REJECTED),
@@ -164,7 +168,7 @@ impl ServerMetrics {
             badges_granted: r.counter(names::BADGES_GRANTED),
             mayorships_granted: r.counter(names::MAYORSHIPS_GRANTED),
             points_granted: r.counter(names::POINTS_GRANTED),
-            shard_lock_wait: r.latency(names::SHARD_LOCK_WAIT),
+            shard_lock_wait: r.sketch(names::SHARD_LOCK_WAIT),
             shard_count: r.gauge(names::SHARD_COUNT),
             mem_users_bytes: r.gauge(names::MEM_USERS_BYTES),
             mem_venues_bytes: r.gauge(names::MEM_VENUES_BYTES),
@@ -176,8 +180,9 @@ impl ServerMetrics {
             frontend_decided: r.counter(names::FRONTEND_DECIDED),
             frontend_shed: r.counter(names::FRONTEND_SHED),
             frontend_queue_depth: r.gauge(names::FRONTEND_QUEUE_DEPTH),
-            frontend_batch_size: r.histogram(names::FRONTEND_BATCH_SIZE),
-            frontend_sojourn: r.latency(names::FRONTEND_SOJOURN),
+            frontend_batch_size: r
+                .histogram_with_buckets(names::FRONTEND_BATCH_SIZE, &BATCH_SIZE_BUCKETS),
+            frontend_sojourn: r.sketch(names::FRONTEND_SOJOURN),
             audit: r.audit(),
             registry,
         }
@@ -190,16 +195,16 @@ impl ServerMetrics {
 
     /// Resolves the per-detector observability pair for detector
     /// `name`: the `server.checkin.detector.{name}.rejected` counter
-    /// and the `server.checkin.detector.{name}.latency` histogram
+    /// and the `server.checkin.detector.{name}.latency` sketch
     /// (dashes in the stable detector name become underscores, keeping
     /// the metric namespace dot-and-underscore only).
     ///
     /// Called once per detector at pipeline assembly; the returned
     /// handles are hot-path-cheap.
-    pub fn detector_metrics(&self, name: &str) -> (Counter, Histogram) {
+    pub fn detector_metrics(&self, name: &str) -> (Counter, QuantileSketch) {
         (
             self.registry.counter(&names::detector_rejected(name)),
-            self.registry.histogram(&names::detector_latency(name)),
+            self.registry.sketch(&names::detector_latency(name)),
         )
     }
 

@@ -39,7 +39,7 @@
 //! request, the venue's registered location, and the evidence.
 
 use lbsn_geo::GeoPoint;
-use lbsn_obs::{Counter, DecisionBuilder, Histogram};
+use lbsn_obs::{Counter, DecisionBuilder, QuantileSketch};
 use lbsn_sim::Timestamp;
 
 use crate::checkin::{CheatFlag, CheckinEvidence, CheckinRequest};
@@ -452,7 +452,7 @@ struct InstalledDetector {
     /// `server.checkin.detector.{name}.rejected`
     rejected: Counter,
     /// `server.checkin.detector.{name}.latency`
-    latency: Histogram,
+    latency: QuantileSketch,
 }
 
 /// A verifier stage with its pre-resolved rejection counter.

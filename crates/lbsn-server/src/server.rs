@@ -692,7 +692,7 @@ impl LbsnServer {
     /// The verify stage runs *before* any shard lock is taken: a
     /// rejected check-in is dropped, not recorded, so it must not touch
     /// user or venue state at all. On a server with no verifier stages
-    /// the stage is skipped entirely — no span, no histogram sample —
+    /// the stage is skipped entirely — no span, no sketch sample —
     /// keeping the plain pipeline's cost profile unchanged.
     ///
     /// # Errors

@@ -44,10 +44,10 @@
 //! real acquisition.
 //!
 //! Every acquisition is timed into the `server.shard.lock_wait`
-//! latency stat: the uncontended try-lock fast path records 0 ns
+//! sketch: the uncontended try-lock fast path records 0 ns
 //! without reading the clock, the contended slow path records the
-//! measured wait, so the stat's p99 is a direct contention signal the
-//! SLO gate can bound. The aggregate stat deliberately erases *which*
+//! measured wait, so the sketch's p99 is a direct contention signal the
+//! SLO gate can bound. The aggregate sketch deliberately erases *which*
 //! stripe was hot, so each acquisition additionally bumps a per-shard
 //! [`ShardHeat`] row (ops always; contended count + wait only on the
 //! slow path) — the `server.shard.heat.{users,venues}` families the
@@ -56,7 +56,7 @@
 use std::ops::{Deref, DerefMut};
 use std::time::Instant;
 
-use lbsn_obs::{LatencyStat, ShardHeat};
+use lbsn_obs::{QuantileSketch, ShardHeat};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Which ordered family of striped locks a [`ShardedVec`] belongs to.
@@ -102,8 +102,8 @@ pub(crate) struct ShardedVec<T> {
     bits: u32,
     /// shard count - 1.
     mask: u64,
-    /// Acquisition-wait stat shared by every shard of this map.
-    lock_wait: LatencyStat,
+    /// Acquisition-wait sketch shared by every shard of this map.
+    lock_wait: QuantileSketch,
     /// Per-shard contention heatmap rows for this family.
     heat: ShardHeat,
 }
@@ -151,7 +151,7 @@ impl<T> ShardedVec<T> {
     pub fn new(
         family: ShardFamily,
         shard_count: usize,
-        lock_wait: LatencyStat,
+        lock_wait: QuantileSketch,
         heat: ShardHeat,
     ) -> Self {
         assert!(
@@ -190,7 +190,7 @@ impl<T> ShardedVec<T> {
 
     /// Read-locks one shard only if immediately available (used for
     /// optimistic peeks that have a correct slow path anyway). Not
-    /// counted in the lock-wait stat — a peek is not an acquisition —
+    /// counted in the lock-wait sketch — a peek is not an acquisition —
     /// and not tracked by the sentinel: a try-acquire can never block,
     /// so it cannot participate in a deadlock *wait*, and every peek
     /// call site drops the guard before the first real acquisition.
@@ -205,7 +205,7 @@ impl<T> ShardedVec<T> {
         let _held = sentinel::acquire_shard(self.family, shard);
         let lock = &self.shards[shard].0;
         let guard = if let Some(guard) = lock.try_read() {
-            self.lock_wait.record_zero();
+            self.lock_wait.record(0);
             self.heat.record_fast(shard);
             guard
         } else {
@@ -228,7 +228,7 @@ impl<T> ShardedVec<T> {
         let _held = sentinel::acquire_shard(self.family, shard);
         let lock = &self.shards[shard].0;
         let guard = if let Some(guard) = lock.try_write() {
-            self.lock_wait.record_zero();
+            self.lock_wait.record(0);
             self.heat.record_fast(shard);
             guard
         } else {
@@ -246,7 +246,7 @@ impl<T> ShardedVec<T> {
 
     fn record_wait(&self, shard: usize, start: Instant) {
         let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        self.lock_wait.record_ns(nanos);
+        self.lock_wait.record(nanos);
         self.heat.record_wait(shard, nanos);
     }
 
@@ -664,7 +664,7 @@ mod tests {
         ShardedVec::new(
             ShardFamily::Users,
             shards,
-            registry.latency("test.lock_wait"),
+            registry.sketch("test.lock_wait"),
             registry.shard_heat("test.heat.users", shards),
         )
     }
@@ -674,7 +674,7 @@ mod tests {
         ShardedVec::new(
             ShardFamily::Venues,
             shards,
-            registry.latency("test.lock_wait"),
+            registry.sketch("test.lock_wait"),
             registry.shard_heat("test.heat.venues", shards),
         )
     }
@@ -734,7 +734,7 @@ mod tests {
         let m = ShardedVec::<u64>::new(
             ShardFamily::Users,
             4,
-            registry.latency("test.lock_wait"),
+            registry.sketch("test.lock_wait"),
             registry.shard_heat("test.heat.users", 4),
         );
         m.write_shard(1).push(7);
