@@ -12,11 +12,11 @@
 //! This module is that tool: given venue names, it searches the public
 //! API and checks in on a timer — no GPS involvement at all. Against a
 //! server with the cheater code enabled, everything it does is flagged;
-//! against [`CheaterCodeConfig::disabled`]
+//! against [`DetectorConfig::disabled`]
 //! (the pre-April-2010 service) it farms rewards freely — both halves
 //! are the historical record.
 //!
-//! [`CheaterCodeConfig::disabled`]: lbsn_server::cheatercode::CheaterCodeConfig::disabled
+//! [`DetectorConfig::disabled`]: lbsn_server::DetectorConfig::disabled
 
 use std::sync::Arc;
 
@@ -88,15 +88,14 @@ impl Autosquare {
 mod tests {
     use super::*;
     use lbsn_geo::destination;
-    use lbsn_server::cheatercode::CheaterCodeConfig;
-    use lbsn_server::{ServerConfig, UserSpec, VenueSpec};
+    use lbsn_server::{DetectorConfig, ServerConfig, UserSpec, VenueSpec};
     use lbsn_sim::SimClock;
 
     fn abq() -> GeoPoint {
         GeoPoint::new(35.0844, -106.6504).unwrap()
     }
 
-    fn world(cheater_code: CheaterCodeConfig) -> (Arc<LbsnServer>, UserId) {
+    fn world(cheater_code: DetectorConfig) -> (Arc<LbsnServer>, UserId) {
         let server = Arc::new(LbsnServer::new(
             SimClock::new(),
             ServerConfig::with_detectors(cheater_code),
@@ -118,7 +117,7 @@ mod tests {
     #[test]
     fn farms_freely_in_the_early_days() {
         // Pre-April-2010: no location verification at all.
-        let (server, user) = world(CheaterCodeConfig::disabled());
+        let (server, user) = world(DetectorConfig::disabled());
         let tool = Autosquare::new(Arc::clone(&server), user, abq());
         let report = tool.run(&server, &["Blue Bistro", "Golden Gate", "Joe's"]);
         assert_eq!(report.rewarded, 3);
@@ -130,7 +129,7 @@ mod tests {
     fn obviously_does_not_work_now() {
         // The modern service: the same run is flagged wholesale (GPS
         // mismatch on every distant venue).
-        let (server, user) = world(CheaterCodeConfig::default());
+        let (server, user) = world(DetectorConfig::default());
         let tool = Autosquare::new(Arc::clone(&server), user, abq());
         let report = tool.run(&server, &["Blue Bistro", "Golden Gate", "Joe's"]);
         assert_eq!(report.rewarded, 0);
@@ -141,7 +140,7 @@ mod tests {
 
     #[test]
     fn unknown_names_reported() {
-        let (server, user) = world(CheaterCodeConfig::disabled());
+        let (server, user) = world(DetectorConfig::disabled());
         let tool = Autosquare::new(Arc::clone(&server), user, abq());
         let report = tool.run(&server, &["No Such Place"]);
         assert_eq!(report.not_found, vec!["No Such Place".to_string()]);

@@ -10,8 +10,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, Criterion};
 use lbsn_attack::{AttackSession, PacingPolicy, Schedule};
 use lbsn_geo::{destination, GeoGrid, GeoPoint};
-use lbsn_server::cheatercode::CheaterCodeConfig;
-use lbsn_server::{LbsnServer, ServerConfig, UserSpec, VenueSpec};
+use lbsn_server::{DetectorConfig, LbsnServer, ServerConfig, UserSpec, VenueSpec};
 use lbsn_sim::{Duration, RngStream, SimClock, Timestamp};
 use lbsn_workload::PopulationSpec;
 
@@ -22,43 +21,43 @@ fn abq() -> GeoPoint {
 /// Which cheater-code rule catches what: replay a small population
 /// under rule subsets.
 fn ablation_rules(c: &mut Criterion) {
-    let configs: Vec<(&str, CheaterCodeConfig)> = vec![
-        ("all_rules", CheaterCodeConfig::default()),
+    let configs: Vec<(&str, DetectorConfig)> = vec![
+        ("all_rules", DetectorConfig::default()),
         (
             "no_gps",
-            CheaterCodeConfig {
+            DetectorConfig {
                 enable_gps: false,
-                ..CheaterCodeConfig::default()
+                ..DetectorConfig::default()
             },
         ),
         (
             "no_speed",
-            CheaterCodeConfig {
+            DetectorConfig {
                 enable_speed: false,
-                ..CheaterCodeConfig::default()
+                ..DetectorConfig::default()
             },
         ),
         (
             "no_cooldown",
-            CheaterCodeConfig {
+            DetectorConfig {
                 enable_cooldown: false,
-                ..CheaterCodeConfig::default()
+                ..DetectorConfig::default()
             },
         ),
         (
             "no_rapid_fire",
-            CheaterCodeConfig {
+            DetectorConfig {
                 enable_rapid_fire: false,
-                ..CheaterCodeConfig::default()
+                ..DetectorConfig::default()
             },
         ),
-        ("disabled", CheaterCodeConfig::disabled()),
+        ("disabled", DetectorConfig::disabled()),
     ];
     let plan = lbsn_workload::plan(&PopulationSpec::tiny(300, 0xAB1A));
     // Account branding off: the ablation isolates what each *rule*
     // catches per check-in (branding would re-flag everything after the
     // first ten hits regardless of which rule fired).
-    let server_config = |cheater_code: CheaterCodeConfig| {
+    let server_config = |cheater_code: DetectorConfig| {
         ServerConfig::with_detectors(cheater_code.branding_threshold(None))
     };
     // Print the functional ablation once.

@@ -18,9 +18,9 @@ use lbsn_defense::{
 };
 use lbsn_device::Emulator;
 use lbsn_geo::{cluster::distinct_cities, destination, GeoPoint};
-use lbsn_server::cheatercode::CheaterCodeConfig;
 use lbsn_server::{
-    CheckinRequest, CheckinSource, LbsnServer, ServerConfig, UserSpec, VenueId, VenueSpec,
+    CheckinRequest, CheckinSource, DetectorConfig, LbsnServer, ServerConfig, UserSpec, VenueId,
+    VenueSpec,
 };
 use lbsn_sim::{Duration, SimClock, Timestamp};
 use lbsn_workload::PopulationSpec;
@@ -205,8 +205,8 @@ fn e11_defended_crawl(c: &mut Criterion) {
 fn e12_cheatercode_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("e12_cheatercode_overhead");
     for (name, config) in [
-        ("full_rules", CheaterCodeConfig::default()),
-        ("no_rules", CheaterCodeConfig::disabled()),
+        ("full_rules", DetectorConfig::default()),
+        ("no_rules", DetectorConfig::disabled()),
     ] {
         group.bench_function(name, |b| {
             b.iter_batched(

@@ -7,10 +7,9 @@ use lbsn_defense::{
     LocationVerifier, RouterRegistry, VerifierStack, VerifierStage, WifiVerifier,
 };
 use lbsn_geo::{destination, GeoPoint};
-use lbsn_server::cheatercode::CheaterCodeConfig;
 use lbsn_server::{
-    AdmissionOutcome, CheatFlag, CheckinEvidence, CheckinRequest, CheckinSource, LbsnServer,
-    ServerConfig, UserSpec, VenueSpec,
+    AdmissionOutcome, CheatFlag, CheckinEvidence, CheckinRequest, CheckinSource, DetectorConfig,
+    LbsnServer, ServerConfig, UserSpec, VenueSpec,
 };
 use lbsn_sim::{Duration, SimClock};
 use lbsn_workload::PopulationSpec;
@@ -290,15 +289,15 @@ pub fn e12_cheater_code(seed: u64) -> Experiment {
 
     // Ablation: replay a small population with each rule disabled and
     // count what goes uncaught.
-    let full = flagged_with(seed, CheaterCodeConfig::default());
+    let full = flagged_with(seed, DetectorConfig::default());
     let no_speed = flagged_with(
         seed,
-        CheaterCodeConfig {
+        DetectorConfig {
             enable_speed: false,
-            ..CheaterCodeConfig::default()
+            ..DetectorConfig::default()
         },
     );
-    let none = flagged_with(seed, CheaterCodeConfig::disabled());
+    let none = flagged_with(seed, DetectorConfig::disabled());
     exp.row(
         "ablation: disable the speed rule",
         "teleport cheaters go uncaught",
@@ -322,7 +321,7 @@ fn ok(o: &lbsn_server::CheckinOutcome) -> &'static str {
     }
 }
 
-fn flagged_with(seed: u64, cheater_code: CheaterCodeConfig) -> u64 {
+fn flagged_with(seed: u64, cheater_code: DetectorConfig) -> u64 {
     // Disable account branding: the ablation isolates what each *rule*
     // catches per check-in, and branding would re-flag everything after
     // the first ten hits regardless of rule.

@@ -8,11 +8,30 @@
 //! emits every finding — waived ones included — as
 //! `{rule, file, line, message, waived}` records for the CI artifact.
 //! `--waivers` prints the active waiver inventory instead (rule, site,
-//! justification), the source of `baselines/waivers.txt`.
+//! justification), the source of `baselines/waivers.txt`. A reader that
+//! closes stdout early (`lbsn-lint --waivers | head -1`) only cuts the
+//! output short: the exit code stays the one the run earned.
 
 use std::collections::BTreeMap;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+
+/// Writes report lines through a locked stdout. A closed pipe stops
+/// the output and is not an error; any other write error is reported
+/// and becomes exit 2.
+fn write_stdout(
+    write: impl FnOnce(&mut io::StdoutLock<'static>) -> io::Result<()>,
+) -> Result<(), ExitCode> {
+    let mut out = io::stdout().lock();
+    match write(&mut out).and_then(|()| out.flush()) {
+        Err(err) if err.kind() != io::ErrorKind::BrokenPipe => {
+            eprintln!("lbsn-lint: error writing output: {err}");
+            Err(ExitCode::from(2))
+        }
+        _ => Ok(()),
+    }
+}
 
 fn usage() -> ExitCode {
     eprintln!("usage: lbsn-lint [--deny-all] [--root <path>] [--format text|json] [--waivers]");
@@ -54,7 +73,7 @@ fn main() -> ExitCode {
         }
     };
     let failing: Vec<_> = violations.iter().filter(|v| !v.waived).collect();
-    if json {
+    let report = if json {
         let records: Vec<serde_json::Value> = violations
             .iter()
             .map(|v| {
@@ -74,7 +93,7 @@ fn main() -> ExitCode {
             })
             .collect();
         match serde_json::to_string_pretty(&serde_json::Value::Array(records)) {
-            Ok(text) => println!("{text}"),
+            Ok(text) => text,
             Err(err) => {
                 eprintln!("lbsn-lint: error serializing report: {err}");
                 return ExitCode::from(2);
@@ -82,11 +101,16 @@ fn main() -> ExitCode {
         }
     } else if failing.is_empty() {
         let scanned = lbsn_lint::source_count(&root).unwrap_or(0);
-        println!("lbsn-lint: clean ({scanned} source files scanned)");
+        format!("lbsn-lint: clean ({scanned} source files scanned)")
     } else {
-        for v in &failing {
-            println!("{v}");
-        }
+        failing
+            .iter()
+            .map(|v| v.to_string())
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    if let Err(code) = write_stdout(|out| writeln!(out, "{report}")) {
+        return code;
     }
     if failing.is_empty() {
         return ExitCode::SUCCESS;
@@ -112,15 +136,24 @@ fn run_waivers(root: &Path) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    println!("# Active lint:allow waivers ({}).", entries.len());
-    println!("# Regenerate: cargo run -p lbsn-lint -- --waivers --root . > baselines/waivers.txt");
-    for e in &entries {
-        let note = if e.note.is_empty() {
-            "(no justification)"
-        } else {
-            e.note.as_str()
-        };
-        println!("{}:{}\t{}\t{}", e.file, e.line, e.rule, note);
+    let written = write_stdout(|out| {
+        writeln!(out, "# Active lint:allow waivers ({}).", entries.len())?;
+        writeln!(
+            out,
+            "# Regenerate: cargo run -p lbsn-lint -- --waivers --root . > baselines/waivers.txt"
+        )?;
+        for e in &entries {
+            let note = if e.note.is_empty() {
+                "(no justification)"
+            } else {
+                e.note.as_str()
+            };
+            writeln!(out, "{}:{}\t{}\t{}", e.file, e.line, e.rule, note)?;
+        }
+        Ok(())
+    });
+    if let Err(code) = written {
+        return code;
     }
     ExitCode::SUCCESS
 }

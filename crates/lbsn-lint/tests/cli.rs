@@ -67,6 +67,27 @@ fn unknown_flag_is_a_usage_error() {
 }
 
 #[test]
+fn closed_stdout_keeps_the_exit_code_without_panicking() {
+    // `lbsn-lint --waivers | head -1` closes the pipe before the
+    // inventory is written out; the run must not die of it.
+    let (reader, writer) = std::io::pipe().expect("create pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_lbsn-lint"))
+        .args([
+            "--waivers",
+            "--root",
+            &fixture("violations").display().to_string(),
+        ])
+        .stdout(writer)
+        .output()
+        .expect("spawn lbsn-lint");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "stderr: {stderr}");
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+#[test]
 fn missing_root_value_is_a_usage_error() {
     let out = Command::new(env!("CARGO_BIN_EXE_lbsn-lint"))
         .arg("--root")

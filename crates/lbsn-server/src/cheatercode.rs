@@ -2,26 +2,22 @@
 //!
 //! §2.3 of the paper reverse-engineers three rules through black-box
 //! experiments, plus the basic GPS proximity check. Each is implemented
-//! here as a [`CheatRule`] (re-exported as
-//! [`Detector`](crate::pipeline::Detector) by the admission pipeline);
-//! the set is configurable so the benchmark harness can ablate rules
-//! individually and measure what each one catches.
+//! here as a [`CheatRule`], the trait the admission pipeline's detector
+//! stage runs; the set is configurable so the benchmark harness can
+//! ablate rules individually and measure what each one catches.
 //!
-//! The rules' thresholds live in the serde-loadable
-//! [`DetectorConfig`](crate::policy::DetectorConfig) (re-exported here
-//! under its historical name [`CheaterCodeConfig`]), so ablation sweeps
-//! are pure configuration — see [`crate::policy`].
+//! The rules' thresholds and switches live in the serde-loadable
+//! [`DetectorConfig`], so ablation sweeps are pure configuration — see
+//! [`crate::policy`]. `paper_rules` is the one mapping from that config
+//! to rules; [`CheaterCode`] and the admission pipeline both use it.
 
 use lbsn_geo::{distance, equirectangular_distance, GeoPoint, Meters, METERS_PER_DEGREE_LAT};
 use lbsn_sim::{Duration, Timestamp};
 
 use crate::checkin::{CheatFlag, CheckinRequest};
+use crate::policy::DetectorConfig;
 use crate::user::User;
 use crate::venue::Venue;
-
-/// Historical name for the detector parameters, now defined in
-/// [`crate::policy`] where the whole admission policy lives.
-pub use crate::policy::DetectorConfig as CheaterCodeConfig;
 
 /// Everything a rule may inspect when judging a check-in.
 pub struct RuleContext<'a> {
@@ -53,18 +49,6 @@ pub struct Judgement {
     pub unit: &'static str,
 }
 
-impl Judgement {
-    /// A pass/fail verdict with no scalar evidence.
-    pub fn bare(flag: Option<CheatFlag>) -> Self {
-        Judgement {
-            flag,
-            observed: 0.0,
-            threshold: 0.0,
-            unit: "",
-        }
-    }
-}
-
 /// A server-side anti-cheating rule.
 ///
 /// Rules are pure judgements: they return the flag they would raise, or
@@ -74,16 +58,10 @@ pub trait CheatRule: Send + Sync {
     /// Stable rule name, used in ablation reports and the per-detector
     /// `server.checkin.detector.{name}.*` metrics.
     fn name(&self) -> &'static str;
-    /// Judge a check-in.
-    fn check(&self, ctx: &RuleContext<'_>) -> Option<CheatFlag>;
-    /// Judge a check-in and report the compared evidence. The default
-    /// wraps [`CheatRule::check`] with no scalar evidence; the standard
-    /// rules override it (and implement `check` on top), so the audit
+    /// Judge a check-in and report the compared evidence, so the audit
     /// plane records exactly the observed-vs-threshold pair the rule
-    /// actually evaluated.
-    fn judge(&self, ctx: &RuleContext<'_>) -> Judgement {
-        Judgement::bare(self.check(ctx))
-    }
+    /// evaluated.
+    fn judge(&self, ctx: &RuleContext<'_>) -> Judgement;
     /// Whether a raised flag ends detection outright: when a terminal
     /// detector fires, its flag is the check-in's *only* flag and no
     /// later detector runs. The branded-account detector is terminal
@@ -107,10 +85,6 @@ impl CheatRule for GpsProximityRule {
         "gps-proximity"
     }
 
-    fn check(&self, ctx: &RuleContext<'_>) -> Option<CheatFlag> {
-        self.judge(ctx).flag
-    }
-
     fn judge(&self, ctx: &RuleContext<'_>) -> Judgement {
         let dist = distance(ctx.request.reported_location, ctx.venue.location);
         Judgement {
@@ -132,10 +106,6 @@ pub struct FrequentCheckinRule {
 impl CheatRule for FrequentCheckinRule {
     fn name(&self) -> &'static str {
         "frequent-checkins"
-    }
-
-    fn check(&self, ctx: &RuleContext<'_>) -> Option<CheatFlag> {
-        self.judge(ctx).flag
     }
 
     fn judge(&self, ctx: &RuleContext<'_>) -> Judgement {
@@ -184,10 +154,6 @@ impl CheatRule for SuperhumanSpeedRule {
         "superhuman-speed"
     }
 
-    fn check(&self, ctx: &RuleContext<'_>) -> Option<CheatFlag> {
-        self.judge(ctx).flag
-    }
-
     fn judge(&self, ctx: &RuleContext<'_>) -> Judgement {
         let pass = Judgement {
             flag: None,
@@ -230,10 +196,6 @@ pub struct RapidFireRule {
 impl CheatRule for RapidFireRule {
     fn name(&self) -> &'static str {
         "rapid-fire"
-    }
-
-    fn check(&self, ctx: &RuleContext<'_>) -> Option<CheatFlag> {
-        self.judge(ctx).flag
     }
 
     fn judge(&self, ctx: &RuleContext<'_>) -> Judgement {
@@ -290,6 +252,36 @@ fn square_extent_m(points: &[GeoPoint]) -> Meters {
     lat_m.max(lon_m)
 }
 
+/// The enabled §2.3 rules of `cfg`, in the paper's order: GPS
+/// proximity, same-venue cooldown, super-human speed, rapid-fire.
+pub(crate) fn paper_rules(cfg: &DetectorConfig) -> Vec<Box<dyn CheatRule>> {
+    let mut rules: Vec<Box<dyn CheatRule>> = Vec::new();
+    if cfg.enable_gps {
+        rules.push(Box::new(GpsProximityRule {
+            radius_m: cfg.gps_radius_m,
+        }));
+    }
+    if cfg.enable_cooldown {
+        rules.push(Box::new(FrequentCheckinRule {
+            cooldown: cfg.same_venue_cooldown,
+        }));
+    }
+    if cfg.enable_speed {
+        rules.push(Box::new(SuperhumanSpeedRule {
+            max_speed_mps: cfg.max_speed_mps,
+            max_gap: cfg.speed_rule_max_gap,
+        }));
+    }
+    if cfg.enable_rapid_fire {
+        rules.push(Box::new(RapidFireRule {
+            count: cfg.rapid_fire_count,
+            square_m: cfg.rapid_fire_square_m,
+            max_interval: cfg.rapid_fire_max_interval,
+        }));
+    }
+    rules
+}
+
 /// The assembled rule set the server consults on every check-in.
 pub struct CheaterCode {
     rules: Vec<Box<dyn CheatRule>>,
@@ -298,10 +290,7 @@ pub struct CheaterCode {
 impl std::fmt::Debug for CheaterCode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CheaterCode")
-            .field(
-                "rules",
-                &self.rules.iter().map(|r| r.name()).collect::<Vec<_>>(),
-            )
+            .field("rules", &self.rule_names())
             .finish()
     }
 }
@@ -309,42 +298,10 @@ impl std::fmt::Debug for CheaterCode {
 impl CheaterCode {
     /// Builds the standard rule set from a config, honouring the
     /// per-rule enable switches.
-    pub fn from_config(cfg: &CheaterCodeConfig) -> Self {
-        let mut rules: Vec<Box<dyn CheatRule>> = Vec::new();
-        if cfg.enable_gps {
-            rules.push(Box::new(GpsProximityRule {
-                radius_m: cfg.gps_radius_m,
-            }));
+    pub fn from_config(cfg: &DetectorConfig) -> Self {
+        CheaterCode {
+            rules: paper_rules(cfg),
         }
-        if cfg.enable_cooldown {
-            rules.push(Box::new(FrequentCheckinRule {
-                cooldown: cfg.same_venue_cooldown,
-            }));
-        }
-        if cfg.enable_speed {
-            rules.push(Box::new(SuperhumanSpeedRule {
-                max_speed_mps: cfg.max_speed_mps,
-                max_gap: cfg.speed_rule_max_gap,
-            }));
-        }
-        if cfg.enable_rapid_fire {
-            rules.push(Box::new(RapidFireRule {
-                count: cfg.rapid_fire_count,
-                square_m: cfg.rapid_fire_square_m,
-                max_interval: cfg.rapid_fire_max_interval,
-            }));
-        }
-        CheaterCode { rules }
-    }
-
-    /// A rule set with no rules (the early-Foursquare era).
-    pub fn disabled() -> Self {
-        CheaterCode { rules: Vec::new() }
-    }
-
-    /// Adds a custom rule (e.g. a defense-crate verifier adapter).
-    pub fn push_rule(&mut self, rule: Box<dyn CheatRule>) {
-        self.rules.push(rule);
     }
 
     /// Names of the active rules, in evaluation order.
@@ -357,7 +314,7 @@ impl CheaterCode {
     pub fn evaluate(&self, ctx: &RuleContext<'_>) -> Vec<CheatFlag> {
         let mut flags = Vec::new();
         for rule in &self.rules {
-            if let Some(f) = rule.check(ctx) {
+            if let Some(f) = rule.judge(ctx).flag {
                 if !flags.contains(&f) {
                     flags.push(f);
                 }
@@ -434,14 +391,14 @@ mod tests {
             reported_location: destination(home(), 90.0, 300.0),
             source: CheckinSource::MobileApp,
         };
-        assert_eq!(rule.check(&ctx(&u, &v, &near, 0)), None);
+        assert_eq!(rule.judge(&ctx(&u, &v, &near, 0)).flag, None);
 
         let far = CheckinRequest {
             reported_location: destination(home(), 90.0, 2_000.0),
             ..near
         };
         assert_eq!(
-            rule.check(&ctx(&u, &v, &far, 0)),
+            rule.judge(&ctx(&u, &v, &far, 0)).flag,
             Some(CheatFlag::GpsMismatch)
         );
     }
@@ -460,7 +417,7 @@ mod tests {
             reported_location: sf, // attacker is really in Albuquerque
             source: CheckinSource::MobileApp,
         };
-        assert_eq!(rule.check(&ctx(&u, &v, &spoofed, 0)), None);
+        assert_eq!(rule.judge(&ctx(&u, &v, &spoofed, 0)).flag, None);
     }
 
     #[test]
@@ -478,11 +435,11 @@ mod tests {
         };
         // 30 minutes later: blocked.
         assert_eq!(
-            rule.check(&ctx(&u, &v, &req, 1000 + 1800)),
+            rule.judge(&ctx(&u, &v, &req, 1000 + 1800)).flag,
             Some(CheatFlag::TooFrequent)
         );
         // 61 minutes later: allowed.
-        assert_eq!(rule.check(&ctx(&u, &v, &req, 1000 + 3661)), None);
+        assert_eq!(rule.judge(&ctx(&u, &v, &req, 1000 + 3661)).flag, None);
     }
 
     #[test]
@@ -498,7 +455,7 @@ mod tests {
             reported_location: home(),
             source: CheckinSource::MobileApp,
         };
-        assert_eq!(rule.check(&ctx(&u, &v, &req, 1200)), None);
+        assert_eq!(rule.judge(&ctx(&u, &v, &req, 1200)).flag, None);
     }
 
     #[test]
@@ -518,7 +475,7 @@ mod tests {
             source: CheckinSource::MobileApp,
         };
         assert_eq!(
-            rule.check(&ctx(&u, &v, &req, 600)),
+            rule.judge(&ctx(&u, &v, &req, 600)).flag,
             Some(CheatFlag::SuperhumanSpeed)
         );
         // 5 km in 10 minutes: ~8 m/s, fine.
@@ -529,7 +486,7 @@ mod tests {
             reported_location: nearby,
             ..req
         };
-        assert_eq!(rule.check(&ctx(&u, &v2, &req2, 600)), None);
+        assert_eq!(rule.judge(&ctx(&u, &v2, &req2, 600)).flag, None);
     }
 
     #[test]
@@ -549,10 +506,10 @@ mod tests {
         // No history: nothing to compare against. This is why the
         // paper's very first spoofed check-in succeeded.
         let fresh = user_with(vec![]);
-        assert_eq!(rule.check(&ctx(&fresh, &v, &req, 600)), None);
+        assert_eq!(rule.judge(&ctx(&fresh, &v, &req, 600)).flag, None);
         // 2-day gap: could have flown.
         let u = user_with(vec![rec(1, 0, home(), true)]);
-        assert_eq!(rule.check(&ctx(&u, &v, &req, 2 * lbsn_sim::DAY)), None);
+        assert_eq!(rule.judge(&ctx(&u, &v, &req, 2 * lbsn_sim::DAY)).flag, None);
     }
 
     #[test]
@@ -577,7 +534,7 @@ mod tests {
             source: CheckinSource::MobileApp,
         };
         assert_eq!(
-            rule.check(&ctx(&u, &v, &req, 1200)),
+            rule.judge(&ctx(&u, &v, &req, 1200)).flag,
             Some(CheatFlag::SuperhumanSpeed)
         );
     }
@@ -610,7 +567,7 @@ mod tests {
             source: CheckinSource::MobileApp,
         };
         assert_eq!(
-            rule.check(&ctx(&u, &v, &req, 3 * 45)),
+            rule.judge(&ctx(&u, &v, &req, 3 * 45)).flag,
             Some(CheatFlag::RapidFire)
         );
     }
@@ -642,13 +599,13 @@ mod tests {
             })
             .collect();
         let u = user_with(wide);
-        assert_eq!(rule.check(&ctx(&u, &v, &req, 3 * 45)), None);
+        assert_eq!(rule.judge(&ctx(&u, &v, &req, 3 * 45)).flag, None);
         // Tight square but 5-minute spacing: chain breaks, no flag.
         let slow: Vec<_> = (0..3)
             .map(|i| rec(i + 1, i * 300, destination(base, 90.0, 40.0), true))
             .collect();
         let u2 = user_with(slow);
-        assert_eq!(rule.check(&ctx(&u2, &v, &req, 900)), None);
+        assert_eq!(rule.judge(&ctx(&u2, &v, &req, 900)).flag, None);
     }
 
     #[test]
@@ -669,33 +626,12 @@ mod tests {
             reported_location: base,
             source: CheckinSource::MobileApp,
         };
-        assert_eq!(rule.check(&ctx(&u, &v, &req, 60)), None);
-    }
-
-    #[test]
-    fn assembled_code_respects_enables() {
-        let full = CheaterCode::from_config(&CheaterCodeConfig::default());
-        assert_eq!(
-            full.rule_names(),
-            vec![
-                "gps-proximity",
-                "frequent-checkins",
-                "superhuman-speed",
-                "rapid-fire"
-            ]
-        );
-        let none = CheaterCode::from_config(&CheaterCodeConfig::disabled());
-        assert!(none.rule_names().is_empty());
-        let partial = CheaterCode::from_config(&CheaterCodeConfig {
-            enable_speed: false,
-            ..CheaterCodeConfig::default()
-        });
-        assert!(!partial.rule_names().contains(&"superhuman-speed"));
+        assert_eq!(rule.judge(&ctx(&u, &v, &req, 60)).flag, None);
     }
 
     #[test]
     fn evaluate_collects_multiple_flags() {
-        let code = CheaterCode::from_config(&CheaterCodeConfig::default());
+        let code = CheaterCode::from_config(&DetectorConfig::default());
         // Teleport to a far venue while claiming coordinates away from it
         // AND within cooldown of a same-venue check-in.
         let sf = GeoPoint::new(37.7749, -122.4194).unwrap();

@@ -45,7 +45,7 @@ pub mod web;
 /// `lbsn_obs::names` for the registry and the lint that enforces it).
 pub use lbsn_obs::names::server as metric_names;
 
-pub use cheatercode::{CheaterCodeConfig, RuleContext};
+pub use cheatercode::{Judgement, RuleContext};
 pub use checkin::{
     AdmissionOutcome, CheatFlag, CheckinError, CheckinEvidence, CheckinOutcome, CheckinRecord,
     CheckinRequest, CheckinSource,
@@ -56,8 +56,7 @@ pub use history::{FlagSet, HistoryIter, PackedHistory, PackedRecord};
 pub use ids::{UserId, VenueId};
 pub use metrics::ServerMetrics;
 pub use pipeline::{
-    AdmissionPipeline, BrandedAccountDetector, CheckinVerifier, Detector, Judgement, RewardContext,
-    RewardRule, VerifierVerdict, VerifyContext,
+    AdmissionPipeline, BrandedAccountDetector, CheckinVerifier, VerifierVerdict, VerifyContext,
 };
 pub use policy::{DetectorConfig, PolicyConfig, RewardConfig};
 pub use rewards::{Badge, PointsPolicy};

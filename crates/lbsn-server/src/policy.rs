@@ -7,8 +7,10 @@
 //! lifts them into plain data so an experiment can sweep rule on/off
 //! combinations and threshold sensitivities from a JSON file
 //! (`policies/default.json` is the committed default) without touching
-//! code. The [`crate::pipeline`] module assembles detectors and reward
-//! rules from this config.
+//! code. The [`crate::pipeline`] module assembles the detector chain
+//! from this config and awards the §2.1 reward ladder at its point
+//! values; the ladder itself is fixed paper behaviour, so the only
+//! `enable_*` switches are the detectors'.
 
 use lbsn_geo::Meters;
 use lbsn_sim::Duration;
@@ -117,40 +119,16 @@ impl DetectorConfig {
     }
 }
 
-/// Which reward-ladder rules run on an admitted check-in, and the point
-/// values they award.
-///
-/// Defaults enable the full §2.1 ladder. Disabling a rule removes that
-/// stage from the pipeline: e.g. `enable_mayorships: false` models a
-/// service without the mayor mechanic (no §2.2 squatting attack
-/// surface).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The point values of the §2.1 reward ladder. Every admitted
+/// check-in runs the whole ladder — mayorship, badges, points, specials
+/// — so points are the only reward tunable.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct RewardConfig {
     /// Point values.
     pub points: PointsPolicy,
-    /// Whether the mayorship contest runs.
-    pub enable_mayorships: bool,
-    /// Whether badges are evaluated and awarded.
-    pub enable_badges: bool,
-    /// Whether points are awarded.
-    pub enable_points: bool,
-    /// Whether venue specials unlock.
-    pub enable_specials: bool,
 }
 
-impl Default for RewardConfig {
-    fn default() -> Self {
-        RewardConfig {
-            points: PointsPolicy::default(),
-            enable_mayorships: true,
-            enable_badges: true,
-            enable_points: true,
-            enable_specials: true,
-        }
-    }
-}
-
-/// The complete admission policy: detectors plus reward rules.
+/// The complete admission policy: detectors plus reward point values.
 ///
 /// This is the unit experiment configs serialize to disk. The default
 /// reproduces the paper-era Foursquare behaviour bit-for-bit.
@@ -158,7 +136,7 @@ impl Default for RewardConfig {
 pub struct PolicyConfig {
     /// Anti-cheating detector parameters (§2.3).
     pub detectors: DetectorConfig,
-    /// Reward-ladder rules (§2.1).
+    /// Reward-ladder point values (§2.1).
     pub rewards: RewardConfig,
 }
 
@@ -189,7 +167,6 @@ mod tests {
         assert_eq!(p.detectors.same_venue_cooldown, Duration::hours(1));
         assert_eq!(p.detectors.rapid_fire_count, 4);
         assert_eq!(p.detectors.account_flag_threshold, Some(10));
-        assert!(p.rewards.enable_mayorships);
         assert_eq!(p.rewards.points.new_mayor_bonus, 5);
     }
 

@@ -23,14 +23,15 @@ use lbsn_sim::{SimClock, Timestamp, DAY};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
+use crate::cheatercode::RuleContext;
 use crate::checkin::{
     AdmissionOutcome, CheckinError, CheckinEvidence, CheckinOutcome, CheckinRecord, CheckinRequest,
 };
 use crate::compact::{ArenaStr, StrArena};
 use crate::metrics::ServerMetrics;
-use crate::pipeline::{AdmissionPipeline, CheckinVerifier, RuleContext, VerifyContext};
+use crate::pipeline::{reward, AdmissionPipeline, CheckinVerifier, RewardOutcome, VerifyContext};
 use crate::policy::{DetectorConfig, PolicyConfig};
-use crate::shard::{LeafLock, ShardFamily, ShardWriteGuard, ShardedVec, WriteSet};
+use crate::shard::{LeafLock, ShardFamily, ShardWriteGuard, ShardedVec};
 use crate::user::{User, UserSpec};
 use crate::venue::{Venue, VenueCategory, VenueSpec};
 use crate::{UserId, VenueId};
@@ -69,7 +70,7 @@ const BULK_CHUNK: usize = 65_536;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServerConfig {
     /// The admission policy: detector thresholds/switches and reward
-    /// rules (see [`crate::policy`]).
+    /// point values (see [`crate::policy`]).
     pub policy: PolicyConfig,
     /// Length of each venue's public "Who's been here" list. The paper
     /// crawled these lists; their truncation is what makes a user's
@@ -654,13 +655,19 @@ impl LbsnServer {
             self.users.shard_of(a.value()),
             self.users.shard_of(b.value()),
         ]);
-        for id in [a, b] {
-            if set.get(id.value()).is_none() {
-                return Err(CheckinError::UnknownUser(id));
+        let (user_a, user_b) = set
+            .get_with_mut(a.value(), Some(b.value()))
+            .ok_or(CheckinError::UnknownUser(a))?;
+        match user_b {
+            Some(user_b) => {
+                user_a.friends.insert(b);
+                user_b.friends.insert(a);
             }
+            None if a == b => {
+                user_a.friends.insert(a);
+            }
+            None => return Err(CheckinError::UnknownUser(b)),
         }
-        set.get_mut(a.value()).unwrap().friends.insert(b); // lint:allow(no-unwrap-hot-path): both ids validated above
-        set.get_mut(b.value()).unwrap().friends.insert(a); // lint:allow(no-unwrap-hot-path): both ids validated above
         Ok(())
     }
 
@@ -852,7 +859,7 @@ impl LbsnServer {
                 let Some((_, guard)) = vguard.as_mut() else {
                     unreachable!("venue guard installed above")
                 };
-                let Some(venue) = guard.get(vslot) else {
+                let Some(venue) = guard.get_mut(vslot) else {
                     report(Err(CheckinError::UnknownVenue(req.venue)));
                     i += 1;
                     attempt = 0;
@@ -870,8 +877,16 @@ impl LbsnServer {
                         continue 'acquire;
                     }
                 }
+                let Some((user, incumbent)) =
+                    uset.get_with_mut(req.user.value(), venue.mayor.map(UserId::value))
+                else {
+                    report(Err(CheckinError::UnknownUser(req.user)));
+                    i += 1;
+                    attempt = 0;
+                    continue;
+                };
                 let (outcome, stripped) =
-                    self.check_in_core(req, now, decision, &mut uset, guard, vslot);
+                    self.check_in_core(req, now, decision, user, incumbent, venue);
                 report(Ok(AdmissionOutcome::Processed(outcome)));
                 i += 1;
                 attempt = 0;
@@ -934,8 +949,10 @@ impl LbsnServer {
     }
 
     /// The pipeline body, entered from the admission loop with the user
-    /// lock set and the venue shard held and every id validated; it
-    /// borrows the held locks so many ops run under one acquisition.
+    /// lock set and the venue shard held. `user` is the submitting user,
+    /// `incumbent` the venue's mayor when that is someone else, and
+    /// `venue` the claimed venue: handles the loop looked up once under
+    /// the held locks, so many ops run under one acquisition.
     /// Returns the venue seats to strip when this decision
     /// branded the account: the caller must release every held shard,
     /// run [`LbsnServer::strip_mayor_seats`], and only then process
@@ -947,11 +964,10 @@ impl LbsnServer {
         req: &CheckinRequest,
         now: Timestamp,
         mut decision: DecisionBuilder,
-        uset: &mut WriteSet<'_, User>,
-        vguard: &mut ShardWriteGuard<'_, Venue>,
-        venue_slot: usize,
+        user: &mut User,
+        incumbent: Option<&mut User>,
+        venue: &mut Venue,
     ) -> (CheckinOutcome, Vec<VenueId>) {
-        let uid = req.user.value();
         let total_timer = self.metrics.checkin_total.start_timer();
         // One root span per check-in (head-sampled); stages become
         // children and cheater flags become span events, so a sampled
@@ -966,16 +982,13 @@ impl LbsnServer {
         // threshold rule runs.
         let stage_span = span.child(obs_names::STAGE_CHEATER_CODE);
         let stage = self.metrics.stage_cheater_code.start_timer();
-        let flags = {
-            let user = uset.get(uid).unwrap(); // lint:allow(no-unwrap-hot-path): uid validated before entry
-            let ctx = RuleContext {
-                user,
-                venue: &vguard[venue_slot],
-                request: req,
-                now,
-            };
-            self.pipeline.detect(&ctx, &mut decision)
+        let ctx = RuleContext {
+            user,
+            venue,
+            request: req,
+            now,
         };
+        let flags = self.pipeline.detect(&ctx, &mut decision);
         decision.detect_ns(stage.stop());
         stage_span.end();
         for &flag in &flags {
@@ -998,15 +1011,10 @@ impl LbsnServer {
 
         // Attributes that must be read *before* the record is appended.
         let day_start = Timestamp(now.secs() / DAY * DAY);
-        let (first_of_day, first_visit) = {
-            let user = uset.get(uid).unwrap(); // lint:allow(no-unwrap-hot-path): uid validated before entry
-            (
-                user.valid_checkins_since(day_start).next().is_none(),
-                !user.visited_venues.contains(&req.venue),
-            )
-        };
+        let first_of_day = user.valid_checkins_since(day_start).next().is_none();
+        let first_visit = !user.visited_venues.contains(&req.venue);
 
-        uset.get_mut(uid).unwrap().push_record(record); // lint:allow(no-unwrap-hot-path): uid validated before entry
+        user.push_record(record);
 
         if !rewarded {
             self.metrics.rejected.inc();
@@ -1014,34 +1022,26 @@ impl LbsnServer {
             // account loses everything, including held mayorships.
             let mut stripped: Vec<VenueId> = Vec::new();
             let mut branded_now = false;
-            {
-                let user = uset.get_mut(uid).unwrap(); // lint:allow(no-unwrap-hot-path): uid validated before entry
-                user.flagged_checkins += 1;
-                if let Some(threshold) = self.config.policy.detectors.account_flag_threshold {
-                    if !user.branded_cheater && user.flagged_checkins >= threshold {
-                        user.branded_cheater = true;
-                        branded_now = true;
-                        stripped = user.mayorships.drain().collect();
-                    }
+            user.flagged_checkins += 1;
+            if let Some(threshold) = self.config.policy.detectors.account_flag_threshold {
+                if !user.branded_cheater && user.flagged_checkins >= threshold {
+                    user.branded_cheater = true;
+                    branded_now = true;
+                    stripped = user.mayorships.drain().collect();
                 }
             }
             if branded_now {
                 self.metrics.branded.inc();
                 stage_span.event("account.branded");
-                let flagged = uset.get(uid).unwrap().flagged_checkins; // lint:allow(no-unwrap-hot-path): uid validated before entry
                 self.metrics.registry().event(
                     obs_names::ACCOUNT_BRANDED_EVENT,
                     &[
                         ("user", req.user.value().to_string()),
-                        ("flagged_checkins", flagged.to_string()),
+                        ("flagged_checkins", user.flagged_checkins.to_string()),
                     ],
                 );
             }
-            let is_mayor = if branded_now {
-                false
-            } else {
-                vguard[venue_slot].mayor == Some(req.user)
-            };
+            let is_mayor = !branded_now && venue.mayor == Some(req.user);
             decision.record_ns(stage.stop());
             stage_span.end();
             decision.total_ns(total_timer.stop());
@@ -1077,42 +1077,32 @@ impl LbsnServer {
         // 3. Apply the valid check-in to user and venue state.
         let stage_span = span.child(obs_names::STAGE_REWARDS);
         let stage = self.metrics.stage_rewards.start_timer();
-        {
-            let user = uset.get_mut(uid).unwrap(); // lint:allow(no-unwrap-hot-path): uid validated before entry
-            user.valid_checkins += 1;
-            if first_visit {
-                user.visited_venues.insert(req.venue);
-            }
-        }
+        user.valid_checkins += 1;
         if first_visit {
-            let category = vguard[venue_slot].category;
-            let user = uset.get_mut(uid).unwrap(); // lint:allow(no-unwrap-hot-path): uid validated before entry
-            user.venues_by_category.bump(category);
+            user.visited_venues.insert(req.venue);
+            user.venues_by_category.bump(venue.category);
         }
-        let recent_cap = self.config.recent_visitors_len;
-        vguard[venue_slot].record_valid_checkin(req.user, recent_cap);
+        venue.record_valid_checkin(req.user, self.config.recent_visitors_len);
 
-        // 4. Run the reward-rule chain (mayorship → badges → points →
-        // specials under the default policy). The incumbent mayor (if
-        // any) is covered by the lock set — the admission loop
-        // validated that before entering.
-        let reward = self.pipeline.reward(
-            req,
-            now,
-            first_visit,
-            first_of_day,
-            uset,
-            vguard,
-            venue_slot,
-            &self.venue_categories,
-        );
-        let crate::pipeline::RewardOutcome {
+        // 4. Run the reward ladder: mayorship → badges → points →
+        // specials.
+        let RewardOutcome {
             points,
             new_badges,
             is_mayor,
             became_mayor,
             special_unlocked,
-        } = reward;
+        } = reward(
+            &self.config.policy.rewards.points,
+            req,
+            now,
+            first_visit,
+            first_of_day,
+            user,
+            incumbent,
+            venue,
+            &self.venue_categories,
+        );
 
         if became_mayor {
             self.metrics.mayorships_granted.inc();
@@ -1540,6 +1530,11 @@ mod tests {
         assert_eq!(
             server.check_in(&req(user, VenueId(99), abq())),
             Err(CheckinError::UnknownVenue(VenueId(99)))
+        );
+        assert_eq!(
+            server.check_in(&req(UserId(99), VenueId(99), abq())),
+            Err(CheckinError::UnknownUser(UserId(99))),
+            "an unknown user is reported before an unknown venue"
         );
         assert_eq!(server.user(user).unwrap().total_checkins, 0);
         assert_eq!(

@@ -316,14 +316,40 @@ impl<T> WriteSet<'_, T> {
             .and_then(|(_, g)| g.get(slot))
     }
 
-    /// Mutable access to the entity with `id`, if registered and
-    /// covered.
-    pub fn get_mut(&mut self, id: u64) -> Option<&mut T> {
+    /// Mutable access to the entity with `id` and, at the same time, to
+    /// the entity with `other`. `None` when `id` is unregistered or
+    /// uncovered. The second handle is `None` when `other` is `None`,
+    /// equals `id`, or is unregistered or uncovered.
+    pub fn get_with_mut(
+        &mut self,
+        id: u64,
+        other: Option<u64>,
+    ) -> Option<(&mut T, Option<&mut T>)> {
         let (shard, slot) = self.locate(id);
-        self.guards
-            .iter_mut()
-            .find(|(i, _)| *i == shard)
-            .and_then(|(_, g)| g.get_mut(slot))
+        let g = self.guards.iter().position(|(i, _)| *i == shard)?;
+        let other = other.filter(|&o| o != id).and_then(|o| {
+            let (oshard, oslot) = self.locate(o);
+            let og = self
+                .guards
+                .iter()
+                .position(|(i, guard)| *i == oshard && oslot < guard.len())?;
+            Some((og, oslot))
+        });
+        match other {
+            Some((og, oslot)) if og == g => {
+                let (_, guard) = self.guards.get_mut(g)?;
+                let [entity, other] = guard.get_disjoint_mut([slot, oslot]).ok()?;
+                Some((entity, Some(other)))
+            }
+            Some((og, oslot)) => {
+                let [(_, guard), (_, oguard)] = self.guards.get_disjoint_mut([g, og]).ok()?;
+                Some((guard.get_mut(slot)?, oguard.get_mut(oslot)))
+            }
+            None => {
+                let (_, guard) = self.guards.get_mut(g)?;
+                Some((guard.get_mut(slot)?, None))
+            }
+        }
     }
 }
 
@@ -707,7 +733,7 @@ mod tests {
         for id in 1..=16u64 {
             m.write_shard(m.shard_of(id)).push(id * 100);
         }
-        let mut set = m.write_set(&mut vec![5, 1, 5, 3]);
+        let set = m.write_set(&mut vec![5, 1, 5, 3]);
         assert_eq!(
             set.guards.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
             vec![1, 3, 5]
@@ -716,10 +742,72 @@ mod tests {
         assert!(set.covers(2) && set.covers(4) && set.covers(6));
         assert!(!set.covers(1) && !set.covers(8));
         assert_eq!(set.get(4), Some(&400));
-        *set.get_mut(4).unwrap() = 7;
-        assert_eq!(set.get(4), Some(&7));
         assert_eq!(set.get(1), None, "uncovered shard");
         assert_eq!(set.get(99), None, "unregistered id");
+    }
+
+    /// Eight shards holding ids 1..=16 (id `n` stores `n * 100`), with
+    /// shards 1 and 3 locked: ids 2, 10 (shard 1) and 4, 12 (shard 3)
+    /// are covered, id 1 (shard 0) is not.
+    fn paired_fixture(m: &ShardedVec<u64>) -> WriteSet<'_, u64> {
+        for id in 1..=16u64 {
+            m.write_shard(m.shard_of(id)).push(id * 100);
+        }
+        m.write_set(&mut vec![1, 3])
+    }
+
+    #[test]
+    fn get_with_mut_pairs_two_entities_in_one_shard() {
+        let m = map(8);
+        let mut set = paired_fixture(&m);
+        let (a, b) = set.get_with_mut(2, Some(10)).unwrap();
+        assert_eq!((*a, b.as_deref().copied()), (200, Some(1000)));
+        *a = 1;
+        *b.unwrap() = 2;
+        assert_eq!((set.get(2), set.get(10)), (Some(&1), Some(&2)));
+    }
+
+    #[test]
+    fn get_with_mut_pairs_entities_across_shards() {
+        let m = map(8);
+        let mut set = paired_fixture(&m);
+        let (a, b) = set.get_with_mut(12, Some(2)).unwrap();
+        assert_eq!((*a, b.as_deref().copied()), (1200, Some(200)));
+        *a = 3;
+        *b.unwrap() = 4;
+        assert_eq!((set.get(12), set.get(2)), (Some(&3), Some(&4)));
+    }
+
+    #[test]
+    fn get_with_mut_drops_the_second_handle_it_cannot_give() {
+        let m = map(8);
+        let mut set = paired_fixture(&m);
+        let alone =
+            |pair: Option<(&mut u64, Option<&mut u64>)>| pair.map(|(a, b)| (*a, b.is_some()));
+        assert_eq!(alone(set.get_with_mut(4, None)), Some((400, false)));
+        assert_eq!(
+            alone(set.get_with_mut(4, Some(4))),
+            Some((400, false)),
+            "other == id"
+        );
+        assert_eq!(
+            alone(set.get_with_mut(4, Some(1))),
+            Some((400, false)),
+            "other uncovered"
+        );
+        assert_eq!(
+            alone(set.get_with_mut(4, Some(98))),
+            Some((400, false)),
+            "other unregistered"
+        );
+    }
+
+    #[test]
+    fn get_with_mut_misses_an_unregistered_or_uncovered_id() {
+        let m = map(8);
+        let mut set = paired_fixture(&m);
+        assert!(set.get_with_mut(98, Some(2)).is_none(), "id unregistered");
+        assert!(set.get_with_mut(1, Some(2)).is_none(), "id uncovered");
     }
 
     #[test]

@@ -58,8 +58,8 @@ struct Step {
 
 fn arb_step(users: u64, venues: u64) -> impl Strategy<Value = Step> {
     (
-        1..=users + 1, // one past the registered range: exercises UnknownUser
-        1..=venues,
+        1..=users + 1,  // one past the registered range: exercises UnknownUser
+        1..=venues + 1, // likewise UnknownVenue, and both unknown at once
         prop_oneof![Just(0.0), 10.0..20_000.0f64],
         0.0..360.0f64,
         prop_oneof![
@@ -132,10 +132,10 @@ fn build_verified_world(
 }
 
 fn to_request(server: &LbsnServer, s: &Step) -> CheckinRequest {
+    // The one-past-the-range venue has no location; any fix will do.
     let venue_loc = server
         .venue(VenueId(s.venue))
-        .expect("scripted venues are registered")
-        .location;
+        .map_or_else(abq, |venue| venue.location);
     let fix = if s.fix_offset_m == 0.0 {
         venue_loc
     } else {

@@ -1,12 +1,13 @@
-//! The committed default policy file: `policies/default.json`.
+//! The committed policy files: `policies/*.json`.
 //!
 //! The whole scenario configuration — detector thresholds and switches,
-//! branding threshold, reward point values and rule switches, plus the
-//! deployment parameters — serializes to one JSON file, so a bench
-//! experiment can sweep admission policies without recompiling. This
-//! test pins the committed file to `ServerConfig::default()`: drift in
+//! branding threshold, reward point values, plus the deployment
+//! parameters — serializes to one JSON file, so a bench experiment can
+//! sweep admission policies without recompiling. These tests pin
+//! `policies/default.json` to `ServerConfig::default()` — drift in
 //! either direction (a default changed in code, or the file edited by
-//! hand) fails loudly.
+//! hand) fails loudly — and hold every committed file to exactly the
+//! keys the config structs read, since unknown keys load silently.
 //!
 //! Regenerate after an intentional default change with:
 //!
@@ -18,8 +19,12 @@ use std::path::PathBuf;
 
 use lbsn_server::{PolicyConfig, ServerConfig};
 
+fn policy_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../policies")
+}
+
 fn policy_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../policies/default.json")
+    policy_dir().join("default.json")
 }
 
 #[test]
@@ -44,6 +49,32 @@ fn committed_default_policy_round_trips() {
     let reserialized = serde_json::to_value(&parsed).unwrap();
     let from_default = serde_json::to_value(&ServerConfig::default()).unwrap();
     assert_eq!(reserialized, from_default);
+}
+
+#[test]
+fn committed_policy_files_carry_only_keys_the_config_reads() {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(policy_dir())
+        .expect("policies/ is committed")
+        .map(|entry| entry.expect("readable policies/ entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+        .collect();
+    files.sort();
+    assert!(!files.is_empty(), "no policies/*.json found");
+    for path in files {
+        let raw = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        let file: serde_json::Value = serde_json::from_str(&raw).unwrap();
+        let parsed: ServerConfig = serde_json::from_str(&raw)
+            .unwrap_or_else(|e| panic!("{} does not load: {e}", path.display()));
+        let reserialized: serde_json::Value =
+            serde_json::from_str(&serde_json::to_string(&parsed).unwrap()).unwrap();
+        assert_eq!(
+            file,
+            reserialized,
+            "{} carries keys or values the config does not read back",
+            path.display()
+        );
+    }
 }
 
 #[test]
