@@ -52,7 +52,8 @@ const SIM_CLOCKED_CRATES: &[&str] = &[
     "crates/lbsn-geo/",
 ];
 
-/// The server modules on the check-in hot path, where a panic poisons
+/// The modules on the check-in hot path — the server's admission code
+/// and the telemetry cells it records into — where a panic poisons
 /// nothing (parking_lot) but still drops a request mid-pipeline.
 const HOT_PATH_MODULES: &[&str] = &[
     "crates/lbsn-server/src/server.rs",
@@ -65,6 +66,11 @@ const HOT_PATH_MODULES: &[&str] = &[
     "crates/lbsn-server/src/rewards.rs",
     "crates/lbsn-server/src/user.rs",
     "crates/lbsn-server/src/venue.rs",
+    "crates/lbsn-obs/src/metrics.rs",
+    "crates/lbsn-obs/src/sketch.rs",
+    "crates/lbsn-obs/src/heat.rs",
+    "crates/lbsn-obs/src/span.rs",
+    "crates/lbsn-obs/src/audit.rs",
 ];
 
 /// The policy structs whose serde surface `policies/*.json` must cover,

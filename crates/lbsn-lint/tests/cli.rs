@@ -52,6 +52,20 @@ fn violations_fixture_reports_every_rule_with_exact_spans() {
 }
 
 #[test]
+fn telemetry_record_path_is_a_hot_path() {
+    let out = lint(&fixture("obs_unwrap"), &[]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "stdout: {stdout}");
+    // The unwrap in the sketch's record path is flagged; the one in its
+    // `#[cfg(test)]` module is not.
+    assert!(
+        stdout.contains("no-unwrap-hot-path: crates/lbsn-obs/src/sketch.rs:2:"),
+        "{stdout}"
+    );
+    assert_eq!(stdout.matches("no-unwrap-hot-path").count(), 1, "{stdout}");
+}
+
+#[test]
 fn clean_fixture_exits_zero() {
     let out = lint(&fixture("clean"), &[]);
     let stdout = String::from_utf8_lossy(&out.stdout);

@@ -12,9 +12,11 @@
 //!
 //! Retention is **outcome-biased**: every negative decision (rejected,
 //! branded, verifier-dropped) is captured, while accepted decisions are
-//! tail-sampled 1-in-N through a single global ticket counter, so
-//! exactly `ceil(accepts / N)` accepted records survive regardless of
-//! thread interleaving. The unsampled accept path allocates nothing —
+//! tail-sampled 1-in-N through per-thread-stripe ticket counters: a
+//! stripe that saw `a` accepts keeps exactly `ceil(a / N)` of them,
+//! however its threads interleave. The unsampled accept path is one
+//! ticket RMW and one drop-count RMW on the caller's stripe (plus the
+//! modulo), and allocates nothing —
 //! the builder lives on the caller's stack and holds only `Copy` data
 //! (`&'static str` names, numbers). The plane shares its registry's
 //! enabled flag, so its cost is part of the `perf` benchmark's
@@ -33,6 +35,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
+use crate::metrics::StripedU64;
 use crate::names::reasons;
 
 /// Detector verdicts a [`DecisionBuilder`] can hold inline. The default
@@ -472,9 +475,11 @@ pub struct AuditPlane {
     stripes: Vec<Mutex<VecDeque<DecisionRecord>>>,
     accounts: Mutex<BTreeMap<u64, AccountForensics>>,
     seq: AtomicU64,
-    accept_ticket: AtomicU64,
+    /// Per-stripe accept tickets: sampling is exact 1-in-N within each
+    /// stripe.
+    accept_ticket: StripedU64,
     records: AtomicU64,
-    sampled_out: AtomicU64,
+    sampled_out: StripedU64,
     evicted: AtomicU64,
 }
 
@@ -489,26 +494,26 @@ impl AuditPlane {
             stripes: (0..stripes).map(|_| Mutex::new(VecDeque::new())).collect(),
             accounts: Mutex::new(BTreeMap::new()),
             seq: AtomicU64::new(0),
-            accept_ticket: AtomicU64::new(0),
+            accept_ticket: Default::default(),
             records: AtomicU64::new(0),
-            sampled_out: AtomicU64::new(0),
+            sampled_out: Default::default(),
             evicted: AtomicU64::new(0),
         }
     }
 
     /// Terminates one decision: captures the record (always for
     /// negative outcomes, 1-in-N for accepts) or returns without
-    /// allocating. The accept sampling ticket is global, so exactly
-    /// `ceil(accepts / N)` accepted decisions are captured regardless
-    /// of thread interleaving.
+    /// allocating. Accept tickets are per stripe, so a stripe that saw
+    /// `a` accepts captures exactly `ceil(a / N)` of them regardless of
+    /// thread interleaving.
     pub fn finish(&self, builder: &DecisionBuilder, outcome: DecisionOutcome) {
         if !self.enabled.load(Ordering::Relaxed) {
             return;
         }
         if !outcome.is_negative() {
-            let ticket = self.accept_ticket.fetch_add(1, Ordering::Relaxed);
+            let ticket = self.accept_ticket.fetch_add(1);
             if self.sample_every == 0 || !ticket.is_multiple_of(self.sample_every) {
-                self.sampled_out.fetch_add(1, Ordering::Relaxed);
+                self.sampled_out.fetch_add(1);
                 return;
             }
         }
@@ -568,7 +573,7 @@ impl AuditPlane {
 
     /// Accepted decisions the sampler dropped.
     pub fn sampled_out(&self) -> u64 {
-        self.sampled_out.load(Ordering::Relaxed)
+        self.sampled_out.sum()
     }
 
     /// Captured records later recycled by ring wrap-around.
@@ -583,9 +588,9 @@ impl AuditPlane {
             stripe.lock().clear();
         }
         self.accounts.lock().clear();
-        self.accept_ticket.store(0, Ordering::Relaxed);
+        self.accept_ticket.zero();
         self.records.store(0, Ordering::Relaxed);
-        self.sampled_out.store(0, Ordering::Relaxed);
+        self.sampled_out.zero();
         self.evicted.store(0, Ordering::Relaxed);
     }
 }
@@ -751,11 +756,20 @@ mod tests {
         }
         let total_accepts = THREADS * ACCEPTS_PER_THREAD;
         let total_negatives = THREADS * NEGATIVES_PER_THREAD;
-        // The global ticket makes accept sampling exact, not
-        // probabilistic: ceil(8000 / 8) = 1000 kept.
-        let kept_accepts = total_accepts.div_ceil(SAMPLE_EVERY);
+        // Accept tickets are per stripe, and each stripe keeps exactly
+        // ceil(a / 8) of its `a` accepts. However the threads fall onto
+        // stripes, each stripe's `a` is a sum of whole threads' 1000
+        // accepts, a multiple of 8, so sampling stays exact, not
+        // probabilistic: 8000 / 8 = 1000 kept.
+        assert!(ACCEPTS_PER_THREAD.is_multiple_of(SAMPLE_EVERY));
+        let kept_accepts = total_accepts / SAMPLE_EVERY;
         assert_eq!(plane.records(), kept_accepts + total_negatives);
         assert_eq!(plane.sampled_out(), total_accepts - kept_accepts);
+        assert_eq!(
+            plane.records() + plane.sampled_out(),
+            total_accepts + total_negatives,
+            "every decision is either captured or counted as sampled out"
+        );
         assert_eq!(plane.evicted(), 0, "capacity was sized to never wrap");
         let records = plane.decisions();
         let negatives = records.iter().filter(|r| r.is_negative()).count() as u64;

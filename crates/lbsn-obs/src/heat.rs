@@ -9,15 +9,19 @@
 //! `shard_heat` section and `obs-report` renders them as
 //! a Markdown heatmap with a hottest/coldest skew ratio.
 //!
-//! The hot path cost is the registry's enabled check plus one or two
-//! relaxed RMWs — no locks, no allocation.
+//! The hot path cost is the registry's enabled check plus one relaxed
+//! RMW (uncontended) or four (contended) — no locks, no allocation.
+//! Rows are indexed by shard, not by thread, so they are not striped;
+//! instead each row sits on its own 128-byte line, and two threads
+//! working different shards never write the same line.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::snapshot::{ShardHeatRow, ShardHeatSnapshot};
 
-/// One shard's atomics.
+/// One shard's atomics, on a cache line (pair) of its own.
+#[repr(align(128))]
 struct HeatSlot {
     ops: AtomicU64,
     contended: AtomicU64,

@@ -1,17 +1,24 @@
-//! Workspace-wide observability: named metrics, quantile sketches with
-//! their timers, spans, SLO rules, and a structured-event trace behind a
+//! Workspace-wide observability: named metrics, quantile sketches,
+//! spans, SLO rules, and a structured-event trace behind a
 //! global-or-injected [`Registry`].
 //!
 //! Every hot path in the reproduction (check-in pipeline, crawler
 //! workers, attack executor) holds pre-resolved handles, so no update
 //! takes a map lookup or a lock. After one relaxed check of the enabled
-//! flag, a counter update is one atomic RMW, and a sketch or histogram
-//! record is five (bucket, count, sum, min, max). Disabling a registry
-//! turns every update into the single flag check, and unsampled spans
-//! are fully inert. The enabled layer's cost is measured by the `perf`
-//! benchmark as `obs.overhead_pct` (registry on over registry off, per
-//! op); on a 2-core Xeon the median of three runs ranged from +21 %
-//! (single-thread replay) to +109 % (two threads on eight hot venues).
+//! flag, a counter update is one atomic RMW, and a sketch record is one
+//! `ln` plus five (bucket, count, sum, min, max). Counters, sketches and
+//! the span and audit sampling tickets are striped: each thread writes
+//! its own cache-padded stripe (its dense thread number modulo 8) and
+//! reads merge the stripes, so two threads recording the same series
+//! do not share a cache line. Disabling a registry turns every update
+//! into the single flag check, and unsampled spans are fully inert. The
+//! enabled layer's cost is measured by the `perf` benchmark as
+//! `obs.overhead_pct` (registry on over registry off, per op). On a
+//! 2-core Xeon the median of three traced runs was +16 % on
+//! `paper_rung_frontend`, −3 % on `paper_replay` (one thread) and −11 %
+//! (noise) on `crawl_under_checkins`; over eight runs it was +60 % on
+//! `hot_venues` (two threads on eight venues), with single runs
+//! spreading by tens of points.
 //!
 //! Metric names follow `subsystem.component.metric`, e.g.
 //! `server.checkin.flag.gps_mismatch` or
@@ -25,8 +32,9 @@
 //!   [`chrome_trace_json`] exports them for `chrome://tracing`.
 //! - **What is the tail doing?** [`QuantileSketch`]es give p50/p95/p99
 //!   with a guaranteed relative-error bound. The sketch is the only
-//!   type that records durations: [`QuantileSketch::start_timer`] times
-//!   a stage into it. [`Histogram`]s hold count-valued series only.
+//!   type that records durations; callers read the clock themselves
+//!   and record nanoseconds. [`Histogram`]s hold count-valued series
+//!   only.
 //! - **Did this run regress?** A [`Snapshot`] captures everything as
 //!   schema-versioned JSON, and an [`SloPolicy`] turns thresholds into
 //!   a machine-checkable gate (the `obs-report` binary in `lbsn-bench`).
@@ -72,7 +80,7 @@ pub use heat::ShardHeat;
 pub use mem::MemFootprint;
 pub use metrics::{Counter, Gauge, Histogram};
 pub use registry::{global, ObsConfig, Registry};
-pub use sketch::{QuantileSketch, SketchTimer, DEFAULT_SKETCH_ALPHA};
+pub use sketch::{QuantileSketch, DEFAULT_SKETCH_ALPHA};
 pub use slo::{SloOutcome, SloPolicy, SloRule};
 pub use snapshot::{
     BucketSnapshot, EventRecord, HistogramSnapshot, ShardHeatRow, ShardHeatSnapshot, SketchBucket,

@@ -6,19 +6,68 @@
 //! load per call site. Durations go to a
 //! [`QuantileSketch`](crate::QuantileSketch); the [`Histogram`] here
 //! holds count-valued series only.
+//!
+//! The hot cells ([`Counter`], the sketch, the span and audit sampling
+//! tickets) are striped: each thread writes the cache-padded stripe
+//! [`stripe`] picks for it, and readers merge the stripes, so two
+//! threads recording the same series do not bounce one cache line.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-pub(crate) struct CounterCell {
-    pub(crate) value: AtomicU64,
+/// Stripes per hot cell. Threads map onto stripes by their dense thread
+/// number, so any `STRIPES` consecutively started threads write apart;
+/// two threads that share a stripe still add up exactly, because every
+/// stripe update is an atomic RMW.
+pub(crate) const STRIPES: usize = 8;
+
+/// A value on a cache line (pair) of its own: 128 bytes covers the
+/// adjacent-line prefetcher as well as the 64-byte line.
+#[derive(Default)]
+#[repr(align(128))]
+pub(crate) struct Padded<T>(pub(crate) T);
+
+/// The calling thread's stripe, in `0..STRIPES`.
+#[inline]
+pub(crate) fn stripe() -> usize {
+    (crate::span::thread_num() % STRIPES as u64) as usize
+}
+
+/// A `u64` sum split over one padded `AtomicU64` per stripe: each
+/// thread adds to its own stripe, readers add the stripes up.
+#[derive(Default)]
+pub(crate) struct StripedU64([Padded<AtomicU64>; STRIPES]);
+
+impl StripedU64 {
+    /// Adds `n` to the calling thread's stripe and returns the stripe's
+    /// previous value.
+    #[inline]
+    pub(crate) fn fetch_add(&self, n: u64) -> u64 {
+        self.0[stripe()].0.fetch_add(n, Ordering::Relaxed)
+    }
+
+    /// The sum of every stripe. Successive calls never decrease while
+    /// writers only add, because each stripe only grows.
+    pub(crate) fn sum(&self) -> u64 {
+        self.0
+            .iter()
+            .map(|s| s.0.load(Ordering::Relaxed))
+            .fold(0, u64::wrapping_add)
+    }
+
+    /// Zeroes every stripe.
+    pub(crate) fn zero(&self) {
+        for s in &self.0 {
+            s.0.store(0, Ordering::Relaxed);
+        }
+    }
 }
 
 /// A monotonically increasing named counter.
 #[derive(Clone)]
 pub struct Counter {
     pub(crate) enabled: Arc<std::sync::atomic::AtomicBool>,
-    pub(crate) cell: Arc<CounterCell>,
+    pub(crate) cell: Arc<StripedU64>,
 }
 
 impl Counter {
@@ -28,17 +77,18 @@ impl Counter {
         self.add(1);
     }
 
-    /// Adds `n`.
+    /// Adds `n` to the calling thread's stripe.
     #[inline]
     pub fn add(&self, n: u64) {
         if self.enabled.load(Ordering::Relaxed) {
-            self.cell.value.fetch_add(n, Ordering::Relaxed);
+            self.cell.fetch_add(n);
         }
     }
 
-    /// Current value.
+    /// Current value: the sum of the stripes. Successive reads never
+    /// decrease while writers run.
     pub fn get(&self) -> u64 {
-        self.cell.value.load(Ordering::Relaxed)
+        self.cell.sum()
     }
 }
 

@@ -9,7 +9,7 @@ use parking_lot::RwLock;
 
 use crate::audit::{AuditConfig, AuditPlane, DecisionRecord};
 use crate::heat::{HeatCell, ShardHeat};
-use crate::metrics::{Counter, CounterCell, Gauge, GaugeCell, Histogram, HistogramCell};
+use crate::metrics::{Counter, Gauge, GaugeCell, Histogram, HistogramCell, StripedU64};
 use crate::names;
 use crate::sketch::{QuantileSketch, SketchCell, DEFAULT_SKETCH_ALPHA};
 use crate::snapshot::{BucketSnapshot, HistogramSnapshot, Snapshot, SNAPSHOT_SCHEMA_VERSION};
@@ -46,7 +46,7 @@ impl Default for ObsConfig {
 
 #[derive(Default)]
 struct Cells {
-    counters: BTreeMap<String, Arc<CounterCell>>,
+    counters: BTreeMap<String, Arc<StripedU64>>,
     gauges: BTreeMap<String, Arc<GaugeCell>>,
     histograms: BTreeMap<String, Arc<HistogramCell>>,
     sketches: BTreeMap<String, Arc<SketchCell>>,
@@ -113,11 +113,10 @@ impl Registry {
             };
         }
         let mut cells = self.cells.write();
-        let cell = cells.counters.entry(name.to_string()).or_insert_with(|| {
-            Arc::new(CounterCell {
-                value: Default::default(),
-            })
-        });
+        let cell = cells
+            .counters
+            .entry(name.to_string())
+            .or_insert_with(|| Arc::new(StripedU64::default()));
         Counter {
             enabled: Arc::clone(&self.enabled),
             cell: Arc::clone(cell),
@@ -290,7 +289,7 @@ impl Registry {
         let mut counters: BTreeMap<String, u64> = cells
             .counters
             .iter()
-            .map(|(name, cell)| (name.clone(), cell.value.load(Ordering::Relaxed)))
+            .map(|(name, cell)| (name.clone(), cell.sum()))
             .collect();
         counters.insert("trace.dropped_events".to_string(), self.events.dropped());
         counters.insert("trace.dropped_spans".to_string(), self.spans.dropped());
@@ -382,7 +381,7 @@ impl Registry {
     pub fn reset(&self) {
         let cells = self.cells.read();
         for cell in cells.counters.values() {
-            cell.value.store(0, Ordering::Relaxed);
+            cell.zero();
         }
         for cell in cells.gauges.values() {
             cell.bits.store(0, Ordering::Relaxed);

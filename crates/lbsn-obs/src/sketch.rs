@@ -6,34 +6,68 @@
 //! observation in bucket `i` is within `alpha` relative error of the
 //! bucket's midpoint estimate `2·gamma^i / (gamma + 1)` — the property
 //! the vendored-proptest oracle test pins down. Recording is one `ln`
-//! plus five relaxed atomic RMWs (bucket, count, sum, min, max); the
-//! bucket array is dense in memory (~18 KB at the default accuracy) but
-//! serialized sparsely. [`QuantileSketch::start_timer`] times a span of
-//! work into the sketch with one clock read at each end.
+//! plus five relaxed atomic RMWs (bucket, count, sum, min, max) on the
+//! calling thread's stripe: a cache-padded header plus a dense bucket
+//! array (~18 KB at the default accuracy) allocated the first time that
+//! stripe records. A snapshot merges the stripes and serializes the
+//! buckets sparsely.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::{Arc, OnceLock};
 
+use crate::metrics::{stripe, Padded, STRIPES};
 use crate::snapshot::{SketchBucket, SketchSnapshot};
 
 /// Default relative-error target: 1%.
 pub const DEFAULT_SKETCH_ALPHA: f64 = 0.01;
 
+/// One thread stripe of a sketch.
+struct SketchStripe {
+    /// Observations equal to zero (no logarithm).
+    zero: AtomicU64,
+    count: AtomicU64,
+    sum: AtomicU64,
+    /// `u64::MAX` until the first record.
+    min: AtomicU64,
+    max: AtomicU64,
+    /// Bucket `i` holds values `v` with `ceil(log_gamma v) == i`,
+    /// i.e. `gamma^(i-1) < v <= gamma^i`. Values past the last bucket
+    /// saturate into it (and remain visible through `max`). Allocated
+    /// on the stripe's first non-zero record.
+    buckets: OnceLock<Box<[AtomicU64]>>,
+}
+
+impl SketchStripe {
+    fn new() -> Self {
+        SketchStripe {
+            zero: AtomicU64::new(0),
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
+            buckets: OnceLock::new(),
+        }
+    }
+
+    fn reset(&self) {
+        for b in self.buckets.get().into_iter().flatten() {
+            b.store(0, Ordering::Relaxed);
+        }
+        self.zero.store(0, Ordering::Relaxed);
+        self.count.store(0, Ordering::Relaxed);
+        self.sum.store(0, Ordering::Relaxed);
+        self.min.store(u64::MAX, Ordering::Relaxed);
+        self.max.store(0, Ordering::Relaxed);
+    }
+}
+
 pub(crate) struct SketchCell {
     alpha: f64,
     gamma: f64,
     inv_ln_gamma: f64,
-    /// Observations equal to zero (no logarithm).
-    zero: AtomicU64,
-    /// Bucket `i` holds values `v` with `ceil(log_gamma v) == i`,
-    /// i.e. `gamma^(i-1) < v <= gamma^i`. Values past the last bucket
-    /// saturate into it (and remain visible through `max`).
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
+    /// Buckets per stripe: enough to cover the entire u64 range.
+    bucket_count: usize,
+    stripes: [Padded<SketchStripe>; STRIPES],
 }
 
 impl SketchCell {
@@ -43,18 +77,12 @@ impl SketchCell {
             "sketch alpha must be in (0.0001, 0.5)"
         );
         let gamma = (1.0 + alpha) / (1.0 - alpha);
-        // Enough buckets to cover the entire u64 range at this accuracy.
-        let needed = ((u64::MAX as f64).ln() / gamma.ln()).ceil() as usize + 1;
         SketchCell {
             alpha,
             gamma,
             inv_ln_gamma: 1.0 / gamma.ln(),
-            zero: AtomicU64::new(0),
-            buckets: (0..needed).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
+            bucket_count: ((u64::MAX as f64).ln() / gamma.ln()).ceil() as usize + 1,
+            stripes: std::array::from_fn(|_| Padded(SketchStripe::new())),
         }
     }
 
@@ -62,62 +90,87 @@ impl SketchCell {
     fn index_of(&self, value: u64) -> usize {
         debug_assert!(value > 0);
         let idx = ((value as f64).ln() * self.inv_ln_gamma).ceil() as i64;
-        idx.clamp(0, self.buckets.len() as i64 - 1) as usize
+        idx.clamp(0, self.bucket_count as i64 - 1) as usize
     }
 
     pub(crate) fn record(&self, value: u64) {
+        let s = &self.stripes[stripe()].0;
         if value == 0 {
-            self.zero.fetch_add(1, Ordering::Relaxed);
+            s.zero.fetch_add(1, Ordering::Relaxed);
         } else {
-            self.buckets[self.index_of(value)].fetch_add(1, Ordering::Relaxed);
+            let buckets = s
+                .buckets
+                .get_or_init(|| (0..self.bucket_count).map(|_| AtomicU64::new(0)).collect());
+            buckets[self.index_of(value)].fetch_add(1, Ordering::Relaxed);
         }
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.min.fetch_min(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
+        s.count.fetch_add(1, Ordering::Relaxed);
+        s.sum.fetch_add(value, Ordering::Relaxed);
+        s.min.fetch_min(value, Ordering::Relaxed);
+        s.max.fetch_max(value, Ordering::Relaxed);
     }
 
     pub(crate) fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
+        for s in &self.stripes {
+            s.0.reset();
         }
-        self.zero.store(0, Ordering::Relaxed);
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.min.store(u64::MAX, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
     }
 
+    /// Observations across every stripe.
+    pub(crate) fn count(&self) -> u64 {
+        self.stripes
+            .iter()
+            .map(|s| s.0.count.load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Merges the stripes: counts and buckets add, min is the least
+    /// min and max the greatest max.
     pub(crate) fn snapshot(&self) -> SketchSnapshot {
-        let count = self.count.load(Ordering::Relaxed);
-        let min = self.min.load(Ordering::Relaxed);
-        SketchSnapshot {
+        let mut merged = SketchSnapshot {
             alpha: self.alpha,
             gamma: self.gamma,
-            count,
-            sum: self.sum.load(Ordering::Relaxed),
-            zero: self.zero.load(Ordering::Relaxed),
-            min: if count == 0 { 0 } else { min },
-            max: self.max.load(Ordering::Relaxed),
-            buckets: self
-                .buckets
-                .iter()
-                .enumerate()
-                .filter_map(|(idx, b)| {
-                    let count = b.load(Ordering::Relaxed);
-                    (count > 0).then_some(SketchBucket {
-                        idx: idx as u32,
-                        count,
-                    })
-                })
-                .collect(),
+            count: 0,
+            sum: 0,
+            zero: 0,
+            min: u64::MAX,
+            max: 0,
+            buckets: Vec::new(),
+        };
+        let mut buckets: Vec<u64> = Vec::new();
+        for s in &self.stripes {
+            let s = &s.0;
+            merged.count += s.count.load(Ordering::Relaxed);
+            merged.sum = merged.sum.wrapping_add(s.sum.load(Ordering::Relaxed));
+            merged.zero += s.zero.load(Ordering::Relaxed);
+            merged.min = merged.min.min(s.min.load(Ordering::Relaxed));
+            merged.max = merged.max.max(s.max.load(Ordering::Relaxed));
+            if let Some(stripe_buckets) = s.buckets.get() {
+                buckets.resize(self.bucket_count, 0);
+                for (total, b) in buckets.iter_mut().zip(stripe_buckets.iter()) {
+                    *total += b.load(Ordering::Relaxed);
+                }
+            }
         }
+        if merged.count == 0 {
+            merged.min = 0;
+        }
+        merged.buckets = buckets
+            .iter()
+            .enumerate()
+            .filter(|&(_, &count)| count > 0)
+            .map(|(idx, &count)| SketchBucket {
+                idx: idx as u32,
+                count,
+            })
+            .collect();
+        merged
     }
 }
 
 /// A named quantile sketch behind a cheap cloneable handle; resolved
 /// through [`crate::Registry::sketch`]. Recording costs one `ln` and
-/// five relaxed atomic RMWs behind the registry's enabled check.
+/// five relaxed atomic RMWs on the calling thread's stripe, behind the
+/// registry's enabled check.
 #[derive(Clone)]
 pub struct QuantileSketch {
     pub(crate) enabled: Arc<AtomicBool>,
@@ -133,55 +186,14 @@ impl QuantileSketch {
         }
     }
 
-    /// Starts a timer that records elapsed nanoseconds into this sketch
-    /// when stopped or dropped. When the registry is disabled the timer
-    /// is inert and never reads the clock.
-    #[inline]
-    pub fn start_timer(&self) -> SketchTimer<'_> {
-        SketchTimer {
-            start: self.enabled.load(Ordering::Relaxed).then(Instant::now),
-            sketch: self,
-        }
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.cell.count.load(Ordering::Relaxed)
+        self.cell.count()
     }
 
     /// Estimates the `q`-quantile from the live buckets.
     pub fn quantile(&self, q: f64) -> u64 {
         self.cell.snapshot().quantile(q)
-    }
-}
-
-/// Drop-based timer tied to a [`QuantileSketch`]; created by
-/// [`QuantileSketch::start_timer`].
-pub struct SketchTimer<'a> {
-    start: Option<Instant>,
-    sketch: &'a QuantileSketch,
-}
-
-impl SketchTimer<'_> {
-    /// Stops the timer now instead of at scope end, recording and
-    /// returning the elapsed nanoseconds (0 when the timer is inert).
-    pub fn stop(mut self) -> u64 {
-        self.finish()
-    }
-
-    fn finish(&mut self) -> u64 {
-        let Some(start) = self.start.take() else {
-            return 0;
-        };
-        let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        self.sketch.cell.record(nanos);
-        nanos
-    }
-}
-
-impl Drop for SketchTimer<'_> {
-    fn drop(&mut self) {
-        self.finish();
     }
 }
 
@@ -239,23 +251,6 @@ mod tests {
         assert_eq!(snap.quantile(0.5), 0);
         let p99 = snap.quantile(0.99);
         assert!((990..=1010).contains(&p99), "p99 {p99}");
-    }
-
-    #[test]
-    fn timer_records_on_stop_and_drop_and_is_inert_when_disabled() {
-        let registry = crate::Registry::new();
-        let sketch = registry.sketch("t.timer");
-        {
-            let _t = sketch.start_timer();
-        }
-        assert_eq!(sketch.count(), 1);
-        let nanos = sketch.start_timer().stop();
-        assert_eq!(sketch.count(), 2);
-        assert!(registry.snapshot().sketches["t.timer"].sum >= nanos);
-        registry.set_enabled(false);
-        assert_eq!(sketch.start_timer().stop(), 0);
-        sketch.record(9);
-        assert_eq!(sketch.count(), 2);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! A root span is opened per request (one check-in, one crawled page,
 //! one attack step) with [`crate::Registry::span`]; stages open
 //! children with [`Span::child`]. The sampling decision is made once at
-//! the root — 1-in-N via a relaxed counter, or everything when the
+//! the root — 1-in-N via a relaxed per-thread-stripe counter (see
+//! [`crate::metrics::stripe`]), or everything when the
 //! registry's sample-all flag is up, or unconditionally via
 //! [`crate::Registry::span_forced`] — and children inherit it. An
 //! unsampled (or disabled-registry) span is a `None` and every method
@@ -25,6 +26,8 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+
+use crate::metrics::StripedU64;
 
 /// One moment inside a span (a cheater flag firing, a retry).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -87,7 +90,10 @@ thread_local! {
     static THREAD_NUM: u64 = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
 }
 
-fn thread_num() -> u64 {
+/// The calling thread's dense number (starting at 1): the span
+/// records' `thread` field and the key [`crate::metrics::stripe`] maps
+/// onto a stripe.
+pub(crate) fn thread_num() -> u64 {
     THREAD_NUM.with(|t| *t)
 }
 
@@ -95,7 +101,9 @@ fn thread_num() -> u64 {
 pub(crate) struct SpanSink {
     capacity: usize,
     next_id: AtomicU64,
-    head_counter: AtomicU64,
+    /// Per-stripe root counters: sampling is exact 1-in-N within each
+    /// stripe.
+    head_counter: StripedU64,
     sample_every: AtomicU64,
     sample_all: AtomicBool,
     finished: AtomicU64,
@@ -114,7 +122,7 @@ impl SpanSink {
         SpanSink {
             capacity,
             next_id: AtomicU64::new(1),
-            head_counter: AtomicU64::new(0),
+            head_counter: Default::default(),
             sample_every: AtomicU64::new(sample_every),
             sample_all: AtomicBool::new(sample_all),
             finished: AtomicU64::new(0),
@@ -136,11 +144,7 @@ impl SpanSink {
             return true;
         }
         let every = self.sample_every.load(Ordering::Relaxed);
-        every != 0
-            && self
-                .head_counter
-                .fetch_add(1, Ordering::Relaxed)
-                .is_multiple_of(every)
+        every != 0 && self.head_counter.fetch_add(1).is_multiple_of(every)
     }
 
     pub(crate) fn set_sample_every(&self, every: u64) {

@@ -3,15 +3,20 @@
 //! All handles are resolved once at server construction so the hot
 //! path never touches the registry's name map. After one relaxed check
 //! of the enabled flag, a counter update is one atomic RMW and a sketch
-//! or histogram record is five (see `lbsn-obs`).
+//! record five, all on the calling thread's cache-padded stripe (see
+//! `lbsn-obs`), so two admission threads never write the same line.
+//! Stage durations come from one `Stopwatch` per decision: a clock
+//! read at the start and after each detector, record and rewards (8 per
+//! accepted check-in on the default five-detector chain), with every
+//! stage the gap between two consecutive reads.
 //!
 //! Metric names (scheme `subsystem.component.metric`):
 //!
 //! | metric | kind | meaning |
 //! |---|---|---|
-//! | `server.checkin.total` | sketch (ns) | whole-pipeline latency |
+//! | `server.checkin.total` | sketch (ns) | whole-pipeline latency: the sum of the three stages below |
 //! | `server.checkin.stage.verify` | sketch (ns) | pre-admission verifier stages (only sampled when verifiers are installed) |
-//! | `server.checkin.stage.cheater_code` | sketch (ns) | GPS verify + cheater-code rules |
+//! | `server.checkin.stage.cheater_code` | sketch (ns) | GPS verify + cheater-code rules: the sum of the detector latencies |
 //! | `server.checkin.stage.record` | sketch (ns) | history append + flag bookkeeping |
 //! | `server.checkin.stage.rewards` | sketch (ns) | mayorship, badges, points, specials |
 //! | `server.checkin.accepted` | counter | check-ins that earned rewards |
@@ -53,6 +58,7 @@
 //! separate counter cells, so nothing double-counts.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use lbsn_obs::names::server as names;
 use lbsn_obs::{AuditPlane, Counter, Gauge, Histogram, QuantileSketch, Registry};
@@ -226,10 +232,52 @@ impl ServerMetrics {
     }
 }
 
+/// Times one decision's stages with one clock read per stage boundary.
+/// Each [`Stopwatch::lap`] returns the nanoseconds since the previous
+/// boundary, so consecutive laps tile the decision without gaps or
+/// overlap, and a total made of laps is their sum by construction.
+pub(crate) struct Stopwatch {
+    /// The last boundary; `None` when the stopwatch is inert.
+    last: Option<Instant>,
+}
+
+impl Stopwatch {
+    /// Reads the clock once, unless the registry is disabled: then the
+    /// stopwatch is inert, never reads the clock and every lap is 0.
+    #[inline]
+    pub(crate) fn start(metrics: &ServerMetrics) -> Self {
+        Stopwatch {
+            last: metrics.registry.is_enabled().then(Instant::now),
+        }
+    }
+
+    /// Nanoseconds since the previous boundary, which this call becomes.
+    #[inline]
+    pub(crate) fn lap(&mut self) -> u64 {
+        let Some(last) = self.last.as_mut() else {
+            return 0;
+        };
+        let now = Instant::now();
+        let nanos = now.duration_since(*last).as_nanos().min(u64::MAX as u128) as u64;
+        *last = now;
+        nanos
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use lbsn_obs::Registry;
+
+    #[test]
+    fn stopwatch_is_inert_when_disabled() {
+        let metrics = ServerMetrics::new(Arc::new(Registry::new()));
+        assert!(Stopwatch::start(&metrics).last.is_some());
+        metrics.registry().set_enabled(false);
+        let mut inert = Stopwatch::start(&metrics);
+        assert!(inert.last.is_none(), "a disabled registry reads no clock");
+        assert_eq!(inert.lap(), 0);
+    }
 
     #[test]
     fn flag_counters_are_distinct() {

@@ -45,7 +45,7 @@ use lbsn_sim::Timestamp;
 
 use crate::cheatercode::{paper_rules, CheatRule, Judgement, RuleContext};
 use crate::checkin::{CheatFlag, CheckinEvidence, CheckinRequest};
-use crate::metrics::ServerMetrics;
+use crate::metrics::{ServerMetrics, Stopwatch};
 use crate::policy::PolicyConfig;
 use crate::rewards::{decide_mayor, evaluate_badges, Badge, PointsPolicy, VenueLookup};
 use crate::shard::LeafLock;
@@ -334,7 +334,8 @@ impl AdmissionPipeline {
     }
 
     /// Runs every detector; returns all flags raised (deduplicated, in
-    /// detector order). A terminal detector that fires short-circuits
+    /// detector order) and the stage's cost, the sum of the detectors'
+    /// laps on `watch`. A terminal detector that fires short-circuits
     /// the chain and its flag is the only one reported. Each consulted
     /// detector's verdict — evidence values and per-detector cost
     /// included — lands on the decision builder.
@@ -342,12 +343,15 @@ impl AdmissionPipeline {
         &self,
         ctx: &RuleContext<'_>,
         decision: &mut DecisionBuilder,
-    ) -> Vec<CheatFlag> {
+        watch: &mut Stopwatch,
+    ) -> (Vec<CheatFlag>, u64) {
         let mut flags = Vec::new();
+        let mut detect_ns = 0;
         for d in &self.detectors {
-            let timer = d.latency.start_timer();
             let judgement = d.detector.judge(ctx);
-            let elapsed_ns = timer.stop();
+            let elapsed_ns = watch.lap();
+            d.latency.record(elapsed_ns);
+            detect_ns += elapsed_ns;
             decision.verdict(
                 d.detector.name(),
                 judgement.flag.map(CheatFlag::slug),
@@ -359,14 +363,14 @@ impl AdmissionPipeline {
             if let Some(f) = judgement.flag {
                 d.rejected.inc();
                 if d.detector.is_terminal() {
-                    return vec![f];
+                    return (vec![f], detect_ns);
                 }
                 if !flags.contains(&f) {
                     flags.push(f);
                 }
             }
         }
-        flags
+        (flags, detect_ns)
     }
 }
 

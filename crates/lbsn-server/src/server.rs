@@ -28,7 +28,7 @@ use crate::checkin::{
     AdmissionOutcome, CheckinError, CheckinEvidence, CheckinOutcome, CheckinRecord, CheckinRequest,
 };
 use crate::compact::{ArenaStr, StrArena};
-use crate::metrics::ServerMetrics;
+use crate::metrics::{ServerMetrics, Stopwatch};
 use crate::pipeline::{reward, AdmissionPipeline, CheckinVerifier, RewardOutcome, VerifyContext};
 use crate::policy::{DetectorConfig, PolicyConfig};
 use crate::shard::{LeafLock, ShardFamily, ShardWriteGuard, ShardedVec};
@@ -923,7 +923,7 @@ impl LbsnServer {
         let mut span = self.metrics.registry().span(obs_names::STAGE_VERIFY);
         span.attr("user", req.user.value());
         span.attr("venue", req.venue.value());
-        let stage = self.metrics.stage_verify.start_timer();
+        let mut watch = Stopwatch::start(&self.metrics);
         let Some(venue_location) = self.with_venue(req.venue, |v| v.location) else {
             return Err(CheckinError::UnknownVenue(req.venue));
         };
@@ -934,7 +934,9 @@ impl LbsnServer {
             now,
         };
         let rejected_by = self.pipeline.verify(&ctx, &mut decision);
-        decision.verify_ns(stage.stop());
+        let verify_ns = watch.lap();
+        self.metrics.stage_verify.record(verify_ns);
+        decision.verify_ns(verify_ns);
         if let Some(verifier) = rejected_by {
             self.metrics.verifier_rejected.inc();
             span.event_with(|| format!("verifier.rejected.{verifier}"));
@@ -968,7 +970,6 @@ impl LbsnServer {
         incumbent: Option<&mut User>,
         venue: &mut Venue,
     ) -> (CheckinOutcome, Vec<VenueId>) {
-        let total_timer = self.metrics.checkin_total.start_timer();
         // One root span per check-in (head-sampled); stages become
         // children and cheater flags become span events, so a sampled
         // request can be followed end to end in chrome://tracing.
@@ -979,17 +980,20 @@ impl LbsnServer {
         // 1. Judge the check-in with immutable borrows. The detector
         // chain starts with the terminal branded-account detector, so a
         // branded account short-circuits to rejection before any
-        // threshold rule runs.
+        // threshold rule runs. From here on every stage is the gap
+        // between two consecutive stopwatch reads, and the total is
+        // their sum.
         let stage_span = span.child(obs_names::STAGE_CHEATER_CODE);
-        let stage = self.metrics.stage_cheater_code.start_timer();
+        let mut watch = Stopwatch::start(&self.metrics);
         let ctx = RuleContext {
             user,
             venue,
             request: req,
             now,
         };
-        let flags = self.pipeline.detect(&ctx, &mut decision);
-        decision.detect_ns(stage.stop());
+        let (flags, detect_ns) = self.pipeline.detect(&ctx, &mut decision, &mut watch);
+        self.metrics.stage_cheater_code.record(detect_ns);
+        decision.detect_ns(detect_ns);
         stage_span.end();
         for &flag in &flags {
             self.metrics.flag_counter(flag).inc();
@@ -998,7 +1002,6 @@ impl LbsnServer {
 
         // 2. Record it (always — totals include flagged check-ins).
         let mut stage_span = span.child(obs_names::STAGE_RECORD);
-        let stage = self.metrics.stage_record.start_timer();
         let rewarded = flags.is_empty();
         let record = CheckinRecord {
             venue: req.venue,
@@ -1042,9 +1045,13 @@ impl LbsnServer {
                 );
             }
             let is_mayor = !branded_now && venue.mayor == Some(req.user);
-            decision.record_ns(stage.stop());
+            let record_ns = watch.lap();
+            self.metrics.stage_record.record(record_ns);
+            decision.record_ns(record_ns);
             stage_span.end();
-            decision.total_ns(total_timer.stop());
+            let total_ns = detect_ns + record_ns;
+            self.metrics.checkin_total.record(total_ns);
+            decision.total_ns(total_ns);
             // The terminal reason is the *first* flag raised (detector
             // order); branding on this decision escalates it.
             let flag_slug = flags.first().map(|f| f.slug()).unwrap_or("");
@@ -1070,13 +1077,14 @@ impl LbsnServer {
             );
         }
 
-        decision.record_ns(stage.stop());
+        let record_ns = watch.lap();
+        self.metrics.stage_record.record(record_ns);
+        decision.record_ns(record_ns);
         stage_span.end();
         self.metrics.accepted.inc();
 
         // 3. Apply the valid check-in to user and venue state.
         let stage_span = span.child(obs_names::STAGE_REWARDS);
-        let stage = self.metrics.stage_rewards.start_timer();
         user.valid_checkins += 1;
         if first_visit {
             user.visited_venues.insert(req.venue);
@@ -1115,9 +1123,13 @@ impl LbsnServer {
             became_mayor,
             special_unlocked.is_some(),
         );
-        decision.rewards_ns(stage.stop());
+        let rewards_ns = watch.lap();
+        self.metrics.stage_rewards.record(rewards_ns);
+        decision.rewards_ns(rewards_ns);
         stage_span.end();
-        decision.total_ns(total_timer.stop());
+        let total_ns = detect_ns + record_ns + rewards_ns;
+        self.metrics.checkin_total.record(total_ns);
+        decision.total_ns(total_ns);
         self.metrics
             .audit
             .finish(&decision, DecisionOutcome::Accepted);
