@@ -8,6 +8,14 @@
 //! the y-axis of Fig 4.1) and `TotalMayors` (from venue `MayorID` — the
 //! §3.4 and §4.2 analyses). [`CrawlDatabase::recompute_aggregates`] does
 //! that join.
+//!
+//! `RecentCheckins` is keyed by venue: its rows are the linkable entries
+//! of each stored venue row's visitor list, read off that row rather
+//! than kept in a separate table. A re-crawl that replaces one venue
+//! therefore replaces that venue's relation rows in O(its visitors),
+//! however large the crawl has grown, and a full crawl stores in linear
+//! time. Queries over the relation ([`CrawlDatabase::venues_visited_by`],
+//! [`CrawlDatabase::user_venue_map`]) walk every venue's list.
 
 use std::collections::HashMap;
 
@@ -87,7 +95,7 @@ impl VenueInfoRow {
 }
 
 /// One row of the `RecentCheckin` relation: user appears in venue's
-/// visitor list.
+/// visitor list. Derived from the venue row (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct RecentCheckinRow {
     /// The visiting user.
@@ -100,7 +108,30 @@ pub struct RecentCheckinRow {
 struct Tables {
     users: HashMap<u64, UserInfoRow>,
     venues: HashMap<u64, VenueInfoRow>,
-    recent_checkins: Vec<RecentCheckinRow>,
+    /// Size of the `RecentCheckin` relation: linkable visitor entries
+    /// over every stored venue row.
+    recent_checkin_count: usize,
+}
+
+impl Tables {
+    /// The `RecentCheckin` relation, venue by venue.
+    fn recent_checkins(&self) -> impl Iterator<Item = RecentCheckinRow> + '_ {
+        self.venues.values().flat_map(|venue| {
+            linked_visitors(venue).map(|user_id| RecentCheckinRow {
+                user_id,
+                venue_id: venue.id,
+            })
+        })
+    }
+}
+
+/// The linkable user IDs on a venue's visitor list; opaque tokens
+/// (§5.2) yield no relation rows.
+fn linked_visitors(venue: &VenueInfoRow) -> impl Iterator<Item = u64> + '_ {
+    venue.recent_visitors.iter().filter_map(|v| match v {
+        VisitorRef::Id(user_id) => Some(*user_id),
+        VisitorRef::Opaque(_) => None,
+    })
 }
 
 /// The thread-safe crawl store. Crawler workers insert concurrently;
@@ -116,7 +147,7 @@ impl std::fmt::Debug for CrawlDatabase {
         f.debug_struct("CrawlDatabase")
             .field("users", &t.users.len())
             .field("venues", &t.venues.len())
-            .field("recent_checkins", &t.recent_checkins.len())
+            .field("recent_checkins", &t.recent_checkin_count)
             .finish()
     }
 }
@@ -132,20 +163,16 @@ impl CrawlDatabase {
         self.tables.write().users.insert(row.id, row);
     }
 
-    /// Upserts a venue row and refreshes its `RecentCheckin` relation
-    /// rows.
+    /// Upserts a venue row, replacing its `RecentCheckin` relation rows
+    /// in O(visitors).
     pub fn insert_venue(&self, row: VenueInfoRow) {
+        let added = linked_visitors(&row).count();
         let mut t = self.tables.write();
-        t.recent_checkins.retain(|r| r.venue_id != row.id);
-        for v in &row.recent_visitors {
-            if let VisitorRef::Id(user_id) = v {
-                t.recent_checkins.push(RecentCheckinRow {
-                    user_id: *user_id,
-                    venue_id: row.id,
-                });
-            }
-        }
-        t.venues.insert(row.id, row);
+        let removed = t
+            .venues
+            .insert(row.id, row)
+            .map_or(0, |old| linked_visitors(&old).count());
+        t.recent_checkin_count = t.recent_checkin_count + added - removed;
     }
 
     /// Number of crawled users.
@@ -160,7 +187,7 @@ impl CrawlDatabase {
 
     /// Number of `RecentCheckin` relation rows.
     pub fn recent_checkin_count(&self) -> usize {
-        self.tables.read().recent_checkins.len()
+        self.tables.read().recent_checkin_count
     }
 
     /// A copy of one user row.
@@ -192,11 +219,12 @@ impl CrawlDatabase {
     /// `_` any single character; matching is case-insensitive like
     /// MySQL's default collation.
     pub fn venues_where_name_like(&self, pattern: &str) -> Vec<VenueInfoRow> {
+        let pattern = LikePattern::new(pattern);
         let t = self.tables.read();
         let mut rows: Vec<VenueInfoRow> = t
             .venues
             .values()
-            .filter(|v| like_match(pattern, &v.name))
+            .filter(|v| pattern.matches(&v.name))
             .cloned()
             .collect();
         rows.sort_by_key(|v| v.id);
@@ -226,8 +254,7 @@ impl CrawlDatabase {
     pub fn venues_visited_by(&self, user_id: u64) -> Vec<u64> {
         let t = self.tables.read();
         let mut ids: Vec<u64> = t
-            .recent_checkins
-            .iter()
+            .recent_checkins()
             .filter(|r| r.user_id == user_id)
             .map(|r| r.venue_id)
             .collect();
@@ -242,7 +269,7 @@ impl CrawlDatabase {
     pub fn user_venue_map(&self) -> HashMap<u64, Vec<u64>> {
         let t = self.tables.read();
         let mut map: HashMap<u64, Vec<u64>> = HashMap::new();
-        for r in &t.recent_checkins {
+        for r in t.recent_checkins() {
             map.entry(r.user_id).or_default().push(r.venue_id);
         }
         for v in map.values_mut() {
@@ -259,7 +286,7 @@ impl CrawlDatabase {
     pub fn recompute_aggregates(&self) {
         let mut t = self.tables.write();
         let mut recent: HashMap<u64, u64> = HashMap::new();
-        for r in &t.recent_checkins {
+        for r in t.recent_checkins() {
             *recent.entry(r.user_id).or_insert(0) += 1;
         }
         let mut mayors: HashMap<u64, u64> = HashMap::new();
@@ -321,20 +348,49 @@ impl CrawlDatabase {
 /// SQL `LIKE` matching: `%` = any run (incl. empty), `_` = exactly one
 /// character, case-insensitive.
 pub fn like_match(pattern: &str, text: &str) -> bool {
-    fn rec(p: &[char], t: &[char]) -> bool {
-        match p.split_first() {
-            None => t.is_empty(),
-            Some(('%', rest)) => (0..=t.len()).any(|skip| rec(rest, &t[skip..])),
-            Some(('_', rest)) => !t.is_empty() && rec(rest, &t[1..]),
-            Some((c, rest)) => match t.split_first() {
-                Some((tc, trest)) => c == tc && rec(rest, trest),
-                None => false,
-            },
-        }
+    LikePattern::new(pattern).matches(text)
+}
+
+/// A `LIKE` pattern lower-cased once, for matching against many rows.
+struct LikePattern(Vec<char>);
+
+impl LikePattern {
+    fn new(pattern: &str) -> Self {
+        LikePattern(pattern.to_lowercase().chars().collect())
     }
-    let p: Vec<char> = pattern.to_lowercase().chars().collect();
-    let t: Vec<char> = text.to_lowercase().chars().collect();
-    rec(&p, &t)
+
+    /// Two-pointer wildcard match. On a mismatch it backtracks only to
+    /// the last `%`, letting it absorb one more character: an earlier
+    /// `%` never needs to retry, because the last one can absorb
+    /// anything the earlier ones could. O(pattern × text) worst case.
+    fn matches(&self, text: &str) -> bool {
+        let p = &self.0;
+        let t: Vec<char> = text.to_lowercase().chars().collect();
+        let (mut pi, mut ti) = (0, 0);
+        // (pattern index after the last `%`, text index it resumes at)
+        let mut star: Option<(usize, usize)> = None;
+        while ti < t.len() {
+            match p.get(pi) {
+                Some('%') => {
+                    pi += 1;
+                    star = Some((pi, ti));
+                }
+                Some(&c) if c == '_' || c == t[ti] => {
+                    pi += 1;
+                    ti += 1;
+                }
+                _ => match star {
+                    Some((after, resume)) => {
+                        pi = after;
+                        ti = resume + 1;
+                        star = Some((after, ti));
+                    }
+                    None => return false,
+                },
+            }
+        }
+        p[pi..].iter().all(|&c| c == '%')
+    }
 }
 
 #[cfg(test)]
@@ -385,6 +441,14 @@ mod tests {
         assert!(like_match("", ""));
         assert!(!like_match("", "x"));
         assert!(like_match("a%b%c", "aXXbYYc"));
+    }
+
+    #[test]
+    fn like_match_backtracks_only_to_the_last_percent() {
+        // Exponential for a matcher that retries every `%`.
+        let pattern = format!("{}b", "%a".repeat(12));
+        assert!(!like_match(&pattern, &"a".repeat(60)));
+        assert!(like_match(&pattern, &format!("{}b", "a".repeat(60))));
     }
 
     #[test]

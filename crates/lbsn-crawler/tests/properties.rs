@@ -1,12 +1,13 @@
 //! Property tests for the crawler: LIKE matching against an oracle,
-//! scrape round-trips over arbitrary profile content, and re-crawl
-//! diff consistency.
+//! the crawl store's relation against a naive model, scrape round-trips
+//! over arbitrary profile content, and re-crawl diff consistency.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use lbsn_crawler::db::like_match;
 use lbsn_crawler::scrape::{parse_user_page, parse_venue_page};
-use lbsn_crawler::{CrawlDatabase, VenueInfoRow, VisitorRef};
+use lbsn_crawler::{CrawlDatabase, RecentCheckinRow, UserInfoRow, VenueInfoRow, VisitorRef};
 use lbsn_geo::GeoPoint;
 use lbsn_server::web::{PageRequest, WebFrontend};
 use lbsn_server::{CheckinRequest, CheckinSource, LbsnServer, ServerConfig, UserSpec, VenueSpec};
@@ -49,6 +50,80 @@ fn arb_text() -> impl Strategy<Value = String> {
         .prop_map(|chars| chars.into_iter().collect())
 }
 
+/// A venue row with the given scraped visitor list (other fields fixed).
+fn visited_venue(id: u64, visitors: Vec<VisitorRef>) -> VenueInfoRow {
+    VenueInfoRow {
+        id,
+        name: format!("V{id}"),
+        address: String::new(),
+        category: "Other".into(),
+        location: GeoPoint::new(35.0, -106.0).unwrap(),
+        checkins_here: visitors.len() as u64,
+        unique_visitors: visitors.len() as u64,
+        special: None,
+        tips: 0,
+        mayor: None,
+        recent_visitors: visitors,
+    }
+}
+
+/// A scraped visitor: mostly linkable IDs (repeats allowed), some
+/// opaque §5.2 tokens.
+fn arb_visitor() -> impl Strategy<Value = VisitorRef> {
+    (0u8..5, 1u64..9, "h[a-c]{1,2}").prop_map(|(kind, id, token)| match kind {
+        0 => VisitorRef::Opaque(token),
+        _ => VisitorRef::Id(id),
+    })
+}
+
+/// The store's `RecentCheckin` relation as a flat row list, maintained
+/// the naive way: a re-crawl drops every row of the venue, then appends
+/// the new list's linkable visitors.
+#[derive(Default)]
+struct RelationModel(Vec<RecentCheckinRow>);
+
+impl RelationModel {
+    fn insert_venue(&mut self, row: &VenueInfoRow) {
+        self.0.retain(|r| r.venue_id != row.id);
+        for v in &row.recent_visitors {
+            if let VisitorRef::Id(user_id) = v {
+                self.0.push(RecentCheckinRow {
+                    user_id: *user_id,
+                    venue_id: row.id,
+                });
+            }
+        }
+    }
+
+    fn user_venue_map(&self) -> HashMap<u64, Vec<u64>> {
+        let mut map: HashMap<u64, Vec<u64>> = HashMap::new();
+        for r in &self.0 {
+            map.entry(r.user_id).or_default().push(r.venue_id);
+        }
+        for venues in map.values_mut() {
+            venues.sort_unstable();
+            venues.dedup();
+        }
+        map
+    }
+
+    fn recent_checkins_of(&self, user_id: u64) -> u64 {
+        self.0.iter().filter(|r| r.user_id == user_id).count() as u64
+    }
+}
+
+/// Asserts every relation query on `db` agrees with `model`.
+fn assert_relation(db: &CrawlDatabase, model: &RelationModel) -> Result<(), TestCaseError> {
+    prop_assert_eq!(db.recent_checkin_count(), model.0.len());
+    let map = model.user_venue_map();
+    prop_assert_eq!(&db.user_venue_map(), &map);
+    for user_id in 0..10 {
+        let expected = map.get(&user_id).cloned().unwrap_or_default();
+        prop_assert_eq!(db.venues_visited_by(user_id), expected);
+    }
+    Ok(())
+}
+
 /// Names that survive a trip through the HTML frontend unchanged (no
 /// markup metacharacters — the site itself escapes nothing, faithful to
 /// a 2010 scrape target).
@@ -64,6 +139,51 @@ proptest! {
     #[test]
     fn like_match_agrees_with_oracle(pattern in arb_pattern(), text in arb_text()) {
         prop_assert_eq!(like_match(&pattern, &text), like_oracle(&pattern, &text));
+    }
+
+    /// Random crawl and re-crawl sequences: the venue-keyed relation
+    /// answers every query as the naive row list does, through the
+    /// aggregate join and an export/import round trip.
+    #[test]
+    fn venue_keyed_relation_matches_row_list_model(
+        inserts in prop::collection::vec(
+            (1u64..6, prop::collection::vec(arb_visitor(), 0..6)),
+            0..24,
+        ),
+    ) {
+        let db = CrawlDatabase::new();
+        let mut model = RelationModel::default();
+        for user_id in 1..9 {
+            db.insert_user(UserInfoRow {
+                id: user_id,
+                username: None,
+                home: None,
+                total_checkins: 0,
+                total_badges: 0,
+                friends: 0,
+                points: 0,
+                recent_checkins: 0,
+                total_mayors: 0,
+            });
+        }
+        for (venue_id, visitors) in inserts {
+            let row = visited_venue(venue_id, visitors);
+            model.insert_venue(&row);
+            db.insert_venue(row);
+            assert_relation(&db, &model)?;
+        }
+        db.recompute_aggregates();
+        for user_id in 1..9 {
+            prop_assert_eq!(
+                db.user(user_id).unwrap().recent_checkins,
+                model.recent_checkins_of(user_id)
+            );
+        }
+        let restored = CrawlDatabase::import_json(&db.export_json()).unwrap();
+        assert_relation(&restored, &model)?;
+        for user_id in 1..9 {
+            prop_assert_eq!(restored.user(user_id), db.user(user_id));
+        }
     }
 
     #[test]

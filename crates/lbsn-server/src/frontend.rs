@@ -354,6 +354,12 @@ impl RequestFrontend {
     fn stop_and_join(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         for state in &self.shared.workers {
+            // Pass through the inbox lock before notifying: a worker
+            // checks the flag and starts waiting under that lock, so it
+            // has either seen the flag or is already waiting. Without
+            // this the notification can land between its check and its
+            // wait, and the join below hangs.
+            drop(state.inbox.lock().unwrap_or_else(PoisonError::into_inner));
             state.wake.notify_all();
         }
         for handle in self.handles.drain(..) {

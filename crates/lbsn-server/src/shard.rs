@@ -293,7 +293,7 @@ pub(crate) struct WriteSet<'a, T> {
     mask: u64,
 }
 
-impl<T> WriteSet<'_, T> {
+impl<'a, T> WriteSet<'a, T> {
     fn locate(&self, id: u64) -> (usize, usize) {
         (
             (id.wrapping_sub(1) & self.mask) as usize,
@@ -314,6 +314,12 @@ impl<T> WriteSet<'_, T> {
             .iter()
             .find(|(i, _)| *i == shard)
             .and_then(|(_, g)| g.get(slot))
+    }
+
+    /// Each held shard's index and slot vector, ascending by shard
+    /// index — for batch writers that address entities by slot.
+    pub fn shards_mut(&mut self) -> impl Iterator<Item = (usize, &mut Vec<T>)> + use<'_, 'a, T> {
+        self.guards.iter_mut().map(|(i, guard)| (*i, &mut **guard))
     }
 
     /// Mutable access to the entity with `id` and, at the same time, to

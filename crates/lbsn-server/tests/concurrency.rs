@@ -366,3 +366,79 @@ fn crawler_reads_run_concurrently_with_writers() {
         assert_eq!(total, snap_total);
     });
 }
+
+/// Friendship symmetry is a cross-shard invariant: readers walking the
+/// friend graph while `add_friendships` runs must never see an edge
+/// recorded on one side only. Edges are never removed, so once `a`
+/// lists `b`, every later read of `b` must list `a`.
+#[test]
+fn friendship_batches_are_never_one_sided() {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::sync::atomic::AtomicBool;
+
+    with_watchdog("friendship_batches_are_never_one_sided", || {
+        const USERS: u64 = 2_000;
+        const BATCHES: usize = 40;
+        const BATCH_EDGES: usize = 5_000;
+        const READERS: usize = 2;
+        let server = Arc::new(LbsnServer::new(SimClock::new(), ServerConfig::default()));
+        server.bulk_register_users((0..USERS).map(|_| UserSpec::anonymous()));
+        let done = Arc::new(AtomicBool::new(false));
+        let barrier = Arc::new(Barrier::new(READERS + 1));
+        let writer = {
+            let server = Arc::clone(&server);
+            let done = Arc::clone(&done);
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let mut rng = StdRng::seed_from_u64(11);
+                barrier.wait();
+                for _ in 0..BATCHES {
+                    let edges: Vec<(UserId, UserId)> = (0..BATCH_EDGES)
+                        .map(|_| {
+                            (
+                                UserId(rng.gen_range(1..=USERS)),
+                                UserId(rng.gen_range(1..=USERS)),
+                            )
+                        })
+                        .collect();
+                    server.add_friendships(edges).unwrap();
+                }
+                done.store(true, Ordering::Release);
+            })
+        };
+        let readers: Vec<_> = (0..READERS as u64)
+            .map(|r| {
+                let server = Arc::clone(&server);
+                let done = Arc::clone(&done);
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(100 + r);
+                    let mut checked = 0u64;
+                    barrier.wait();
+                    while !done.load(Ordering::Acquire) {
+                        let a = UserId(rng.gen_range(1..=USERS));
+                        let friends = server
+                            .with_user(a, |u| u.friends.iter().copied().collect::<Vec<_>>())
+                            .unwrap();
+                        if friends.is_empty() {
+                            continue;
+                        }
+                        let b = friends[rng.gen_range(0..friends.len())];
+                        assert!(
+                            server.with_user(b, |u| u.friends.contains(&a)).unwrap(),
+                            "{a} lists {b}, but {b} does not list {a}"
+                        );
+                        checked += 1;
+                    }
+                    checked
+                })
+            })
+            .collect();
+        writer.join().expect("writer panicked");
+        let checked: u64 = readers
+            .into_iter()
+            .map(|r| r.join().expect("reader panicked"))
+            .sum();
+        assert!(checked > 0, "readers never saw an edge");
+    });
+}

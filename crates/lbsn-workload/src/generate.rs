@@ -318,15 +318,7 @@ pub fn register_world(server: &LbsnServer, plan: &PopulationPlan) -> Population 
             signup_day: u.signup_day,
         });
     }
-    // Friendships (edges stored on the higher index, so both endpoints
-    // exist by the time the edge is applied).
-    for (i, u) in plan.users.iter().enumerate() {
-        for &j in &u.friends {
-            server
-                .add_friendship(UserId(i as u64 + 1), UserId(j as u64 + 1))
-                .expect("plan indices are registered");
-        }
-    }
+    add_planned_friendships(server, &plan.users);
     Population {
         users,
         venue_count: plan.venues.venues.len() as u64,
@@ -341,9 +333,12 @@ pub fn register_world(server: &LbsnServer, plan: &PopulationPlan) -> Population 
 /// [`LbsnServer::bulk_register_venues`]) instead of one registration
 /// call per entity, and no event list is ever planned — which is what
 /// lets the scale ladder load the paper's full 7.49M-entity population
-/// without first materialising its check-in history. The registered
-/// state is identical to [`register_world`] on [`plan`]'s output: same
-/// IDs, usernames, homes, venue fields, and friendship graph.
+/// without first materialising its check-in history. The friend graph
+/// streams through [`LbsnServer::add_friendships`], the same chunked
+/// path [`register_world`] uses: one user-shard lock set per 65 536
+/// edges. The registered state is identical to [`register_world`] on
+/// [`plan`]'s output: same IDs, usernames, homes, venue fields, and
+/// friendship graph.
 pub fn register_world_bulk(server: &LbsnServer, spec: &PopulationSpec) -> Population {
     let venue_plan = plan_venues(spec);
     let metros = venue_plan.metros.clone();
@@ -366,13 +361,7 @@ pub fn register_world_bulk(server: &LbsnServer, spec: &PopulationSpec) -> Popula
         };
         user_spec.home(home)
     }));
-    for (i, u) in planned.iter().enumerate() {
-        for &j in &u.friends {
-            server
-                .add_friendship(UserId(i as u64 + 1), UserId(j as u64 + 1))
-                .expect("plan indices are registered");
-        }
-    }
+    add_planned_friendships(server, &planned);
 
     let users = planned
         .iter()
@@ -389,6 +378,20 @@ pub fn register_world_bulk(server: &LbsnServer, spec: &PopulationSpec) -> Popula
         venue_count,
         stats: GenerationStats::default(),
     }
+}
+
+/// Streams the planned friend graph into the server's batched
+/// friendship path. Every user is registered first, so both endpoints
+/// of each edge (stored once, on the higher index) exist.
+fn add_planned_friendships(server: &LbsnServer, users: &[PlannedUser]) {
+    let edges = users.iter().enumerate().flat_map(|(i, u)| {
+        u.friends
+            .iter()
+            .map(move |&j| (UserId(i as u64 + 1), UserId(j as u64 + 1)))
+    });
+    server
+        .add_friendships(edges)
+        .expect("plan indices are registered");
 }
 
 /// Replays the plan's events with virtual day index in
@@ -625,32 +628,71 @@ mod tests {
         assert!(total as usize >= mayors);
     }
 
+    /// The symmetric closure of the plan's friend lists (each edge is
+    /// stored once, on the higher index): user index → sorted friend ids.
+    fn planned_friend_sets(users: &[PlannedUser]) -> Vec<Vec<UserId>> {
+        let mut sets = vec![Vec::new(); users.len()];
+        for (i, u) in users.iter().enumerate() {
+            for &j in &u.friends {
+                sets[i].push(UserId(j as u64 + 1));
+                sets[j].push(UserId(i as u64 + 1));
+            }
+        }
+        for set in &mut sets {
+            set.sort_unstable();
+            set.dedup();
+        }
+        sets
+    }
+
+    /// Asserts that every user's friend set on `server` is exactly the
+    /// plan's symmetric closure; returns the number of friend links.
+    fn assert_friend_graph(server: &LbsnServer, users: &[PlannedUser]) -> usize {
+        assert_eq!(server.user_count(), users.len() as u64);
+        let mut links = 0;
+        for (i, expected) in planned_friend_sets(users).into_iter().enumerate() {
+            let id = UserId(i as u64 + 1);
+            let friends = server
+                .with_user(id, |u| u.friends.as_slice().to_vec())
+                .unwrap();
+            assert_eq!(
+                friends, expected,
+                "user {id}'s friends diverge from the plan"
+            );
+            links += friends.len();
+        }
+        links
+    }
+
+    /// Asserts that every venue on `server` carries its planned fields.
+    fn assert_venues(server: &LbsnServer, plan: &VenuePlan) {
+        assert_eq!(server.venue_count(), plan.venues.len() as u64);
+        for (i, planned) in plan.venues.iter().enumerate() {
+            let id = VenueId(i as u64 + 1);
+            let spec = &planned.spec;
+            server
+                .with_venue(id, |v| {
+                    assert_eq!(v.name(), spec.name, "venue {id} name");
+                    assert_eq!(v.address(), spec.address, "venue {id} address");
+                    assert_eq!(v.location, spec.location, "venue {id} location");
+                    assert_eq!(v.category, spec.category, "venue {id} category");
+                    assert_eq!(
+                        v.special.as_deref(),
+                        spec.special.as_ref(),
+                        "venue {id} special"
+                    );
+                })
+                .unwrap();
+        }
+    }
+
     #[test]
     fn friend_graph_is_symmetric_and_populated() {
         let p = tiny_plan();
         let server = LbsnServer::new(SimClock::new(), ServerConfig::default());
         let pop = register_world(&server, &p);
-        let mut edges = 0u64;
-        let mut to_check = Vec::new();
-        for truth in &pop.users {
-            let friends = server
-                .with_user(truth.id, |u| u.friends.iter().copied().collect::<Vec<_>>())
-                .unwrap();
-            edges += friends.len() as u64;
-            for f in friends {
-                to_check.push((truth.id, f));
-            }
-        }
-        assert!(
-            edges > pop.users.len() as u64 / 2,
-            "only {edges} friend links"
-        );
-        for (a, b) in to_check {
-            assert!(
-                server.with_user(b, |v| v.friends.contains(&a)).unwrap(),
-                "friendship {a}-{b} not symmetric"
-            );
-        }
+        let links = assert_friend_graph(&server, &p.users);
+        assert!(links > pop.users.len() / 2, "only {links} friend links");
     }
 
     #[test]
@@ -664,36 +706,19 @@ mod tests {
 
         assert_eq!(pop_inc.users, pop_bulk.users);
         assert_eq!(pop_inc.venue_count, pop_bulk.venue_count);
-        assert_eq!(inc.user_count(), bulk.user_count());
-        assert_eq!(inc.venue_count(), bulk.venue_count());
+        // Both loaders share the friendship path, so each is held to
+        // the plan rather than to the other.
+        assert_friend_graph(&inc, &p.users);
+        assert_friend_graph(&bulk, &p.users);
+        assert_venues(&inc, &p.venues);
+        assert_venues(&bulk, &p.venues);
 
         for id in (1..=inc.user_count()).step_by(13) {
             let snap = |s: &LbsnServer| {
-                s.with_user(UserId(id), |u| {
-                    (
-                        u.username.clone(),
-                        u.home,
-                        u.friends.iter().copied().collect::<Vec<_>>(),
-                    )
-                })
-                .unwrap()
+                s.with_user(UserId(id), |u| (u.username.clone(), u.home))
+                    .unwrap()
             };
             assert_eq!(snap(&inc), snap(&bulk), "user {id} diverged");
-        }
-        for id in (1..=inc.venue_count()).step_by(17) {
-            let snap = |s: &LbsnServer| {
-                s.with_venue(VenueId(id), |v| {
-                    (
-                        v.name().to_string(),
-                        v.address().to_string(),
-                        v.location,
-                        v.category,
-                        v.special.clone(),
-                    )
-                })
-                .unwrap()
-            };
-            assert_eq!(snap(&inc), snap(&bulk), "venue {id} diverged");
         }
 
         // The bulk world replays the same plan identically.
@@ -701,6 +726,25 @@ mod tests {
         let b = replay_span(&bulk, &p, 0, 40);
         assert_eq!(a, b);
         assert!(a.submitted > 0);
+    }
+
+    /// The bulk loader at 1/50 scale (~112 k venues, ~160 k edges)
+    /// crosses the 65 536-entity and 65 536-edge chunk boundaries that
+    /// the tiny worlds above never reach. Release-mode only in
+    /// practice: `cargo test --release -p lbsn-workload -- --ignored`.
+    #[test]
+    #[ignore = "1/50-scale world; run with --release -- --ignored"]
+    fn bulk_world_matches_plan_across_chunk_boundaries() {
+        let spec = PopulationSpec::at_scale(0.02, 17);
+        let server = LbsnServer::new(SimClock::new(), ServerConfig::default());
+        register_world_bulk(&server, &spec);
+        let venues = plan_venues(&spec);
+        assert!(venues.venues.len() > 65_536, "one venue chunk only");
+        assert_venues(&server, &venues);
+        let users = plan_users(&spec);
+        let edges: usize = users.iter().map(|u| u.friends.len()).sum();
+        assert!(edges > 2 * 65_536, "only {edges} planned edges");
+        assert_friend_graph(&server, &users);
     }
 
     #[test]
