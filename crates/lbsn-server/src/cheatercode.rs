@@ -334,12 +334,7 @@ mod tests {
     use lbsn_geo::destination;
 
     fn venue_at(id: u64, loc: GeoPoint) -> Venue {
-        Venue::from_spec(
-            VenueId(id),
-            VenueSpec::new("V", loc),
-            Timestamp(0),
-            &mut crate::StrArena::new(),
-        )
+        Venue::sealed(VenueId(id), VenueSpec::new("V", loc))
     }
 
     fn user_with(records: Vec<CheckinRecord>) -> User {

@@ -298,16 +298,6 @@ impl PartialEq for ArenaStr {
     }
 }
 
-impl Default for ArenaStr {
-    fn default() -> Self {
-        ArenaStr {
-            chunk: Arc::from(""),
-            off: 0,
-            len: 0,
-        }
-    }
-}
-
 impl Serialize for ArenaStr {
     fn to_value(&self) -> Value {
         Value::String(self.as_str().to_string())
@@ -346,14 +336,9 @@ impl MemFootprint for ArenaStr {
 /// weak refcounts).
 const ARC_HEADER_BYTES: usize = 16;
 
-/// A shard-local string arena.
-///
-/// Two modes of use:
-/// * **bulk**: [`StrArena::stage`] many strings, then one
-///   [`StrArena::seal`] turns the whole batch into a single shared
-///   chunk and hands back an `Arc` to slice handles out of;
-/// * **incremental**: [`StrArena::intern`] allocates a one-string chunk
-///   per call (still one allocation where the old layout took two).
+/// A shard-local string arena: [`StrArena::stage`] a batch of
+/// strings, then one [`StrArena::seal`] turns the batch into a single
+/// shared chunk and hands back an `Arc` to slice handles out of.
 #[derive(Debug, Default)]
 pub struct StrArena {
     chunks: Vec<Arc<str>>,
@@ -377,34 +362,13 @@ impl StrArena {
 
     /// Seals the staged text into one shared chunk and returns it.
     /// Offsets from [`StrArena::stage`] since the previous seal index
-    /// into this chunk.
+    /// into this chunk. The staging buffer is released with the seal,
+    /// so an arena owns only its chunks between batches.
     pub fn seal(&mut self) -> Arc<str> {
-        let chunk: Arc<str> = Arc::from(self.staging.as_str());
-        self.staging.clear();
+        let chunk: Arc<str> = Arc::from(std::mem::take(&mut self.staging));
         self.sealed_bytes += chunk.len() + ARC_HEADER_BYTES;
         self.chunks.push(Arc::clone(&chunk));
         chunk
-    }
-
-    /// Interns a single string as its own chunk.
-    pub fn intern(&mut self, text: &str) -> ArenaStr {
-        debug_assert!(
-            self.staging.is_empty(),
-            "intern between stage and seal would corrupt staged offsets"
-        );
-        let chunk: Arc<str> = Arc::from(text);
-        self.sealed_bytes += chunk.len() + ARC_HEADER_BYTES;
-        self.chunks.push(Arc::clone(&chunk));
-        ArenaStr {
-            chunk,
-            off: 0,
-            len: text.len() as u32,
-        }
-    }
-
-    /// Number of sealed chunks.
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
     }
 
     /// Estimated owned bytes: sealed chunk text (plus per-chunk `Arc`
@@ -505,23 +469,31 @@ mod tests {
         assert_eq!(&*handles[0], "Old Town Plaza");
         assert_eq!(&*handles[1], "123 Central Ave");
         assert_eq!(&*handles[2], "Tiny Bar");
-        assert_eq!(arena.chunk_count(), 1, "one allocation for the batch");
+        assert_eq!(arena.chunks.len(), 1, "one allocation for the batch");
         assert!(arena.bytes() >= chunk.len());
     }
 
     #[test]
-    fn arena_intern_round_trips() {
+    fn arena_batch_of_one_costs_its_text_and_one_header() {
         let mut arena = StrArena::new();
-        let h = arena.intern("Starbucks Reserve");
+        let (off, len) = arena.stage("Starbucks Reserve");
+        let h = ArenaStr::slice(&arena.seal(), off, len);
         assert_eq!(&*h, "Starbucks Reserve");
         assert_eq!(h.heap_bytes(), 0, "handles charge nothing");
-        assert!(arena.bytes() >= "Starbucks Reserve".len());
+        assert_eq!(
+            arena.bytes(),
+            "Starbucks Reserve".len()
+                + ARC_HEADER_BYTES
+                + arena.chunks.capacity() * std::mem::size_of::<Arc<str>>(),
+            "no staging capacity outlives the seal"
+        );
     }
 
     #[test]
     fn arena_str_serde_round_trip() {
         let mut arena = StrArena::new();
-        let h = arena.intern("Pioneer Cafe");
+        let (off, len) = arena.stage("Pioneer Cafe");
+        let h = ArenaStr::slice(&arena.seal(), off, len);
         let json = serde_json::to_string(&h).unwrap();
         assert_eq!(json, "\"Pioneer Cafe\"");
         let back: ArenaStr = serde_json::from_str(&json).unwrap();

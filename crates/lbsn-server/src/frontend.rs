@@ -208,6 +208,11 @@ struct Shared {
     /// EWMA of per-op batch service time, nanoseconds — the drain-rate
     /// estimate behind the shed retry-after hint.
     service_ns: AtomicU64,
+    /// Test seam: taken and called once by a worker between its
+    /// shutdown-flag check and its wait, with its inbox lock held, so a
+    /// test can park it exactly where a wakeup can be lost.
+    #[cfg(test)]
+    wait_probe: parking_lot::Mutex<Option<Box<dyn FnOnce() + Send>>>,
 }
 
 impl Shared {
@@ -263,6 +268,8 @@ impl RequestFrontend {
             queued: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
             service_ns: AtomicU64::new(SERVICE_NS_SEED),
+            #[cfg(test)]
+            wait_probe: parking_lot::Mutex::new(None),
         });
         let handles = (0..shared.config.workers)
             .map(|w| {
@@ -415,6 +422,10 @@ fn worker_loop(shared: &Shared, w: usize) {
                 }
                 if shared.shutdown.load(Ordering::Acquire) {
                     return;
+                }
+                #[cfg(test)]
+                if let Some(probe) = shared.wait_probe.lock().take() {
+                    probe();
                 }
                 inbox = state
                     .wake
@@ -570,6 +581,50 @@ mod tests {
         assert_eq!(submitted, 64);
         assert_eq!(shed as u64, shed_ctr);
         assert_eq!(decided + shed_ctr, submitted, "conservation");
+    }
+
+    /// Pins the lost-wakeup fix in `stop_and_join`: a worker parked
+    /// between its shutdown-flag check and its wait must still be woken
+    /// by shutdown, because the notify cannot pass the inbox lock until
+    /// the worker is waiting.
+    #[test]
+    fn shutdown_wakes_a_worker_parked_before_its_wait() {
+        use std::sync::mpsc;
+        let (server, _users, _venue) = bed();
+        let frontend = RequestFrontend::new(
+            server,
+            FrontendConfig {
+                workers: 1,
+                ..FrontendConfig::default()
+            },
+        );
+        let shared = Arc::clone(&frontend.shared);
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        *shared.wait_probe.lock() = Some(Box::new(move || {
+            let _ = parked_tx.send(());
+            let _ = release_rx.recv();
+        }));
+        // The idle worker may already be waiting: nudge it until it
+        // comes round to the probe.
+        while parked_rx.recv_timeout(Duration::from_millis(10)).is_err() {
+            shared.workers[0].wake.notify_all();
+        }
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            frontend.shutdown();
+            let _ = done_tx.send(());
+        });
+        while !shared.shutdown.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        // Time for a notify that skips the inbox lock to land — and be
+        // lost — before the worker waits.
+        std::thread::sleep(Duration::from_millis(50));
+        release_tx.send(()).unwrap();
+        done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("watchdog: shutdown hung on a worker that missed its wakeup");
     }
 
     #[test]

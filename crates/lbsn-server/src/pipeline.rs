@@ -437,11 +437,9 @@ mod tests {
         let honest = GpsProximityRule { radius_m: 500.0 };
         assert!(!honest.is_terminal(), "ordinary rules are not terminal");
         let user = User::from_spec(crate::UserId(1), UserSpec::anonymous(), Timestamp(0));
-        let venue = Venue::from_spec(
+        let venue = Venue::sealed(
             VenueId(1),
             crate::venue::VenueSpec::new("V", GeoPoint::new(35.0, -106.0).unwrap()),
-            Timestamp(0),
-            &mut crate::StrArena::new(),
         );
         let req = CheckinRequest {
             user: crate::UserId(1),

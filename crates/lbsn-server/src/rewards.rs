@@ -301,12 +301,7 @@ mod tests {
     }
 
     fn venue(id: u64) -> Venue {
-        Venue::from_spec(
-            VenueId(id),
-            VenueSpec::new("V", loc()),
-            Timestamp(0),
-            &mut crate::StrArena::new(),
-        )
+        Venue::sealed(VenueId(id), VenueSpec::new("V", loc()))
     }
 
     fn user(id: u64) -> User {

@@ -13,6 +13,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -27,7 +28,7 @@ use crate::cheatercode::RuleContext;
 use crate::checkin::{
     AdmissionOutcome, CheckinError, CheckinEvidence, CheckinOutcome, CheckinRecord, CheckinRequest,
 };
-use crate::compact::{ArenaStr, StrArena};
+use crate::compact::StrArena;
 use crate::metrics::{ServerMetrics, Stopwatch};
 use crate::pipeline::{reward, AdmissionPipeline, CheckinVerifier, RewardOutcome, VerifyContext};
 use crate::policy::{DetectorConfig, PolicyConfig};
@@ -58,10 +59,10 @@ const MEM_SAMPLE_INTERVAL_SECS: u64 = 6 * 3600;
 /// first check-in.
 const MEM_SWEEP_BYTES_PER_OP: u64 = 64;
 
-/// Specs staged between lock acquisitions by the bulk registration
-/// paths. Large enough to amortize locking across a shard's worth of
-/// entities, small enough that staging stays cache- and
-/// allocation-friendly at paper scale.
+/// Entities (or friend edges) staged between lock acquisitions by the
+/// registration and friendship loaders. Large enough to amortize
+/// locking across a shard's worth of entities, small enough that
+/// staging stays cache- and allocation-friendly at paper scale.
 const BULK_CHUNK: usize = 65_536;
 
 /// Server-wide configuration: the admission policy plus deployment
@@ -153,16 +154,16 @@ pub struct LbsnServer {
     /// immutable after registration, so badge evaluation reads this
     /// table instead of locking arbitrary venue shards mid-check-in.
     venue_categories: LeafLock<Vec<VenueCategory>>,
-    /// Per-venue-shard string arenas holding interned name+address
-    /// text (see [`crate::StrArena`]). Locked *before* the venue shard
-    /// during registration, never while a shard lock is held. Bulk
-    /// loading seals whole batches into shared chunks.
+    /// Per-venue-shard string arenas holding name+address text (see
+    /// [`crate::StrArena`]). Locked *before* the venue shard during
+    /// registration, never while a shard lock is held; each shard's
+    /// share of a registration chunk is sealed into one shared chunk.
     venue_arenas: Vec<Mutex<StrArena>>,
     /// Serializes user registration so shard slots fill densely in id
-    /// order. Holds the count of registered users.
-    user_reg: Mutex<u64>,
-    /// Serializes venue registration; holds the registered count.
-    venue_reg: Mutex<u64>,
+    /// order; the count itself lives in `user_count`.
+    user_reg: Mutex<()>,
+    /// Serializes venue registration, likewise.
+    venue_reg: Mutex<()>,
     user_count: AtomicU64,
     venue_count: AtomicU64,
     /// Sim-clock second at which the next periodic memory sample is
@@ -270,8 +271,8 @@ impl LbsnServer {
             venue_grid: LeafLock::new("venue_grid", GeoGrid::new(1_000.0)),
             venue_categories: LeafLock::new("venue_categories", Vec::new()),
             venue_arenas: (0..shards).map(|_| Mutex::new(StrArena::new())).collect(),
-            user_reg: Mutex::new(0),
-            venue_reg: Mutex::new(0),
+            user_reg: Mutex::new(()),
+            venue_reg: Mutex::new(()),
             user_count: AtomicU64::new(0),
             venue_count: AtomicU64::new(0),
             next_mem_sample: AtomicU64::new(0),
@@ -419,70 +420,55 @@ impl LbsnServer {
         lbsn_obs::flight::dump_flight(reason)
     }
 
-    /// Registers a user; IDs are dense and incrementing from 1.
+    /// Registers a user: a batch of one through
+    /// [`LbsnServer::bulk_register_users`]. IDs are dense and
+    /// incrementing from 1.
     pub fn register_user(&self, spec: UserSpec) -> UserId {
-        let mut registered = self.user_reg.lock();
-        let id = UserId(*registered + 1);
-        let user = User::from_spec(id, spec, self.clock.now());
-        let username = user.username.clone();
-        {
-            let mut shard = self.users.write_shard(self.users.shard_of(id.value()));
-            debug_assert_eq!(shard.len(), self.users.slot_of(id.value()));
-            shard.push(user);
-        }
-        // The name resolves only once the profile is visible.
-        if let Some(name) = username {
-            self.usernames.write().insert(name, id);
-        }
-        *registered += 1;
-        self.user_count.fetch_add(1, Ordering::Release);
-        id
+        UserId(self.register_users([spec]).start)
     }
 
-    /// Registers a venue; IDs are dense and incrementing from 1.
+    /// Registers a venue: a batch of one through
+    /// [`LbsnServer::bulk_register_venues`]. IDs are dense and
+    /// incrementing from 1.
     pub fn register_venue(&self, spec: VenueSpec) -> VenueId {
-        let mut registered = self.venue_reg.lock();
-        let id = VenueId(*registered + 1);
-        let venue = {
-            // Arena before shard lock — never the other way around.
-            let mut arena = self.venue_arenas[self.venues.shard_of(id.value())].lock();
-            Venue::from_spec(id, spec, self.clock.now(), &mut arena)
-        };
-        let location = venue.location;
-        // Category first: by the time the venue is visible in its
-        // shard, badge evaluation can already resolve its category.
-        self.venue_categories.write().push(venue.category);
-        {
-            let mut shard = self.venues.write_shard(self.venues.shard_of(id.value()));
-            debug_assert_eq!(shard.len(), self.venues.slot_of(id.value()));
-            shard.push(venue);
-        }
-        // Discoverability last.
-        self.venue_grid.write().insert(location, id);
-        *registered += 1;
-        self.venue_count.fetch_add(1, Ordering::Release);
-        id
+        VenueId(self.register_venues([spec]).start)
     }
 
-    /// Bulk-registers users, returning how many were added. IDs are
-    /// assigned exactly as by repeated [`LbsnServer::register_user`]
-    /// calls (dense, incrementing, in iteration order); the difference
-    /// is purely mechanical: specs are staged per shard in chunks, so a
-    /// paper-scale population takes a handful of lock acquisitions per
-    /// shard instead of two per user.
+    /// Registers users, returning how many were added. IDs are dense
+    /// and incrementing, in iteration order. Specs are staged per shard
+    /// in chunks of 65 536, so a paper-scale population takes a handful
+    /// of lock acquisitions per shard, not two per user.
     pub fn bulk_register_users(&self, specs: impl IntoIterator<Item = UserSpec>) -> u64 {
-        let mut registered = self.user_reg.lock();
+        let ids = self.register_users(specs);
+        ids.end - ids.start
+    }
+
+    /// Registers venues, returning how many were added. IDs as for
+    /// [`LbsnServer::bulk_register_users`]. The name and address text
+    /// of each chunk's venues in one shard is sealed into one shared
+    /// arena chunk: one allocation per shard per chunk, and one for a
+    /// venue registered alone.
+    pub fn bulk_register_venues(&self, specs: impl IntoIterator<Item = VenueSpec>) -> u64 {
+        let ids = self.register_venues(specs);
+        ids.end - ids.start
+    }
+
+    /// The one user registration path; returns the ids it assigned.
+    fn register_users(&self, specs: impl IntoIterator<Item = UserSpec>) -> Range<u64> {
+        let _serial = self.user_reg.lock();
+        // Only this lock's holder adds users, so the count is exact.
+        let first = self.user_count() + 1;
+        let mut next = first;
         let now = self.clock.now();
         let shards = self.users.shard_count();
         let mut staged: Vec<Vec<User>> = (0..shards).map(|_| Vec::new()).collect();
         let mut names: Vec<(String, UserId)> = Vec::new();
-        let mut count = 0u64;
         let mut iter = specs.into_iter();
         loop {
             let mut in_chunk = 0usize;
             for spec in iter.by_ref().take(BULK_CHUNK) {
-                let id = UserId(*registered + count + 1);
-                count += 1;
+                let id = UserId(next);
+                next += 1;
                 in_chunk += 1;
                 let user = User::from_spec(id, spec, now);
                 if let Some(name) = &user.username {
@@ -506,39 +492,35 @@ impl LbsnServer {
                 break;
             }
         }
-        *registered += count;
-        self.user_count.fetch_add(count, Ordering::Release);
-        count
+        self.user_count.fetch_add(next - first, Ordering::Release);
+        first..next
     }
 
-    /// Bulk-registers venues, returning how many were added. Same ID
-    /// assignment as repeated [`LbsnServer::register_venue`]; name and
-    /// address text for each chunk's worth of venues in a shard is
-    /// sealed into one shared arena chunk (one allocation per shard per
-    /// chunk, against two `String`s per venue on the incremental path).
-    pub fn bulk_register_venues(&self, specs: impl IntoIterator<Item = VenueSpec>) -> u64 {
-        let mut registered = self.venue_reg.lock();
+    /// The one venue registration path; returns the ids it assigned.
+    fn register_venues(&self, specs: impl IntoIterator<Item = VenueSpec>) -> Range<u64> {
+        let _serial = self.venue_reg.lock();
+        // Only this lock's holder adds venues, so the count is exact.
+        let first = self.venue_count() + 1;
+        let mut next = first;
         let now = self.clock.now();
         let shards = self.venues.shard_count();
         let mut staged: Vec<Vec<(VenueId, VenueSpec)>> = (0..shards).map(|_| Vec::new()).collect();
         let mut built: Vec<Venue> = Vec::new();
         let mut categories: Vec<VenueCategory> = Vec::new();
         let mut grid_entries: Vec<(GeoPoint, VenueId)> = Vec::new();
-        let mut count = 0u64;
         let mut iter = specs.into_iter();
         loop {
             let mut in_chunk = 0usize;
             for spec in iter.by_ref().take(BULK_CHUNK) {
-                let id = VenueId(*registered + count + 1);
-                count += 1;
+                let id = VenueId(next);
+                next += 1;
                 in_chunk += 1;
                 categories.push(spec.category);
                 grid_entries.push((spec.location, id));
                 staged[self.venues.shard_of(id.value())].push((id, spec));
             }
-            // Categories first, as on the incremental path: by the time
-            // a venue is visible in its shard, badge evaluation can
-            // already resolve its category.
+            // Categories first: by the time a venue is visible in its
+            // shard, badge evaluation can already resolve its category.
             if !categories.is_empty() {
                 self.venue_categories.write().extend(categories.drain(..));
             }
@@ -546,37 +528,9 @@ impl LbsnServer {
                 if batch.is_empty() {
                     continue;
                 }
-                {
-                    // Arena before shard lock — never the other way
-                    // around, and never both at once.
-                    let mut arena = self.venue_arenas[shard].lock();
-                    let spans: Vec<(u32, u32, u16)> = batch
-                        .iter()
-                        .map(|(_, spec)| {
-                            let (off, _) = arena.stage(&spec.name);
-                            let (_, addr_len) = arena.stage(&spec.address);
-                            (
-                                off,
-                                spec.name.len() as u32 + addr_len,
-                                spec.name.len() as u16,
-                            )
-                        })
-                        .collect();
-                    let chunk = arena.seal();
-                    built.extend(batch.drain(..).zip(spans).map(
-                        |((id, spec), (off, len, name_len))| {
-                            Venue::from_parts(
-                                id,
-                                spec.location,
-                                spec.category,
-                                spec.special,
-                                now,
-                                ArenaStr::slice(&chunk, off, len),
-                                name_len,
-                            )
-                        },
-                    ));
-                }
+                // Arena before shard lock — never the other way around,
+                // and never both at once.
+                Venue::seal_batch(batch, now, &mut self.venue_arenas[shard].lock(), &mut built);
                 let mut guard = self.venues.write_shard(shard);
                 debug_assert_eq!(guard.len(), self.venues.slot_of(built[0].id.value()));
                 guard.append(&mut built);
@@ -592,9 +546,8 @@ impl LbsnServer {
                 break;
             }
         }
-        *registered += count;
-        self.venue_count.fetch_add(count, Ordering::Release);
-        count
+        self.venue_count.fetch_add(next - first, Ordering::Release);
+        first..next
     }
 
     /// Drops excess capacity across all server state — entity shard
@@ -1277,6 +1230,13 @@ impl LbsnServer {
         self.venues.with(id.value(), f)
     }
 
+    /// A venue's category from the append-only category table that
+    /// badge evaluation reads — a leaf-lock read, no venue shard.
+    pub fn venue_category(&self, id: VenueId) -> Option<VenueCategory> {
+        let idx = id.value().checked_sub(1)? as usize;
+        self.venue_categories.read().get(idx).copied()
+    }
+
     /// Resolves a vanity username to an ID.
     pub fn user_id_by_name(&self, name: &str) -> Option<UserId> {
         self.usernames.read().get(name).copied()
@@ -1432,9 +1392,9 @@ mod tests {
     }
 
     #[test]
-    fn bulk_registration_matches_incremental() {
-        // The bulk path must be an observably identical mechanical
-        // shortcut: same IDs, same profile state, same discoverability.
+    fn one_batch_equals_batches_of_one() {
+        // Batching invariance: one batch equals many batches of one —
+        // same IDs, same profile state, same discoverability.
         let make_user_specs = || {
             (0..40u64).map(|i| {
                 if i % 3 == 0 {
@@ -1471,30 +1431,30 @@ mod tests {
             })
         };
 
-        let incremental = LbsnServer::new(SimClock::new(), ServerConfig::default());
+        let singles = LbsnServer::new(SimClock::new(), ServerConfig::default());
         for spec in make_user_specs() {
-            incremental.register_user(spec);
+            singles.register_user(spec);
         }
         for spec in make_venue_specs() {
-            incremental.register_venue(spec);
+            singles.register_venue(spec);
         }
         let bulk = LbsnServer::new(SimClock::new(), ServerConfig::default());
         assert_eq!(bulk.bulk_register_users(make_user_specs()), 40);
         assert_eq!(bulk.bulk_register_venues(make_venue_specs()), 40);
         bulk.compact_memory();
 
-        assert_eq!(bulk.user_count(), incremental.user_count());
-        assert_eq!(bulk.venue_count(), incremental.venue_count());
+        assert_eq!(bulk.user_count(), singles.user_count());
+        assert_eq!(bulk.venue_count(), singles.venue_count());
         for id in 1..=40u64 {
             let (a, b) = (
-                incremental.user(UserId(id)).unwrap(),
+                singles.user(UserId(id)).unwrap(),
                 bulk.user(UserId(id)).unwrap(),
             );
             assert_eq!(a.id, b.id);
             assert_eq!(a.username, b.username);
             assert_eq!(a.home, b.home);
             let (va, vb) = (
-                incremental.venue(VenueId(id)).unwrap(),
+                singles.venue(VenueId(id)).unwrap(),
                 bulk.venue(VenueId(id)).unwrap(),
             );
             assert_eq!(va.id, vb.id);
@@ -1506,16 +1466,16 @@ mod tests {
         }
         assert_eq!(
             bulk.user_id_by_name("user-39"),
-            incremental.user_id_by_name("user-39")
+            singles.user_id_by_name("user-39")
         );
         assert_eq!(
             bulk.search_venues_by_name("venue 1", 50),
-            incremental.search_venues_by_name("venue 1", 50)
+            singles.search_venues_by_name("venue 1", 50)
         );
         let near_bulk: Vec<(VenueId, f64)> = bulk.venues_near(abq(), 2_000.0, 10);
-        let near_inc: Vec<(VenueId, f64)> = incremental.venues_near(abq(), 2_000.0, 10);
-        assert_eq!(near_bulk, near_inc);
-        // Registration continues seamlessly after a bulk load.
+        let near_one: Vec<(VenueId, f64)> = singles.venues_near(abq(), 2_000.0, 10);
+        assert_eq!(near_bulk, near_one);
+        // A batch of one continues the ids of a larger batch.
         assert_eq!(bulk.register_user(UserSpec::anonymous()), UserId(41));
         assert_eq!(
             bulk.register_venue(VenueSpec::new("After", abq())),

@@ -223,51 +223,57 @@ static EMPTY_USERS: [UserId; 0] = [];
 static EMPTY_TIPS: [Tip; 0] = [];
 
 impl Venue {
-    pub(crate) fn from_spec(
-        id: VenueId,
-        spec: VenueSpec,
+    /// Builds one shard's batch of venues into `out`, draining `batch`
+    /// in order. Every venue's name and address text is staged into
+    /// `arena` and sealed once, so the whole batch shares one chunk.
+    pub(crate) fn seal_batch(
+        batch: &mut Vec<(VenueId, VenueSpec)>,
         now: Timestamp,
         arena: &mut StrArena,
-    ) -> Self {
-        let mut text = String::with_capacity(spec.name.len() + spec.address.len());
-        text.push_str(&spec.name);
-        text.push_str(&spec.address);
-        Venue::from_parts(
-            id,
-            spec.location,
-            spec.category,
-            spec.special,
-            now,
-            arena.intern(&text),
-            spec.name.len() as u16,
-        )
+        out: &mut Vec<Venue>,
+    ) {
+        let spans: Vec<(u32, u32)> = batch
+            .iter()
+            .map(|(_, spec)| {
+                let (off, name_len) = arena.stage(&spec.name);
+                let (_, addr_len) = arena.stage(&spec.address);
+                (off, name_len + addr_len)
+            })
+            .collect();
+        let chunk = arena.seal();
+        out.extend(
+            batch
+                .drain(..)
+                .zip(spans)
+                .map(|((id, spec), (off, len))| Venue {
+                    id,
+                    location: spec.location,
+                    category: spec.category,
+                    mayor: None,
+                    checkins_here: 0,
+                    created_at: now,
+                    cold: Box::new(VenueCold {
+                        text: ArenaStr::slice(&chunk, off, len),
+                        name_len: spec.name.len() as u16,
+                        special: spec.special.map(Box::new),
+                        activity: None,
+                    }),
+                }),
+        );
     }
 
-    /// Assembles a venue around already-interned profile text — the
-    /// bulk-load entry point, where whole batches share one arena chunk.
-    pub(crate) fn from_parts(
-        id: VenueId,
-        location: GeoPoint,
-        category: VenueCategory,
-        special: Option<Special>,
-        now: Timestamp,
-        text: ArenaStr,
-        name_len: u16,
-    ) -> Self {
-        Venue {
-            id,
-            location,
-            category,
-            mayor: None,
-            checkins_here: 0,
-            created_at: now,
-            cold: Box::new(VenueCold {
-                text,
-                name_len,
-                special: special.map(Box::new),
-                activity: None,
-            }),
-        }
+    /// One venue sealed alone: a batch of one through
+    /// [`Venue::seal_batch`].
+    #[cfg(test)]
+    pub(crate) fn sealed(id: VenueId, spec: VenueSpec) -> Venue {
+        let mut out = Vec::with_capacity(1);
+        Venue::seal_batch(
+            &mut vec![(id, spec)],
+            Timestamp(0),
+            &mut StrArena::new(),
+            &mut out,
+        );
+        out.remove(0)
     }
 
     /// Display name.
@@ -422,11 +428,11 @@ mod tests {
                 description: "Free coffee for the mayor!".into(),
                 kind: SpecialKind::MayorOnly,
             });
-        Venue::from_spec(VenueId(1), spec, Timestamp(0), &mut StrArena::new())
+        Venue::sealed(VenueId(1), spec)
     }
 
     #[test]
-    fn from_spec_initialises_counters() {
+    fn sealed_venue_initialises_counters() {
         let v = venue();
         assert_eq!(v.checkins_here, 0);
         assert!(v.unique_visitors().is_empty());

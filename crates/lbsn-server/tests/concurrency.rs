@@ -14,7 +14,7 @@ use lbsn_geo::{destination, GeoPoint};
 use lbsn_obs::Registry;
 use lbsn_server::{
     CheckinRequest, CheckinSource, DetectorConfig, LbsnServer, PolicyConfig, ServerConfig, UserId,
-    UserSpec, VenueId, VenueSpec,
+    UserSpec, VenueCategory, VenueId, VenueSpec,
 };
 use lbsn_sim::{Duration, SimClock};
 
@@ -440,5 +440,120 @@ fn friendship_batches_are_never_one_sided() {
             .map(|r| r.join().expect("reader panicked"))
             .sum();
         assert!(checked > 0, "readers never saw an edge");
+    });
+}
+
+/// Registration from several threads at once. Every `register_user` and
+/// `register_venue` call is a batch of one through the chunked loaders,
+/// which hand the assigned id back. Writers interleave named users,
+/// venues and friend edges; readers probe the ids just past the
+/// published counts, where registrations are landing.
+#[test]
+fn concurrent_registration_hands_out_dense_ids() {
+    use std::sync::atomic::AtomicBool;
+
+    with_watchdog("concurrent_registration_hands_out_dense_ids", || {
+        const WRITERS: usize = 4;
+        const PER_WRITER: usize = 1_000;
+        const READERS: usize = 2;
+        const CATEGORIES: [VenueCategory; 4] = [
+            VenueCategory::Coffee,
+            VenueCategory::Bar,
+            VenueCategory::Gym,
+            VenueCategory::Airport,
+        ];
+        let server = Arc::new(LbsnServer::new(SimClock::new(), ServerConfig::default()));
+        let done = Arc::new(AtomicBool::new(false));
+        let barrier = Arc::new(Barrier::new(WRITERS + READERS));
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|t| {
+                let server = Arc::clone(&server);
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    let mut users = Vec::new();
+                    let mut venues = Vec::new();
+                    barrier.wait();
+                    for i in 0..PER_WRITER {
+                        let name = format!("w{t}-{i}");
+                        let user = server.register_user(UserSpec::named(name.clone()));
+                        let category = CATEGORIES[(t + i) % CATEGORIES.len()];
+                        let loc = destination(abq(), (i % 360) as f64, 50.0 * t as f64);
+                        let spec = VenueSpec::new(format!("V {name}"), loc).category(category);
+                        venues.push((server.register_venue(spec), category));
+                        if let Some(&(prev, _)) = users.last() {
+                            server.add_friendships([(user, prev)]).unwrap();
+                        }
+                        users.push((user, name));
+                    }
+                    (users, venues)
+                })
+            })
+            .collect();
+        let readers: Vec<_> = (0..READERS)
+            .map(|_| {
+                let server = Arc::clone(&server);
+                let done = Arc::clone(&done);
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    while !done.load(Ordering::Acquire) {
+                        let (users, venues) = (server.user_count(), server.venue_count());
+                        for id in users + 1..=users + 4 {
+                            if let Some(got) = server.with_user(UserId(id), |u| u.id) {
+                                assert_eq!(got, UserId(id), "slot of user {id}");
+                            }
+                        }
+                        for id in venues + 1..=venues + 4 {
+                            if let Some(category) = server.with_venue(VenueId(id), |v| v.category) {
+                                assert_eq!(
+                                    server.venue_category(VenueId(id)),
+                                    Some(category),
+                                    "venue {id} visible before its category"
+                                );
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        let mut users = Vec::new();
+        let mut venues = Vec::new();
+        for w in writers {
+            let (u, v) = w.join().expect("writer panicked");
+            users.extend(u);
+            venues.extend(v);
+        }
+        done.store(true, Ordering::Release);
+        for r in readers {
+            r.join().expect("reader panicked");
+        }
+
+        let n = (WRITERS * PER_WRITER) as u64;
+        assert_eq!(server.user_count(), n);
+        assert_eq!(server.venue_count(), n);
+        users.sort_by_key(|(id, _)| *id);
+        venues.sort_by_key(|(id, _)| *id);
+        let user_ids: Vec<u64> = users.iter().map(|(id, _)| id.value()).collect();
+        let venue_ids: Vec<u64> = venues.iter().map(|(id, _)| id.value()).collect();
+        assert_eq!(user_ids, (1..=n).collect::<Vec<_>>(), "user ids not 1..=N");
+        assert_eq!(
+            venue_ids,
+            (1..=n).collect::<Vec<_>>(),
+            "venue ids not 1..=N"
+        );
+        for (id, name) in &users {
+            assert_eq!(server.user(*id).unwrap().id, *id);
+            assert_eq!(server.user_id_by_name(name), Some(*id), "{name}");
+        }
+        for (id, category) in &venues {
+            assert_eq!(server.venue_category(*id), Some(*category));
+            assert_eq!(server.with_venue(*id, |v| v.category), Some(*category));
+        }
+        // Each writer chained its users; every link is on both sides.
+        let links: usize = users
+            .iter()
+            .map(|(id, _)| server.with_user(*id, |u| u.friends.len()).unwrap())
+            .sum();
+        assert_eq!(links, 2 * WRITERS * (PER_WRITER - 1));
     });
 }

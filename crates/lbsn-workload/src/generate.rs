@@ -1,7 +1,12 @@
 //! Population planning and server replay.
 
+use std::borrow::Cow;
+
 use lbsn_geo::destination;
-use lbsn_server::{CheckinRequest, CheckinSource, LbsnServer, UserId, UserSpec, VenueId};
+use lbsn_geo::usa::Metro;
+use lbsn_server::{
+    CheckinRequest, CheckinSource, LbsnServer, UserId, UserSpec, VenueId, VenueSpec,
+};
 use lbsn_sim::RngStream;
 
 use crate::archetype::Archetype;
@@ -292,62 +297,66 @@ pub fn plan(spec: &PopulationSpec) -> PopulationPlan {
 /// Users are all registered at t=0; the paper dates accounts by ID,
 /// which the plan's signup ordering already respects for the honest
 /// majority.
+///
+/// # Panics
+///
+/// If `server` already holds a user or a venue: the plan's friend
+/// edges and events name entities by plan index, which equals id − 1
+/// only on a fresh server.
 pub fn register_world(server: &LbsnServer, plan: &PopulationPlan) -> Population {
-    for v in &plan.venues.venues {
-        server.register_venue(v.spec.clone());
-    }
-    let mut users = Vec::with_capacity(plan.users.len());
-    for (i, u) in plan.users.iter().enumerate() {
-        let metro = plan.venues.metros[u.home_metro.min(plan.venues.metros.len() - 1)];
-        let mut hrng = RngStream::from_seed(plan.spec.seed).fork_indexed("home", i as u64);
-        let home = destination(
-            metro.location(),
-            hrng.range_f64(0.0, 360.0),
-            hrng.range_f64(0.0, 8_000.0),
-        );
-        let mut spec = match &u.username {
-            Some(name) => UserSpec::named(name.clone()),
-            None => UserSpec::anonymous(),
-        };
-        spec = spec.home(home);
-        let id = server.register_user(spec);
-        users.push(UserTruth {
-            id,
-            archetype: u.archetype,
-            home_metro: u.home_metro,
-            signup_day: u.signup_day,
-        });
-    }
-    add_planned_friendships(server, &plan.users);
-    Population {
-        users,
-        venue_count: plan.venues.venues.len() as u64,
-        stats: GenerationStats::default(),
-    }
+    load_world(
+        server,
+        plan.spec.seed,
+        plan.venues.venues.iter().map(|v| v.spec.clone()),
+        &plan.venues.metros,
+        || Cow::Borrowed(&plan.users[..]),
+    )
 }
 
-/// Registers a spec's whole world through the server's bulk-load path.
+/// Registers a spec's whole world without planning any events — which
+/// is what lets the scale ladder load the paper's full 7.49M-entity
+/// population without first materialising its check-in history. The
+/// registered state equals [`register_world`] on [`plan`]'s output:
+/// both entry points share one loader.
 ///
-/// Venues and users land via chunked per-shard staging
-/// ([`LbsnServer::bulk_register_users`] /
-/// [`LbsnServer::bulk_register_venues`]) instead of one registration
-/// call per entity, and no event list is ever planned — which is what
-/// lets the scale ladder load the paper's full 7.49M-entity population
-/// without first materialising its check-in history. The friend graph
-/// streams through [`LbsnServer::add_friendships`], the same chunked
-/// path [`register_world`] uses: one user-shard lock set per 65 536
-/// edges. The registered state is identical to [`register_world`] on
-/// [`plan`]'s output: same IDs, usernames, homes, venue fields, and
-/// friendship graph.
+/// # Panics
+///
+/// If `server` already holds a user or a venue, as for
+/// [`register_world`].
 pub fn register_world_bulk(server: &LbsnServer, spec: &PopulationSpec) -> Population {
-    let venue_plan = plan_venues(spec);
-    let metros = venue_plan.metros.clone();
-    let venue_count = venue_plan.venues.len() as u64;
-    server.bulk_register_venues(venue_plan.venues.into_iter().map(|v| v.spec));
+    let venues = plan_venues(spec);
+    load_world(
+        server,
+        spec.seed,
+        venues.venues.into_iter().map(|v| v.spec),
+        &venues.metros,
+        || Cow::Owned(plan_users(spec)),
+    )
+}
 
-    let planned = plan_users(spec);
-    let root = RngStream::from_seed(spec.seed);
-    server.bulk_register_users(planned.iter().enumerate().map(|(i, u)| {
+/// The one world loader behind [`register_world`] and
+/// [`register_world_bulk`]: venues, then users with their derived
+/// homes, then the friend graph, each streamed through the server's
+/// chunked loaders ([`LbsnServer::bulk_register_venues`],
+/// [`LbsnServer::bulk_register_users`], [`LbsnServer::add_friendships`]).
+/// `users` is called only once the venues are in, so a spec's user plan
+/// is not resident while the venue text is staged.
+fn load_world<'a>(
+    server: &LbsnServer,
+    seed: u64,
+    venues: impl IntoIterator<Item = VenueSpec>,
+    metros: &[&Metro],
+    users: impl FnOnce() -> Cow<'a, [PlannedUser]>,
+) -> Population {
+    assert!(
+        server.user_count() == 0 && server.venue_count() == 0,
+        "a world loads only into a fresh server: plan index i must become id i + 1"
+    );
+    let venue_count = server.bulk_register_venues(venues);
+    let users = users();
+    let users = &users[..];
+    let root = RngStream::from_seed(seed);
+    server.bulk_register_users(users.iter().enumerate().map(|(i, u)| {
         let metro = metros[u.home_metro.min(metros.len() - 1)];
         let mut hrng = root.fork_indexed("home", i as u64);
         let home = destination(
@@ -361,20 +370,18 @@ pub fn register_world_bulk(server: &LbsnServer, spec: &PopulationSpec) -> Popula
         };
         user_spec.home(home)
     }));
-    add_planned_friendships(server, &planned);
-
-    let users = planned
-        .iter()
-        .enumerate()
-        .map(|(i, u)| UserTruth {
-            id: UserId(i as u64 + 1),
-            archetype: u.archetype,
-            home_metro: u.home_metro,
-            signup_day: u.signup_day,
-        })
-        .collect();
+    add_planned_friendships(server, users);
     Population {
-        users,
+        users: users
+            .iter()
+            .enumerate()
+            .map(|(i, u)| UserTruth {
+                id: UserId(i as u64 + 1),
+                archetype: u.archetype,
+                home_metro: u.home_metro,
+                signup_day: u.signup_day,
+            })
+            .collect(),
         venue_count,
         stats: GenerationStats::default(),
     }
@@ -696,36 +703,46 @@ mod tests {
     }
 
     #[test]
-    fn bulk_world_matches_incremental_registration() {
+    fn plan_entry_point_equals_spec_entry_point() {
+        // The plan entry point equals the spec entry point: same ids,
+        // usernames, homes, venues and friend graph, and the same replay.
         let spec = PopulationSpec::tiny(600, 9);
         let p = plan(&spec);
-        let inc = LbsnServer::new(SimClock::new(), ServerConfig::default());
-        let pop_inc = register_world(&inc, &p);
-        let bulk = LbsnServer::new(SimClock::new(), ServerConfig::default());
-        let pop_bulk = register_world_bulk(&bulk, &spec);
+        let by_plan = LbsnServer::new(SimClock::new(), ServerConfig::default());
+        let pop_plan = register_world(&by_plan, &p);
+        let by_spec = LbsnServer::new(SimClock::new(), ServerConfig::default());
+        let pop_spec = register_world_bulk(&by_spec, &spec);
 
-        assert_eq!(pop_inc.users, pop_bulk.users);
-        assert_eq!(pop_inc.venue_count, pop_bulk.venue_count);
-        // Both loaders share the friendship path, so each is held to
-        // the plan rather than to the other.
-        assert_friend_graph(&inc, &p.users);
-        assert_friend_graph(&bulk, &p.users);
-        assert_venues(&inc, &p.venues);
-        assert_venues(&bulk, &p.venues);
+        assert_eq!(pop_plan.users, pop_spec.users);
+        assert_eq!(pop_plan.venue_count, pop_spec.venue_count);
+        // Each entry point is held to the plan, not just to the other.
+        assert_friend_graph(&by_plan, &p.users);
+        assert_friend_graph(&by_spec, &p.users);
+        assert_venues(&by_plan, &p.venues);
+        assert_venues(&by_spec, &p.venues);
 
-        for id in (1..=inc.user_count()).step_by(13) {
+        for id in (1..=by_plan.user_count()).step_by(13) {
             let snap = |s: &LbsnServer| {
                 s.with_user(UserId(id), |u| (u.username.clone(), u.home))
                     .unwrap()
             };
-            assert_eq!(snap(&inc), snap(&bulk), "user {id} diverged");
+            assert_eq!(snap(&by_plan), snap(&by_spec), "user {id} diverged");
         }
 
-        // The bulk world replays the same plan identically.
-        let a = replay_span(&inc, &p, 0, 40);
-        let b = replay_span(&bulk, &p, 0, 40);
+        // The spec entry point's world replays the plan identically.
+        let a = replay_span(&by_plan, &p, 0, 40);
+        let b = replay_span(&by_spec, &p, 0, 40);
         assert_eq!(a, b);
         assert!(a.submitted > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a world loads only into a fresh server")]
+    fn loading_into_a_non_empty_server_panics() {
+        let p = tiny_plan();
+        let server = LbsnServer::new(SimClock::new(), ServerConfig::default());
+        server.register_user(UserSpec::anonymous());
+        register_world(&server, &p);
     }
 
     /// The bulk loader at 1/50 scale (~112 k venues, ~160 k edges)
