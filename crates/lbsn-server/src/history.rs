@@ -14,9 +14,10 @@
 //!   bit pattern otherwise — decoding always reproduces the original
 //!   [`GeoPoint`] exactly, which is what keeps detector verdicts
 //!   unchanged on the golden corpus;
-//! * a **trailing length byte** per record, so the newest-first scans
-//!   the cooldown/speed/rapid-fire detectors rely on can walk backwards
-//!   without an offset table.
+//! * a **trailing length byte** per record, so newest-first scans can
+//!   walk backwards without an offset table: the detectors' full
+//!   decodes ([`HistoryIter`] via `.rev()`) and the reward ladder's
+//!   [`PackedHistory::brief_rev`], which skips the coordinates.
 //!
 //! Record layout: `[venue varint][Δt zigzag varint][meta u8][coords][len u8]`,
 //! where `coords` is either two zigzag varints (quantized) or 16 raw
@@ -132,6 +133,19 @@ pub struct PackedRecord {
     pub flags: FlagSet,
 }
 
+/// The three fields the reward ladder reads from a record, as
+/// [`PackedHistory::brief_rev`] yields them: no coordinates, source or
+/// flags are decoded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BriefRecord {
+    /// Venue checked into.
+    pub venue: VenueId,
+    /// When.
+    pub at: Timestamp,
+    /// Whether the check-in passed verification and earned rewards.
+    pub rewarded: bool,
+}
+
 impl PackedRecord {
     /// Expands back into the wire-format record.
     pub fn to_record(&self) -> CheckinRecord {
@@ -205,9 +219,10 @@ fn quantize_exact(deg: f64) -> Option<i64> {
 ///
 /// Append-only: records go in through [`PackedHistory::push`] and come
 /// back out through the double-ended [`PackedHistory::iter`], newest
-/// first via `.rev()` / `.next_back()`. The byte offset `push` returns
-/// lets the owner keep O(1) handles to individual records (the user's
-/// latest-rewarded check-in).
+/// first via `.rev()` / `.next_back()`, or, venue, time and reward bit
+/// only, through [`PackedHistory::brief_rev`]. The byte offset `push`
+/// returns lets the owner keep O(1) handles to individual records (the
+/// user's latest-rewarded check-in).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PackedHistory {
     buf: Vec<u8>,
@@ -345,6 +360,19 @@ impl PackedHistory {
             remaining: self.count as usize,
         }
     }
+
+    /// Iterates all records newest first, reading only each record's
+    /// venue varint, Δt varint and meta byte, then jumping to the
+    /// previous record by its trailer byte: the coordinates are never
+    /// decoded. The reward ladder's windowed counts use this; the
+    /// detectors, which need coordinates, use `iter().rev()`.
+    pub fn brief_rev(&self) -> BriefRev<'_> {
+        BriefRev {
+            buf: &self.buf,
+            end: self.buf.len(),
+            at: self.last_at,
+        }
+    }
 }
 
 impl MemFootprint for PackedHistory {
@@ -417,6 +445,37 @@ impl DoubleEndedIterator for HistoryIter<'_> {
 }
 
 impl ExactSizeIterator for HistoryIter<'_> {}
+
+/// Newest-first iterator over a [`PackedHistory`], yielding
+/// [`BriefRecord`]s (see [`PackedHistory::brief_rev`]).
+pub struct BriefRev<'a> {
+    buf: &'a [u8],
+    /// One past the trailer byte of the next record; 0 when done.
+    end: usize,
+    /// Absolute timestamp of the next record.
+    at: u64,
+}
+
+impl Iterator for BriefRev<'_> {
+    type Item = BriefRecord;
+
+    fn next(&mut self) -> Option<BriefRecord> {
+        let trailer = self.end.checked_sub(1)?;
+        let start = trailer - usize::from(self.buf[trailer]);
+        let mut pos = start;
+        let venue = VenueId(varint_read(self.buf, &mut pos));
+        let dt = unzigzag(varint_read(self.buf, &mut pos));
+        let rewarded = self.buf[pos] & META_REWARDED != 0;
+        let at = self.at;
+        self.end = start;
+        self.at = at.wrapping_sub(dt as u64);
+        Some(BriefRecord {
+            venue,
+            at: Timestamp(at),
+            rewarded,
+        })
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -52,7 +52,7 @@ pub use checkin::{
 };
 pub use compact::{ArenaStr, BadgeSet, CategoryCounts, IdSet, StrArena};
 pub use frontend::{CheckinTicket, FrontendConfig, RequestFrontend, SubmitOutcome};
-pub use history::{FlagSet, HistoryIter, PackedHistory, PackedRecord};
+pub use history::{BriefRecord, BriefRev, FlagSet, HistoryIter, PackedHistory, PackedRecord};
 pub use ids::{UserId, VenueId};
 pub use metrics::ServerMetrics;
 pub use pipeline::{

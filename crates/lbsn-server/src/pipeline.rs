@@ -203,10 +203,12 @@ pub(crate) fn reward(
         SpecialKind::MayorOnly => None,
         SpecialKind::EveryCheckin => Some(sp.description.clone()),
         SpecialKind::Loyalty { visits } => {
+            // Lifetime valid visits here, counted newest first up to
+            // `visits`: a long history past the threshold costs no more.
             let count = user
-                .history
-                .iter()
-                .filter(|r| r.rewarded && r.venue == request.venue)
+                .rewarded_since(Timestamp(0))
+                .filter(|r| r.venue == request.venue)
+                .take(visits as usize)
                 .count();
             (count as u32 >= visits).then(|| sp.description.clone())
         }

@@ -8,11 +8,10 @@
 //! levels (Fig 4.2 compares badge counts across users under the same
 //! policy).
 
-use std::collections::HashSet;
-
 use lbsn_sim::{Duration, Timestamp, DAY, HOUR};
 use serde::{Deserialize, Serialize};
 
+use crate::history::BriefRecord;
 use crate::user::User;
 use crate::venue::{Venue, VenueCategory};
 use crate::VenueId;
@@ -166,9 +165,13 @@ impl VenueLookup for [Venue] {
 /// latest valid check-in (already appended to `user.history`) was at
 /// `venue` at time `now`.
 ///
-/// Badges already held are never re-awarded. Windowed criteria scan the
-/// history from the newest end and stop at the window boundary, so cost
-/// is bounded by per-window activity, not lifetime history.
+/// Badges already held are never re-awarded, and their criteria are
+/// skipped without a scan. Windowed criteria scan the history from the
+/// newest end, without decoding coordinates, and stop at the window
+/// boundary or as soon as the count reaches the badge's threshold, so
+/// cost is bounded by the threshold and the per-window activity, not by
+/// lifetime history. The history's timestamps must not decrease (see
+/// [`User::distinct_days_at`]).
 pub fn evaluate_badges(
     user: &User,
     venue: &Venue,
@@ -176,74 +179,94 @@ pub fn evaluate_badges(
     venues: &(impl VenueLookup + ?Sized),
 ) -> Vec<Badge> {
     let mut earned = Vec::new();
-    let mut check = |badge: Badge, achieved: bool| {
-        if achieved && !user.badges.contains(&badge) {
+    let mut check = |badge: Badge, achieved: &dyn Fn() -> bool| {
+        if !user.badges.contains(&badge) && achieved() {
             earned.push(badge);
         }
     };
 
     let distinct = user.visited_venues.len();
-    check(Badge::Newbie, user.valid_checkins >= 1);
-    check(Badge::Adventurer, distinct >= 10);
-    check(Badge::Explorer, distinct >= 25);
-    check(Badge::Superstar, distinct >= 50);
-    check(Badge::Warhol, distinct >= 100);
-
-    // Bender: valid check-ins on 4 consecutive days ending today.
-    let today = now.day();
-    if today >= 3 {
-        let window_start = Timestamp::at_day(today - 3);
-        let mut days = HashSet::new();
-        for r in user.valid_checkins_since(window_start) {
-            days.insert(r.at.day());
-        }
-        check(
-            Badge::Bender,
-            (today - 3..=today).all(|d| days.contains(&d)),
-        );
-    }
+    check(Badge::Newbie, &|| user.valid_checkins >= 1);
+    check(Badge::Adventurer, &|| distinct >= 10);
+    check(Badge::Explorer, &|| distinct >= 25);
+    check(Badge::Superstar, &|| distinct >= 50);
+    check(Badge::Warhol, &|| distinct >= 100);
+    check(Badge::Bender, &|| bender(user, now));
 
     // Local: 3 valid check-ins at this venue in the trailing week.
     let week_ago = Timestamp(now.secs().saturating_sub(7 * DAY));
-    check(
-        Badge::Local,
-        user.valid_checkins_at_since(venue.id, week_ago).count() >= 3,
-    );
+    check(Badge::Local, &|| {
+        at_least(user, week_ago, 3, |r| r.venue == venue.id)
+    });
 
     // Super User: 30 valid check-ins in the trailing 30 days.
     let month_ago = Timestamp(now.secs().saturating_sub(30 * DAY));
-    check(
-        Badge::SuperUser,
-        user.valid_checkins_since(month_ago).count() >= 30,
-    );
+    check(Badge::SuperUser, &|| {
+        at_least(user, month_ago, 30, |_| true)
+    });
 
     // Crunked / Overshare: bursts within 12 hours.
     let half_day_ago = Timestamp(now.secs().saturating_sub(12 * HOUR));
-    let burst = user.valid_checkins_since(half_day_ago).count();
-    check(Badge::Crunked, burst >= 4);
-    check(Badge::Overshare, burst >= 10);
+    check(Badge::Crunked, &|| {
+        at_least(user, half_day_ago, 4, |_| true)
+    });
+    check(Badge::Overshare, &|| {
+        at_least(user, half_day_ago, 10, |_| true)
+    });
 
     // School Night: the triggering check-in landed between 01:00–04:00.
     let hour_of_day = (now.secs() % DAY) / HOUR;
-    check(Badge::SchoolNight, (1..4).contains(&hour_of_day));
+    check(Badge::SchoolNight, &|| (1..4).contains(&hour_of_day));
 
     // Category badges.
-    let coffee = user.venues_by_category.count(VenueCategory::Coffee);
-    check(Badge::FreshBrew, coffee >= 5);
-    let airports = user.venues_by_category.count(VenueCategory::Airport);
-    check(Badge::JetSetter, airports >= 5);
+    check(Badge::FreshBrew, &|| {
+        user.venues_by_category.count(VenueCategory::Coffee) >= 5
+    });
+    check(Badge::JetSetter, &|| {
+        user.venues_by_category.count(VenueCategory::Airport) >= 5
+    });
 
     // Gym Rat: 10 gym check-ins in the trailing 30 days (check-ins, not
     // distinct venues — loyalty to one gym counts).
-    let gym_visits = user
-        .valid_checkins_since(month_ago)
-        .filter(|r| venues.category_of(r.venue) == Some(VenueCategory::Gym))
-        .count();
-    check(Badge::GymRat, gym_visits >= 10);
+    check(Badge::GymRat, &|| {
+        at_least(user, month_ago, 10, |r| {
+            venues.category_of(r.venue) == Some(VenueCategory::Gym)
+        })
+    });
 
-    check(Badge::SuperMayor, user.mayorships.len() >= 10);
+    check(Badge::SuperMayor, &|| user.mayorships.len() >= 10);
 
     earned
+}
+
+/// Whether at least `n` valid check-ins since `since` satisfy `keep`;
+/// the newest-first count stops at `n`.
+fn at_least(user: &User, since: Timestamp, n: usize, keep: impl Fn(&BriefRecord) -> bool) -> bool {
+    user.rewarded_since(since)
+        .filter(|r| keep(r))
+        .take(n)
+        .count()
+        == n
+}
+
+/// Bender: valid check-ins on each of the 4 consecutive days ending
+/// today. Bit `k` of the mask is "a check-in `k` days before today";
+/// the scan stops once all four are set.
+fn bender(user: &User, now: Timestamp) -> bool {
+    let today = now.day();
+    let Some(first) = today.checked_sub(3) else {
+        return false;
+    };
+    let mut seen = 0u8;
+    for r in user.rewarded_since(Timestamp::at_day(first)) {
+        if let Some(back) = today.checked_sub(r.at.day()) {
+            seen |= 1 << back;
+        }
+        if seen == 0b1111 {
+            return true;
+        }
+    }
+    false
 }
 
 /// The mayorship window: "the user who checked in to that venue the most
@@ -264,6 +287,12 @@ pub const MAYOR_WINDOW: Duration = Duration(60 * DAY);
 /// * a venue with no mayor is claimed by a single valid check-in — the
 ///   §3.4 observation that "only one check-in is enough" on dormant
 ///   venues.
+///
+/// The incumbent's days are counted first; the challenger's walk then
+/// stops as soon as it beats them (after one day when there is no
+/// incumbent, which in the pipeline is the check-in just appended). The
+/// histories' timestamps must not decrease (see
+/// [`User::distinct_days_at`]).
 pub fn decide_mayor(
     venue: &Venue,
     challenger: &User,
@@ -274,27 +303,20 @@ pub fn decide_mayor(
         return false; // already mayor; nothing to transfer
     }
     let window_start = Timestamp(now.secs().saturating_sub(MAYOR_WINDOW.as_secs()));
-    let challenger_days = challenger.distinct_days_at(venue.id, window_start);
-    if challenger_days == 0 {
-        return false;
-    }
-    match incumbent {
-        None => true,
-        Some(inc) => {
-            let incumbent_days = inc.distinct_days_at(venue.id, window_start);
-            challenger_days > incumbent_days
-        }
-    }
+    let incumbent_days = incumbent.map_or(0, |inc| inc.distinct_days_at(venue.id, window_start));
+    let to_win = incumbent_days.saturating_add(1);
+    challenger.distinct_days_at_capped(venue.id, window_start, to_win) == to_win
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkin::{CheckinRecord, CheckinSource};
+    use crate::checkin::{CheatFlag, CheckinRecord, CheckinSource};
     use crate::user::UserSpec;
     use crate::venue::VenueSpec;
     use crate::UserId;
     use lbsn_geo::GeoPoint;
+    use proptest::prelude::*;
 
     fn loc() -> GeoPoint {
         GeoPoint::new(35.0, -106.0).unwrap()
@@ -555,6 +577,235 @@ mod tests {
             Some(&mayor),
             Timestamp(100 * DAY)
         ));
+    }
+
+    /// The ladder as one full-decode scan per criterion: a `HashSet` of
+    /// days, every window counted to its end, held badges dropped only
+    /// after their count. The production functions must agree with it.
+    mod reference {
+        use super::super::*;
+        use std::collections::HashSet;
+
+        fn distinct_days_at(user: &User, venue: VenueId, since: Timestamp) -> u32 {
+            let days: HashSet<u64> = user
+                .valid_checkins_since(since)
+                .filter(|r| r.venue == venue)
+                .map(|r| r.at.day())
+                .collect();
+            days.len() as u32
+        }
+
+        pub fn evaluate_badges(
+            user: &User,
+            venue: &Venue,
+            now: Timestamp,
+            venues: &impl VenueLookup,
+        ) -> Vec<Badge> {
+            let mut earned = Vec::new();
+            let mut check = |badge: Badge, achieved: bool| {
+                if achieved && !user.badges.contains(&badge) {
+                    earned.push(badge);
+                }
+            };
+            let distinct = user.visited_venues.len();
+            check(Badge::Newbie, user.valid_checkins >= 1);
+            check(Badge::Adventurer, distinct >= 10);
+            check(Badge::Explorer, distinct >= 25);
+            check(Badge::Superstar, distinct >= 50);
+            check(Badge::Warhol, distinct >= 100);
+            let today = now.day();
+            if today >= 3 {
+                let days: HashSet<u64> = user
+                    .valid_checkins_since(Timestamp::at_day(today - 3))
+                    .map(|r| r.at.day())
+                    .collect();
+                check(
+                    Badge::Bender,
+                    (today - 3..=today).all(|d| days.contains(&d)),
+                );
+            }
+            let week_ago = Timestamp(now.secs().saturating_sub(7 * DAY));
+            let local = user
+                .valid_checkins_since(week_ago)
+                .filter(|r| r.venue == venue.id)
+                .count();
+            check(Badge::Local, local >= 3);
+            let month_ago = Timestamp(now.secs().saturating_sub(30 * DAY));
+            check(
+                Badge::SuperUser,
+                user.valid_checkins_since(month_ago).count() >= 30,
+            );
+            let half_day_ago = Timestamp(now.secs().saturating_sub(12 * HOUR));
+            let burst = user.valid_checkins_since(half_day_ago).count();
+            check(Badge::Crunked, burst >= 4);
+            check(Badge::Overshare, burst >= 10);
+            let hour_of_day = (now.secs() % DAY) / HOUR;
+            check(Badge::SchoolNight, (1..4).contains(&hour_of_day));
+            let coffee = user.venues_by_category.count(VenueCategory::Coffee);
+            check(Badge::FreshBrew, coffee >= 5);
+            let airports = user.venues_by_category.count(VenueCategory::Airport);
+            check(Badge::JetSetter, airports >= 5);
+            let gym_visits = user
+                .valid_checkins_since(month_ago)
+                .filter(|r| venues.category_of(r.venue) == Some(VenueCategory::Gym))
+                .count();
+            check(Badge::GymRat, gym_visits >= 10);
+            check(Badge::SuperMayor, user.mayorships.len() >= 10);
+            earned
+        }
+
+        pub fn decide_mayor(
+            venue: &Venue,
+            challenger: &User,
+            incumbent: Option<&User>,
+            now: Timestamp,
+        ) -> bool {
+            if venue.mayor == Some(challenger.id) {
+                return false;
+            }
+            let window_start = Timestamp(now.secs().saturating_sub(MAYOR_WINDOW.as_secs()));
+            let challenger_days = distinct_days_at(challenger, venue.id, window_start);
+            if challenger_days == 0 {
+                return false;
+            }
+            match incumbent {
+                None => true,
+                Some(inc) => challenger_days > distinct_days_at(inc, venue.id, window_start),
+            }
+        }
+    }
+
+    /// Venue `i` (1-based) is a gym when bit `i - 1` of the mask is set.
+    struct GymMask(u64);
+    impl VenueLookup for GymMask {
+        fn category_of(&self, venue: VenueId) -> Option<VenueCategory> {
+            let gym = self.0 >> (venue.value() - 1) & 1 == 1;
+            Some(if gym {
+                VenueCategory::Gym
+            } else {
+                VenueCategory::Other
+            })
+        }
+    }
+
+    /// One generated check-in, decoded by [`replay_and_compare`]: a roll
+    /// whose bit fields pick the submitter (bits 0–1), the reward bit
+    /// (2–5), the venue (8–15) and the gap class (16–19), then three gap
+    /// draws (seconds, hours, up to 20 days).
+    type Step = (u32, u64, u64, u64);
+
+    fn step() -> impl Strategy<Value = Step> {
+        (any::<u32>(), 1u64..=600, 1u64..=12, 1u64..=20 * DAY)
+    }
+
+    /// Short histories, and long ones past 2 000 records.
+    fn history() -> impl Strategy<Value = Vec<Step>> {
+        prop_oneof![
+            prop::collection::vec(step(), 1..300),
+            prop::collection::vec(step(), 2_000..2_400),
+        ]
+    }
+
+    /// Replays `steps` into a challenger and an incumbent on one clock
+    /// and, after every rewarded challenger check-in (the point where
+    /// the pipeline runs the ladder), compares the production ladder
+    /// with [`reference`] — the mayorship both against the incumbent and
+    /// with the seat vacant.
+    fn replay_and_compare(
+        venues: u64,
+        gyms: u64,
+        held: u32,
+        sparse: bool,
+        start: u64,
+        steps: &[Step],
+    ) -> Result<(), TestCaseError> {
+        let lookup = GymMask(gyms);
+        let mut challenger = user(1);
+        for (i, &badge) in Badge::ALL.iter().enumerate() {
+            if held >> i & 1 == 1 {
+                challenger.badges.insert(badge);
+            }
+        }
+        let mut incumbent = user(2);
+        let mut now = start;
+        for &(roll, secs, hours, spread) in steps {
+            now += match roll >> 16 & 15 {
+                0..=5 => secs,
+                6..=10 => hours * HOUR,
+                11..=13 => spread % (2 * DAY) + 1,
+                _ if sparse => spread,
+                _ => secs,
+            };
+            let by_incumbent = roll & 3 == 0;
+            let rewarded = roll >> 2 & 15 < 11;
+            let vid = 1 + u64::from(roll >> 8 & 0xff) % venues;
+            let who = if by_incumbent {
+                &mut incumbent
+            } else {
+                &mut challenger
+            };
+            who.push_record(CheckinRecord {
+                venue: VenueId(vid),
+                at: Timestamp(now),
+                location: loc(),
+                source: CheckinSource::MobileApp,
+                rewarded,
+                flags: if rewarded {
+                    vec![]
+                } else {
+                    vec![CheatFlag::TooFrequent]
+                },
+            });
+            if !rewarded {
+                continue;
+            }
+            who.valid_checkins += 1;
+            who.visited_venues.insert(VenueId(vid));
+            if by_incumbent {
+                continue;
+            }
+            let now = Timestamp(now);
+            let mut v = venue(vid);
+            prop_assert_eq!(
+                decide_mayor(&v, &challenger, None, now),
+                reference::decide_mayor(&v, &challenger, None, now)
+            );
+            v.mayor = Some(incumbent.id);
+            prop_assert_eq!(
+                decide_mayor(&v, &challenger, Some(&incumbent), now),
+                reference::decide_mayor(&v, &challenger, Some(&incumbent), now),
+                "mayor contest at {:?}",
+                now
+            );
+            prop_assert_eq!(
+                evaluate_badges(&challenger, &v, now, &lookup),
+                reference::evaluate_badges(&challenger, &v, now, &lookup),
+                "badges at {:?}",
+                now
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The early-stopping ladder decides exactly as the full scan
+        /// on non-decreasing histories: rewarded and flagged records,
+        /// 1–6 venues with gyms among them, gaps from 1 s to 20 days
+        /// (whole hours included, so records land on window edges),
+        /// random held badges, and some histories past 2 000 records.
+        #[test]
+        fn ladder_matches_full_scan_reference(
+            venues in 1u64..=6,
+            gyms in 0u64..64,
+            held in any::<u32>(),
+            sparse in any::<bool>(),
+            start in 0u64..=5 * DAY,
+            steps in history(),
+        ) {
+            replay_and_compare(venues, gyms, held, sparse, start, &steps)?;
+        }
     }
 
     #[test]

@@ -1023,7 +1023,7 @@ impl LbsnServer {
 
         // Attributes that must be read *before* the record is appended.
         let day_start = Timestamp(now.secs() / DAY * DAY);
-        let first_of_day = user.valid_checkins_since(day_start).next().is_none();
+        let first_of_day = !user.has_valid_checkin_since(day_start);
         let first_visit = !user.visited_venues.contains(&req.venue);
 
         user.push_record(record);

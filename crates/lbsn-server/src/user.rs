@@ -7,7 +7,6 @@
 //! one pointer in [`UserCold`]. `Deref` keeps cold-field call sites
 //! (`u.badges`, `u.friends`, …) unchanged.
 
-use std::collections::HashSet;
 use std::ops::{Deref, DerefMut};
 
 use lbsn_geo::GeoPoint;
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::checkin::CheckinRecord;
 use crate::compact::{BadgeSet, CategoryCounts, IdSet};
-use crate::history::{PackedHistory, PackedRecord};
+use crate::history::{BriefRecord, PackedHistory, PackedRecord};
 use crate::{UserId, VenueId};
 
 /// Sentinel for "no rewarded check-in yet" in [`User::latest_rewarded_off`].
@@ -215,31 +214,47 @@ impl User {
         self.latest_rewarded_off != NO_REWARDED && self.latest_rewarded_at >= since
     }
 
-    /// Iterates over valid check-ins at `venue` no earlier than `since`,
-    /// newest first. Scans from the end of the time-ordered history, so
-    /// the cost is bounded by the window, not the lifetime history.
-    pub fn valid_checkins_at_since(
+    /// Valid check-ins no earlier than `since`, newest first, as
+    /// [`BriefRecord`]s: the reward ladder's windowed scan. It stops at
+    /// the window boundary, so the cost is bounded by the window, not
+    /// the lifetime history, and it never decodes coordinates.
+    pub(crate) fn rewarded_since(
         &self,
-        venue: VenueId,
         since: Timestamp,
-    ) -> impl Iterator<Item = PackedRecord> + '_ {
+    ) -> impl Iterator<Item = BriefRecord> + '_ {
         self.history
-            .iter()
-            .rev()
+            .brief_rev()
             .take_while(move |r| r.at >= since)
-            .filter(move |r| r.rewarded && r.venue == venue)
+            .filter(|r| r.rewarded)
     }
 
     /// Number of distinct virtual days with a valid check-in at `venue`
     /// within `[since, now]` — the mayorship quantity (§2.1: "checked in
     /// to that venue the most days in the past 60 days", counting days,
     /// not check-ins).
+    ///
+    /// Timestamps must not decrease along the history: the count is of
+    /// day changes on the newest-first scan, so each day has to be one
+    /// run of records. The server keeps this, since its clock only moves
+    /// forward and a user's shard lock serialises their check-ins.
     pub fn distinct_days_at(&self, venue: VenueId, since: Timestamp) -> u32 {
-        let mut days = HashSet::new();
-        for r in self.valid_checkins_at_since(venue, since) {
-            days.insert(r.at.day());
-        }
-        days.len() as u32
+        self.distinct_days_at_capped(venue, since, u32::MAX)
+    }
+
+    /// [`User::distinct_days_at`], stopping once `cap` days are counted.
+    pub(crate) fn distinct_days_at_capped(
+        &self,
+        venue: VenueId,
+        since: Timestamp,
+        cap: u32,
+    ) -> u32 {
+        let mut last_day = None;
+        self.rewarded_since(since)
+            .filter(|r| r.venue == venue)
+            .map(|r| r.at.day())
+            .filter(|&day| last_day.replace(day) != Some(day))
+            .take(cap as usize)
+            .count() as u32
     }
 
     /// Valid check-ins within `[since, now]`, any venue.
@@ -431,6 +446,15 @@ mod tests {
         ]);
         let since = Timestamp(5 * DAY);
         assert_eq!(u.distinct_days_at(VenueId(7), since), 1);
+    }
+
+    #[test]
+    fn distinct_days_cap_stops_the_count() {
+        let u = user_with_history((0..5u64).map(|d| record(7, d * DAY, true)).collect());
+        assert_eq!(u.distinct_days_at(VenueId(7), Timestamp(0)), 5);
+        assert_eq!(u.distinct_days_at_capped(VenueId(7), Timestamp(0), 3), 3);
+        assert_eq!(u.distinct_days_at_capped(VenueId(7), Timestamp(0), 9), 5);
+        assert_eq!(u.distinct_days_at_capped(VenueId(7), Timestamp(0), 0), 0);
     }
 
     #[test]

@@ -263,7 +263,8 @@ fn arb_record() -> impl Strategy<Value = lbsn_server::CheckinRecord> {
 proptest! {
     /// The packed history encodes and decodes arbitrary record streams
     /// identically: forward iteration, backward iteration, and random
-    /// O(1) offset decodes all reproduce every field bit-for-bit —
+    /// O(1) offset decodes all reproduce every field bit-for-bit, and
+    /// the brief backward scan reproduces the fields it reads —
     /// including flag sets, both entry sources, and coordinates that
     /// don't sit on the quantization grid.
     #[test]
@@ -282,6 +283,13 @@ proptest! {
         let mut rev = records.clone();
         rev.reverse();
         prop_assert_eq!(&back, &rev);
+
+        // The reward ladder's brief scan yields exactly the backward
+        // decode's (venue, at, rewarded), raw-coordinate records and
+        // the empty history included.
+        let brief: Vec<_> = h.brief_rev().map(|b| (b.venue, b.at, b.rewarded)).collect();
+        let full: Vec<_> = h.iter().rev().map(|p| (p.venue, p.at, p.rewarded)).collect();
+        prop_assert_eq!(brief, full);
 
         // Out-of-order point decodes via the stored offsets.
         for (i, &off) in offsets.iter().enumerate().rev() {

@@ -228,3 +228,27 @@ fn hashing_defense_kills_the_location_history_join() {
     let cheater = p.population.ids_of(Archetype::EmulatorCheater)[0];
     assert!(lbsn::defense::privacy::location_history(&db2, cheater.value()).is_empty());
 }
+
+#[test]
+fn reward_totals_are_pinned_at_population_scale() {
+    // The golden fixture's histories are short; this replay has the
+    // §4.2 whales (>12 000 check-ins each), so every windowed badge
+    // criterion and 60-day mayorship contest runs on long histories.
+    // An isolated registry keeps the other tests' servers out of the
+    // counters.
+    let registry = Arc::new(lbsn_obs::Registry::new());
+    let server = LbsnServer::with_registry(
+        SimClock::new(),
+        ServerConfig::default(),
+        Arc::clone(&registry),
+    );
+    let plan = lbsn::workload::plan(&PopulationSpec::tiny(2_500, 0xF00D));
+    lbsn::workload::generate(&server, &plan);
+    let snap = registry.snapshot();
+    let totals = [
+        snap.counter("server.rewards.badges_granted"),
+        snap.counter("server.rewards.mayorships_granted"),
+        snap.counter("server.rewards.points_granted"),
+    ];
+    assert_eq!(totals, [3_687, 10_297, 339_260]);
+}
