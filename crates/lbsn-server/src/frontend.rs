@@ -43,10 +43,9 @@
 //! own queue mutex is released before the batch call, so it composes as
 //! a leaf and never orders against a shard lock.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::sync::Condvar;
-use std::sync::PoisonError;
+use std::sync::{Condvar, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use lbsn_obs::{DecisionBuilder, DecisionOutcome};
@@ -62,6 +61,10 @@ const SERVICE_EWMA_SHIFT: u32 = 3;
 /// Starting per-op service-time estimate (ns) before the first batch
 /// completes — the scale of an uncontended check-in.
 const SERVICE_NS_SEED: u64 = 10_000;
+
+/// How long [`RequestFrontend::quiesce`] sleeps before it re-checks the
+/// counters itself: the most a missed wakeup can cost.
+const QUIESCE_RECHECK: Duration = Duration::from_millis(5);
 
 /// Deployment knobs for the request frontend. Serde-round-trippable so
 /// a scenario file can carry them next to the [`crate::ServerConfig`].
@@ -127,47 +130,71 @@ pub struct CheckinTicket {
 impl CheckinTicket {
     /// Blocks until the batch worker decides this check-in.
     pub fn wait(self) -> Result<CheckinOutcome, CheckinError> {
-        let mut slot = self
-            .inner
-            .slot
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut slot = self.inner.lock();
         loop {
             if let Some(result) = slot.take() {
                 return result;
             }
-            slot = self
-                .inner
-                .decided
-                .wait(slot)
-                .unwrap_or_else(PoisonError::into_inner);
+            slot = self.inner.wait(slot);
         }
     }
 }
 
-/// Shared submit→decide rendezvous cell. The worker fills the slot and
-/// signals; the submitter waits. Uses `std::sync::Mutex` directly
-/// (not the vendored wrapper) because `Condvar::wait` needs the real
-/// guard type by value.
+/// A std mutex and the condvar that waits on it: every lock in this
+/// module that a thread sleeps on. It is `std::sync::Mutex`, not the
+/// vendored wrapper, because `Condvar::wait` needs the real guard type
+/// by value. Poisoning is stripped: a panicked holder leaves the state
+/// as it was.
 #[derive(Debug)]
-struct Ticket {
-    slot: std::sync::Mutex<Option<Result<CheckinOutcome, CheckinError>>>, // lint:allow(no-std-sync): Condvar rendezvous needs the std guard
-    decided: Condvar,
+struct Monitor<T> {
+    state: std::sync::Mutex<T>, // lint:allow(no-std-sync): Condvar pairing needs the std guard
+    signal: Condvar,
 }
 
-impl Ticket {
-    fn new() -> Arc<Self> {
-        Arc::new(Ticket {
-            slot: std::sync::Mutex::new(None), // lint:allow(no-std-sync): Condvar rendezvous needs the std guard
-            decided: Condvar::new(),
-        })
+impl<T> Monitor<T> {
+    fn new(state: T) -> Self {
+        Monitor {
+            state: std::sync::Mutex::new(state), // lint:allow(no-std-sync): Condvar pairing needs the std guard
+            signal: Condvar::new(),
+        }
     }
 
+    fn lock(&self) -> MutexGuard<'_, T> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'a>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+        self.signal
+            .wait(guard)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait_timeout<'a>(&self, guard: MutexGuard<'a, T>, timeout: Duration) -> MutexGuard<'a, T> {
+        match self.signal.wait_timeout(guard, timeout) {
+            Ok((guard, _)) => guard,
+            Err(poisoned) => poisoned.into_inner().0,
+        }
+    }
+
+    /// Wakes every waiter after passing through the lock: a waiter
+    /// checks its condition and starts waiting under that lock, so it
+    /// has either seen the change or is already waiting. Without the
+    /// pass the notification can land between its check and its wait
+    /// and be lost.
+    fn wake_all(&self) {
+        drop(self.lock());
+        self.signal.notify_all();
+    }
+}
+
+/// Shared submit→decide rendezvous cell. The worker fills the slot and
+/// signals; the submitter waits.
+type Ticket = Monitor<Option<Result<CheckinOutcome, CheckinError>>>;
+
+impl Ticket {
     fn fulfill(&self, result: Result<CheckinOutcome, CheckinError>) {
-        let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
-        *slot = Some(result);
-        drop(slot);
-        self.decided.notify_all();
+        *self.lock() = Some(result);
+        self.signal.notify_all();
     }
 }
 
@@ -187,12 +214,9 @@ struct Inbox {
     cursor: usize,
 }
 
-/// Per-worker shared state: the inbox under a std mutex (the paired
-/// `Condvar` needs the std guard by value) and the wakeup signal.
-struct WorkerState {
-    inbox: std::sync::Mutex<Inbox>, // lint:allow(no-std-sync): Condvar pairing needs the std guard
-    wake: Condvar,
-}
+/// Per-worker shared state: the inbox, and the signal its worker
+/// sleeps on while the inbox is empty.
+type WorkerState = Monitor<Inbox>;
 
 /// State shared by submitters and workers.
 struct Shared {
@@ -208,11 +232,20 @@ struct Shared {
     /// EWMA of per-op batch service time, nanoseconds — the drain-rate
     /// estimate behind the shed retry-after hint.
     service_ns: AtomicU64,
+    /// Threads inside [`RequestFrontend::quiesce`]. A worker wakes them
+    /// through `idle` only while this is non-zero, so the check costs
+    /// an idle frontend one atomic load per batch.
+    quiescers: AtomicUsize,
+    /// Where quiescers sleep until nothing is queued or in flight.
+    idle: Monitor<()>,
     /// Test seam: taken and called once by a worker between its
     /// shutdown-flag check and its wait, with its inbox lock held, so a
     /// test can park it exactly where a wakeup can be lost.
     #[cfg(test)]
     wait_probe: parking_lot::Mutex<Option<Box<dyn FnOnce() + Send>>>,
+    /// Test tally: times a quiescer checked the counters.
+    #[cfg(test)]
+    quiesce_checks: AtomicU64,
 }
 
 impl Shared {
@@ -221,6 +254,31 @@ impl Shared {
     fn route(&self, shard: usize) -> (usize, usize) {
         let workers = self.config.workers;
         (shard % workers, shard / workers)
+    }
+
+    /// Nothing queued and every enqueued ticket fulfilled.
+    fn is_idle(&self) -> bool {
+        self.queued.load(Ordering::SeqCst) == 0 && self.in_flight.load(Ordering::SeqCst) == 0
+    }
+
+    /// See [`RequestFrontend::quiesce`]; `recheck` bounds each sleep.
+    /// Registering before the check and the worker's load after its
+    /// last decrement are both sequentially consistent, so at least one
+    /// side sees the other: the quiescer sees idle, or the worker sees
+    /// the quiescer.
+    fn quiesce(&self, recheck: Duration) {
+        self.quiescers.fetch_add(1, Ordering::SeqCst);
+        let mut guard = self.idle.lock();
+        loop {
+            #[cfg(test)]
+            self.quiesce_checks.fetch_add(1, Ordering::Relaxed);
+            if self.is_idle() {
+                break;
+            }
+            guard = self.idle.wait_timeout(guard, recheck);
+        }
+        drop(guard);
+        self.quiescers.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -244,17 +302,15 @@ impl RequestFrontend {
         };
         let shard_count = server.shard_count();
         let workers = (0..config.workers.min(shard_count).max(1))
-            .map(|w| WorkerState {
-                // lint:allow(no-std-sync): Condvar pairing needs the std guard
-                inbox: std::sync::Mutex::new(Inbox {
+            .map(|w| {
+                WorkerState::new(Inbox {
                     // Worker w owns shards w, w+workers, ... < shard_count.
                     queues: (w..shard_count)
                         .step_by(config.workers.min(shard_count).max(1))
                         .map(|_| std::collections::VecDeque::new())
                         .collect(),
                     cursor: 0,
-                }),
-                wake: Condvar::new(),
+                })
             })
             .collect::<Vec<_>>();
         let shared = Arc::new(Shared {
@@ -268,8 +324,12 @@ impl RequestFrontend {
             queued: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
             service_ns: AtomicU64::new(SERVICE_NS_SEED),
+            quiescers: AtomicUsize::new(0),
+            idle: Monitor::new(()),
             #[cfg(test)]
             wait_probe: parking_lot::Mutex::new(None),
+            #[cfg(test)]
+            quiesce_checks: AtomicU64::new(0),
         });
         let handles = (0..shared.config.workers)
             .map(|w| {
@@ -300,7 +360,7 @@ impl RequestFrontend {
         let (worker, queue) = shared.route(shard);
         let state = &shared.workers[worker];
         let (ticket, depth) = {
-            let mut inbox = state.inbox.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut inbox = state.lock();
             let q = &mut inbox.queues[queue];
             if q.len() >= shared.config.queue_depth || shared.shutdown.load(Ordering::Acquire) {
                 drop(inbox);
@@ -311,7 +371,7 @@ impl RequestFrontend {
             // after the push lets its subtraction run first and wrap.
             let depth = shared.queued.fetch_add(1, Ordering::AcqRel) + 1;
             shared.in_flight.fetch_add(1, Ordering::AcqRel);
-            let ticket = Ticket::new();
+            let ticket = Arc::new(Ticket::new(None));
             q.push_back(Pending {
                 req,
                 ticket: Arc::clone(&ticket),
@@ -320,7 +380,7 @@ impl RequestFrontend {
             (ticket, depth)
         };
         metrics.frontend_queue_depth.set(depth as f64);
-        state.wake.notify_one();
+        state.signal.notify_one();
         SubmitOutcome::Enqueued(CheckinTicket { inner: ticket })
     }
 
@@ -342,13 +402,11 @@ impl RequestFrontend {
 
     /// Blocks until every enqueued submission has been decided (queues
     /// empty *and* all tickets fulfilled). Used by benches and tests to
-    /// close the books before reading conservation counters.
+    /// close the books before reading conservation counters. Sleeps
+    /// rather than spins: the worker that decides the last ticket wakes
+    /// it, and it re-checks on its own every [`QUIESCE_RECHECK`].
     pub fn quiesce(&self) {
-        while self.shared.queued.load(Ordering::Acquire) > 0
-            || self.shared.in_flight.load(Ordering::Acquire) > 0
-        {
-            std::thread::yield_now();
-        }
+        self.shared.quiesce(QUIESCE_RECHECK);
     }
 
     /// Signals shutdown and joins the workers. Queues drain first —
@@ -361,13 +419,10 @@ impl RequestFrontend {
     fn stop_and_join(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         for state in &self.shared.workers {
-            // Pass through the inbox lock before notifying: a worker
-            // checks the flag and starts waiting under that lock, so it
-            // has either seen the flag or is already waiting. Without
-            // this the notification can land between its check and its
-            // wait, and the join below hangs.
-            drop(state.inbox.lock().unwrap_or_else(PoisonError::into_inner));
-            state.wake.notify_all();
+            // A worker checks the flag and starts waiting under its
+            // inbox lock; a notify that skipped the lock could be lost
+            // and hang the join below.
+            state.wake_all();
         }
         for handle in self.handles.drain(..) {
             if handle.join().is_err() {
@@ -415,7 +470,7 @@ fn worker_loop(shared: &Shared, w: usize) {
     let metrics = shared.server.metrics();
     loop {
         let batch = {
-            let mut inbox = state.inbox.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut inbox = state.lock();
             loop {
                 if let Some(batch) = take_batch(&mut inbox, shared.config.batch_max) {
                     break batch;
@@ -427,10 +482,7 @@ fn worker_loop(shared: &Shared, w: usize) {
                 if let Some(probe) = shared.wait_probe.lock().take() {
                     probe();
                 }
-                inbox = state
-                    .wake
-                    .wait(inbox)
-                    .unwrap_or_else(PoisonError::into_inner);
+                inbox = state.wait(inbox);
             }
         };
         let depth = shared
@@ -458,7 +510,10 @@ fn worker_loop(shared: &Shared, w: usize) {
             metrics.frontend_sojourn.record(sojourn_ns);
             metrics.frontend_decided.inc();
             pending.ticket.fulfill(result);
-            shared.in_flight.fetch_sub(1, Ordering::AcqRel);
+            shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+        }
+        if shared.quiescers.load(Ordering::SeqCst) > 0 && shared.is_idle() {
+            shared.idle.wake_all();
         }
     }
 }
@@ -608,7 +663,7 @@ mod tests {
         // The idle worker may already be waiting: nudge it until it
         // comes round to the probe.
         while parked_rx.recv_timeout(Duration::from_millis(10)).is_err() {
-            shared.workers[0].wake.notify_all();
+            shared.workers[0].signal.notify_all();
         }
         let (done_tx, done_rx) = mpsc::channel();
         std::thread::spawn(move || {
@@ -625,6 +680,72 @@ mod tests {
         done_rx
             .recv_timeout(Duration::from_secs(10))
             .expect("watchdog: shutdown hung on a worker that missed its wakeup");
+    }
+
+    /// `quiesce` sleeps while a batch is stalled and is woken by the
+    /// worker that decides the last ticket. Its re-check is an hour
+    /// here, so only that wakeup can end the wait: it returns while the
+    /// worker is parked at its pause seam, after two checks of the
+    /// counters rather than a spin.
+    #[test]
+    fn quiesce_sleeps_until_the_last_decision_wakes_it() {
+        use std::sync::mpsc;
+        let (server, users, venue) = bed();
+        let frontend = RequestFrontend::new(
+            Arc::clone(&server),
+            FrontendConfig {
+                workers: 1,
+                ..FrontendConfig::default()
+            },
+        );
+        let shared = Arc::clone(&frontend.shared);
+        // First bring the idle worker round to the seam once, so the
+        // next time it gets there is after the batch below.
+        let (seen_tx, seen_rx) = mpsc::channel();
+        *shared.wait_probe.lock() = Some(Box::new(move || {
+            let _ = seen_tx.send(());
+        }));
+        while seen_rx.recv_timeout(Duration::from_millis(10)).is_err() {
+            shared.workers[0].signal.notify_all();
+        }
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        *shared.wait_probe.lock() = Some(Box::new(move || {
+            let _ = parked_tx.send(());
+            let _ = release_rx.recv();
+        }));
+        let (done_tx, done_rx) = mpsc::channel();
+        // A reader on the user's shard stalls the batch's write set.
+        let (ticket, quiescer) = server
+            .with_user(users[0], |_| {
+                let ticket = frontend.submit(req(users[0], venue));
+                let quiescer = Arc::clone(&shared);
+                let quiescer = std::thread::spawn(move || {
+                    quiescer.quiesce(Duration::from_secs(3600));
+                    let _ = done_tx.send(());
+                });
+                while shared.quiescers.load(Ordering::SeqCst) == 0 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                std::thread::sleep(Duration::from_millis(100));
+                assert!(done_rx.try_recv().is_err(), "quiesce returned mid-batch");
+                (ticket, quiescer)
+            })
+            .unwrap();
+        parked_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("watchdog: the worker never went idle");
+        done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("watchdog: quiesce missed the worker's last decision");
+        quiescer.join().unwrap();
+        // One check before the wait, one after the wakeup; a spurious
+        // wakeup may add a few.
+        let checks = shared.quiesce_checks.load(Ordering::Relaxed);
+        assert!(checks < 10, "{checks} idle checks in ~100 ms: spinning");
+        release_tx.send(()).unwrap();
+        assert!(ticket.wait().unwrap().rewarded());
+        frontend.shutdown();
     }
 
     #[test]

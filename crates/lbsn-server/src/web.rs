@@ -17,12 +17,18 @@
 //! [`WebConfig`] carries the §5.2 defense switches: login gating for
 //! profile pages, hashing of visitor IDs, and removal of the visitor
 //! list.
+//!
+//! Each page is written in document order into one buffer sized before
+//! the first byte. The crawler's scraper reads the fields in that same
+//! order, one forward pass per page, so the order is a contract
+//! (DESIGN.md §15); `tests/page_digest.rs` pins every page's bytes.
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use crate::{LbsnServer, UserId, VenueId};
+use crate::{LbsnServer, SpecialKind, UserId, UserProfile, Venue, VenueId};
 
 /// Defense-related frontend switches (§5.2).
 #[derive(Debug, Clone)]
@@ -185,35 +191,8 @@ impl WebFrontend {
         };
         // The projection accessor: page rendering never clones a
         // check-in history, no matter how long the account's record is.
-        let page = self.server.user_profile(id).map(|p| {
-            let display = p
-                .username
-                .unwrap_or_else(|| format!("user{}", p.id.value()));
-            let home = p
-                .home
-                .map(|h| format!("{:.4}, {:.4}", h.lat(), h.lon()))
-                .unwrap_or_else(|| "unknown".to_string());
-            format!(
-                "<html><head><title>LBSN user {id}</title></head><body>\n\
-                 <div class=\"user-profile\" data-id=\"{id}\">\n\
-                 <h1 class=\"username\">{display}</h1>\n\
-                 <span class=\"home\">{home}</span>\n\
-                 <span class=\"stat total-checkins\">{total}</span>\n\
-                 <span class=\"stat badges\">{badges}</span>\n\
-                 <span class=\"stat friends\">{friends}</span>\n\
-                 <span class=\"stat points\">{points}</span>\n\
-                 </div></body></html>",
-                id = p.id.value(),
-                display = display,
-                home = home,
-                total = p.total_checkins,
-                badges = p.badge_count,
-                friends = p.friend_count,
-                points = p.points,
-            )
-        });
-        match page {
-            Some(body) => PageResponse::ok(body),
+        match self.server.user_profile(id) {
+            Some(p) => PageResponse::ok(render_user(&p)),
             None => PageResponse::not_found(),
         }
     }
@@ -223,112 +202,236 @@ impl WebFrontend {
             Ok(n) => VenueId(n),
             Err(_) => return PageResponse::not_found(),
         };
-        let page = self.server.with_venue(id, |v| {
-            let special_html = match &v.special {
-                Some(s) => {
-                    let kind = match s.kind {
-                        crate::SpecialKind::MayorOnly => "mayor",
-                        crate::SpecialKind::EveryCheckin => "everyone",
-                        crate::SpecialKind::Loyalty { .. } => "loyalty",
-                    };
-                    format!(
-                        "<div class=\"special\" data-kind=\"{kind}\">{}</div>\n",
-                        s.description
-                    )
-                }
-                None => String::new(),
-            };
-            let mayor_html = match v.mayor {
-                Some(m) => format!(
-                    "<a class=\"mayor\" href=\"/user/{0}\">u{0}</a>\n",
-                    m.value()
-                ),
-                None => "<span class=\"mayor none\">No mayor yet</span>\n".to_string(),
-            };
-            let visitors_html = if config.show_whos_been_here {
-                let entries: String = v
-                    .recent_visitors()
-                    .iter()
-                    .map(|u| {
-                        if config.hash_visitor_ids {
-                            format!(
-                                "<span class=\"visitor\">{}</span>",
-                                opaque_visitor_token(*u)
-                            )
-                        } else {
-                            format!(
-                                "<a class=\"visitor\" href=\"/user/{0}\">u{0}</a>",
-                                u.value()
-                            )
-                        }
-                    })
-                    .collect();
-                format!("<div class=\"whos-been-here\">{entries}</div>\n")
-            } else {
-                String::new()
-            };
-            // Up to five most-recent tips appear on the page.
-            let tips_html = {
-                let entries: String = v
-                    .tips()
-                    .iter()
-                    .take(5)
-                    .map(|t| {
-                        format!(
-                            "<div class=\"tip\" data-user=\"{}\">{}</div>",
-                            t.user.value(),
-                            t.text
-                        )
-                    })
-                    .collect();
-                format!(
-                    "<span class=\"stat tips\">{}</span>\n<div class=\"tips\">{entries}</div>\n",
-                    v.tips().len()
-                )
-            };
-            format!(
-                "<html><head><title>LBSN venue {id}</title></head><body>\n\
-                 <div class=\"venue\" data-id=\"{id}\">\n\
-                 <h1 class=\"venue-name\">{name}</h1>\n\
-                 <span class=\"address\">{address}</span>\n\
-                 <span class=\"category\">{category}</span>\n\
-                 <span class=\"geo\" data-lat=\"{lat:.6}\" data-lon=\"{lon:.6}\"></span>\n\
-                 <span class=\"stat checkins-here\">{checkins}</span>\n\
-                 <span class=\"stat unique-visitors\">{unique}</span>\n\
-                 {tips}{special}{mayor}{visitors}</div></body></html>",
-                id = v.id.value(),
-                name = v.name(),
-                address = v.address(),
-                category = v.category.label(),
-                lat = v.location.lat(),
-                lon = v.location.lon(),
-                checkins = v.checkins_here,
-                unique = v.unique_visitors().len(),
-                tips = tips_html,
-                special = special_html,
-                mayor = mayor_html,
-                visitors = visitors_html,
-            )
-        });
-        match page {
+        match self.server.with_venue(id, |v| render_venue(v, config)) {
             Some(body) => PageResponse::ok(body),
             None => PageResponse::not_found(),
         }
     }
 }
 
+/// Bytes reserved for a user page's markup and numbers; the username
+/// is added on top.
+const USER_PAGE_BYTES: usize = 384;
+/// Bytes reserved for a venue page's markup and numbers; free text,
+/// tips and visitors are added on top.
+const VENUE_PAGE_BYTES: usize = 640;
+/// Markup around one tip's text.
+const TIP_BYTES: usize = 56;
+/// One "Who's been here" entry, link or opaque token.
+const VISITOR_BYTES: usize = 64;
+
+/// Renders `/user/<id>` in document order into one buffer.
+fn render_user(p: &UserProfile) -> String {
+    let id = p.id.value();
+    let display_len = p.username.as_ref().map_or(24, String::len);
+    let mut out = String::with_capacity(USER_PAGE_BYTES + display_len);
+    out.push_str("<html><head><title>LBSN user ");
+    push_u64(&mut out, id);
+    out.push_str("</title></head><body>\n<div class=\"user-profile\" data-id=\"");
+    push_u64(&mut out, id);
+    out.push_str("\">\n<h1 class=\"username\">");
+    match &p.username {
+        Some(name) => out.push_str(name),
+        None => {
+            out.push_str("user");
+            push_u64(&mut out, id);
+        }
+    }
+    out.push_str("</h1>\n<span class=\"home\">");
+    match p.home {
+        Some(h) => {
+            push_fixed(&mut out, h.lat(), 4);
+            out.push_str(", ");
+            push_fixed(&mut out, h.lon(), 4);
+        }
+        None => out.push_str("unknown"),
+    }
+    out.push_str("</span>\n<span class=\"stat total-checkins\">");
+    push_u64(&mut out, p.total_checkins);
+    out.push_str("</span>\n<span class=\"stat badges\">");
+    push_u64(&mut out, p.badge_count as u64);
+    out.push_str("</span>\n<span class=\"stat friends\">");
+    push_u64(&mut out, p.friend_count as u64);
+    out.push_str("</span>\n<span class=\"stat points\">");
+    push_u64(&mut out, p.points);
+    out.push_str("</span>\n</div></body></html>");
+    out
+}
+
+/// Renders `/venue/<id>` in document order into one buffer, sized
+/// before the first byte so that a typical page needs no reallocation
+/// while the caller holds the venue shard lock.
+fn render_venue(v: &Venue, config: &WebConfig) -> String {
+    let id = v.id.value();
+    let tips = v.tips();
+    // Up to five most-recent tips appear on the page.
+    let shown = &tips[..tips.len().min(5)];
+    let visitors = if config.show_whos_been_here {
+        v.recent_visitors()
+    } else {
+        &[]
+    };
+    let capacity = VENUE_PAGE_BYTES
+        + v.name().len()
+        + v.address().len()
+        + v.special.as_ref().map_or(0, |s| s.description.len())
+        + shown
+            .iter()
+            .map(|t| TIP_BYTES + t.text.len())
+            .sum::<usize>()
+        + VISITOR_BYTES * visitors.len();
+    let mut out = String::with_capacity(capacity);
+    out.push_str("<html><head><title>LBSN venue ");
+    push_u64(&mut out, id);
+    out.push_str("</title></head><body>\n<div class=\"venue\" data-id=\"");
+    push_u64(&mut out, id);
+    out.push_str("\">\n<h1 class=\"venue-name\">");
+    out.push_str(v.name());
+    out.push_str("</h1>\n<span class=\"address\">");
+    out.push_str(v.address());
+    out.push_str("</span>\n<span class=\"category\">");
+    out.push_str(v.category.label());
+    out.push_str("</span>\n<span class=\"geo\" data-lat=\"");
+    push_fixed(&mut out, v.location.lat(), 6);
+    out.push_str("\" data-lon=\"");
+    push_fixed(&mut out, v.location.lon(), 6);
+    out.push_str("\"></span>\n<span class=\"stat checkins-here\">");
+    push_u64(&mut out, v.checkins_here);
+    out.push_str("</span>\n<span class=\"stat unique-visitors\">");
+    push_u64(&mut out, v.unique_visitors().len() as u64);
+    out.push_str("</span>\n<span class=\"stat tips\">");
+    push_u64(&mut out, tips.len() as u64);
+    out.push_str("</span>\n<div class=\"tips\">");
+    for t in shown {
+        out.push_str("<div class=\"tip\" data-user=\"");
+        push_u64(&mut out, t.user.value());
+        out.push_str("\">");
+        out.push_str(&t.text);
+        out.push_str("</div>");
+    }
+    out.push_str("</div>\n");
+    if let Some(s) = &v.special {
+        let kind = match s.kind {
+            SpecialKind::MayorOnly => "mayor",
+            SpecialKind::EveryCheckin => "everyone",
+            SpecialKind::Loyalty { .. } => "loyalty",
+        };
+        out.push_str("<div class=\"special\" data-kind=\"");
+        out.push_str(kind);
+        out.push_str("\">");
+        out.push_str(&s.description);
+        out.push_str("</div>\n");
+    }
+    match v.mayor {
+        Some(m) => {
+            out.push_str("<a class=\"mayor\" href=\"/user/");
+            push_u64(&mut out, m.value());
+            out.push_str("\">u");
+            push_u64(&mut out, m.value());
+            out.push_str("</a>\n");
+        }
+        None => out.push_str("<span class=\"mayor none\">No mayor yet</span>\n"),
+    }
+    if config.show_whos_been_here {
+        out.push_str("<div class=\"whos-been-here\">");
+        for &u in visitors {
+            if config.hash_visitor_ids {
+                out.push_str("<span class=\"visitor\">");
+                push_opaque_visitor_token(&mut out, u);
+                out.push_str("</span>");
+            } else {
+                out.push_str("<a class=\"visitor\" href=\"/user/");
+                push_u64(&mut out, u.value());
+                out.push_str("\">u");
+                push_u64(&mut out, u.value());
+                out.push_str("</a>");
+            }
+        }
+        out.push_str("</div>\n");
+    }
+    out.push_str("</div></body></html>");
+    out
+}
+
+/// Appends `n` in decimal, as `{}` formats it.
+fn push_u64(out: &mut String, n: u64) {
+    push_digits(out, n, 1);
+}
+
+/// Appends `n` in decimal, zero-padded to `width` (at most 20) digits.
+fn push_digits(out: &mut String, mut n: u64, width: usize) {
+    let mut digits = [b'0'; 20];
+    let mut start = digits.len();
+    while n > 0 || digits.len() - start < width {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+}
+
+/// Appends `x` with `decimals` fraction digits, byte for byte as
+/// `{:.N}` formats it: the exact binary value rounded half to even,
+/// and a `-` on every negative value, zero included. Magnitudes below
+/// 2^20 (every coordinate) take an integer path that skips the
+/// formatter's general exact-mode machinery; anything else, infinities
+/// and NaN included, goes through the formatter.
+fn push_fixed(out: &mut String, x: f64, decimals: usize) {
+    const SCALE: [u64; 7] = [1, 10, 100, 1_000, 10_000, 100_000, 1_000_000];
+    let bits = x.to_bits();
+    let biased = ((bits >> 52) & 0x7ff) as u32;
+    if biased >= 1023 + 20 || decimals >= SCALE.len() {
+        // `String` as `fmt::Write` never fails.
+        let _ = write!(out, "{x:.decimals$}");
+        return;
+    }
+    // |x| = m · 2^-shift, and shift ≥ 33 below 2^20.
+    let fraction = bits & ((1 << 52) - 1);
+    let (m, shift) = match biased {
+        0 => (fraction, 1074),
+        _ => (fraction | 1 << 52, 1075 - biased),
+    };
+    let scale = SCALE[decimals];
+    // m · scale < 2^73, so from shift 74 on the value rounds to 0.
+    let n = if shift > 74 {
+        0
+    } else {
+        let scaled = u128::from(m) * u128::from(scale);
+        let (q, r) = (scaled >> shift, scaled & ((1 << shift) - 1));
+        let half = 1 << (shift - 1);
+        let up = r > half || (r == half && q & 1 == 1);
+        // q < 2^20 · 10^6, well inside u64.
+        (q + u128::from(up)) as u64
+    };
+    if x.is_sign_negative() {
+        out.push('-');
+    }
+    push_u64(out, n / scale);
+    if decimals > 0 {
+        out.push('.');
+        push_digits(out, n % scale, decimals);
+    }
+}
+
 /// The §5.2 mitigation: a keyed one-way token in place of a visitor's
 /// user ID. Crawlers can still count list entries but can no longer join
 /// them across venues into per-user location histories, because the
-/// token is salted per deployment.
-fn opaque_visitor_token(u: UserId) -> String {
+/// token is salted per deployment. Appends `h` and 16 lowercase hex
+/// digits.
+fn push_opaque_visitor_token(out: &mut String, u: UserId) {
     // FNV-1a over the id with a fixed deployment salt.
     let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ 0x5A5A_1EB5_0CA1_5EED;
     for b in u.value().to_le_bytes() {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
-    format!("h{h:016x}")
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('h');
+    out.extend(
+        (0..16)
+            .rev()
+            .map(|i| char::from(HEX[((h >> (4 * i)) & 0xF) as usize])),
+    );
 }
 
 #[cfg(test)]
@@ -475,6 +578,63 @@ mod tests {
         let page = web.handle(&PageRequest::get("/venue/1"));
         assert!(page.is_ok());
         assert!(!page.body.contains("whos-been-here"));
+    }
+
+    /// `push_fixed` writes what `{:.N}` writes: random coordinates,
+    /// exact halfway ties, values one ulp either side of a rounding
+    /// boundary, subnormals, signed zeros and the formatter fallback.
+    #[test]
+    fn fixed_point_matches_the_formatter() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xF1ED);
+        let mut values = vec![
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.03125,
+            -0.09375,
+            0.0078125,
+            1e-300,
+            -1e-300,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            179.99999999,
+            -180.0,
+            90.0,
+            (1u64 << 20) as f64 - 1e-9,
+            (1u64 << 20) as f64,
+            1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for _ in 0..5_000 {
+            let x: f64 = rng.gen_range(-200.0..200.0);
+            values.push(x);
+            values.push(f64::from_bits(rng.gen::<u64>()));
+            // Exact ties: odd multiples of 2^-k.
+            let k = rng.gen_range(1..=30);
+            let odd = (rng.gen_range(0u64..1 << 20) * 2 + 1) as f64;
+            values.push(odd / (1u64 << k) as f64 / 1024.0);
+            // Either side of a decimal rounding boundary.
+            for decimals in [4, 6] {
+                let unit = 10f64.powi(-decimals);
+                let boundary = (rng.gen_range(-1_000_000i64..1_000_000) as f64 + 0.5) * unit;
+                values.push(f64::from_bits(boundary.to_bits() - 1));
+                values.push(boundary);
+                values.push(f64::from_bits(boundary.to_bits() + 1));
+            }
+        }
+        for x in values {
+            for decimals in 0..=7 {
+                let mut out = String::new();
+                push_fixed(&mut out, x, decimals);
+                assert_eq!(out, format!("{x:.decimals$}"), "{x:e} to {decimals} places");
+            }
+        }
     }
 
     #[test]
