@@ -3,8 +3,8 @@
 //! The thesis crawler "perform\[ed\] a set of regular expression matches"
 //! on page source. Every pattern it needed was of the shape *text
 //! between a known prefix and a known suffix*, so instead of pulling in
-//! a regex engine we implement exactly that primitive ([`between`],
-//! [`between_all`]) plus the two page parsers built on it.
+//! a regex engine we implement exactly that primitive plus the two page
+//! parsers built on it.
 //!
 //! The parsers read a page in one forward pass: a cursor looks for each
 //! field in the order `lbsn_server::web` writes it, starting where the
@@ -73,6 +73,8 @@ fn capture<'a>(haystack: &'a str, prefix: &str, suffix: &str) -> Option<(&'a str
 }
 
 /// Every non-overlapping `prefix…suffix` capture, in document order.
+/// `prefix` and `suffix` must not both be empty: each capture would then
+/// consume nothing and the iterator would never end.
 fn captures<'a: 'p, 'p>(
     mut haystack: &'a str,
     prefix: &'p str,
@@ -83,24 +85,6 @@ fn captures<'a: 'p, 'p>(
         haystack = rest;
         Some(found)
     })
-}
-
-/// The text between the first occurrence of `prefix` and the next
-/// occurrence of `suffix` after it.
-///
-/// ```
-/// use lbsn_crawler::scrape::between;
-/// let html = r#"<span class="stat points">42</span>"#;
-/// assert_eq!(between(html, r#"points">"#, "<"), Some("42"));
-/// assert_eq!(between(html, "missing", "<"), None);
-/// ```
-pub fn between<'a>(haystack: &'a str, prefix: &str, suffix: &str) -> Option<&'a str> {
-    capture(haystack, prefix, suffix).map(|(found, _)| found)
-}
-
-/// Every non-overlapping `prefix…suffix` capture, in document order.
-pub fn between_all<'a>(haystack: &'a str, prefix: &str, suffix: &str) -> Vec<&'a str> {
-    captures(haystack, prefix, suffix).collect()
 }
 
 /// A forward-only reader over one page: each capture starts searching
@@ -394,12 +378,15 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn between_basics() {
-        assert_eq!(between("a[x]b", "[", "]"), Some("x"));
-        assert_eq!(between("no markers", "[", "]"), None);
-        assert_eq!(between("a[x", "[", "]"), None);
-        assert_eq!(between_all("[1][2][3]", "[", "]"), vec!["1", "2", "3"]);
-        assert!(between_all("none", "[", "]").is_empty());
+    fn capture_basics() {
+        assert_eq!(capture("a[x]b", "[", "]"), Some(("x", "b")));
+        assert_eq!(capture("no markers", "[", "]"), None);
+        assert_eq!(capture("a[x", "[", "]"), None);
+        assert_eq!(
+            captures("[1][2][3]", "[", "]").collect::<Vec<_>>(),
+            vec!["1", "2", "3"]
+        );
+        assert_eq!(captures("none", "[", "]").next(), None);
     }
 
     /// End-to-end: render a real page with the real frontend, scrape it
@@ -806,11 +793,11 @@ mod tests {
         ) {
             prop_assert_eq!(find(&haystack, &needle), haystack.find(needle.as_str()));
             prop_assert_eq!(
-                between(&haystack, &prefix, &suffix),
+                capture(&haystack, &prefix, &suffix).map(|(found, _)| found),
                 reference::between(&haystack, &prefix, &suffix)
             );
             prop_assert_eq!(
-                between_all(&haystack, &prefix, &suffix),
+                captures(&haystack, &prefix, &suffix).collect::<Vec<_>>(),
                 reference::between_all(&haystack, &prefix, &suffix)
             );
         }

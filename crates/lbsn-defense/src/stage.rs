@@ -130,11 +130,7 @@ impl CheckinVerifier for VerifierStage {
         "verifier-stack"
     }
 
-    fn verify(&self, ctx: &VerifyContext<'_>) -> VerifierVerdict {
-        self.verify_explained(ctx).0
-    }
-
-    fn verify_explained(&self, ctx: &VerifyContext<'_>) -> (VerifierVerdict, &'static str) {
+    fn verify(&self, ctx: &VerifyContext<'_>) -> (VerifierVerdict, &'static str) {
         let Some(evidence) = ctx.evidence else {
             return (VerifierVerdict::Abstain, "");
         };
@@ -210,7 +206,7 @@ mod tests {
     fn missing_evidence_abstains() {
         let req = request(VenueId(1));
         assert_eq!(
-            stage().verify(&ctx(&req, None)),
+            stage().verify(&ctx(&req, None)).0,
             VerifierVerdict::Abstain,
             "the plain check_in path must not be punished"
         );
@@ -221,9 +217,15 @@ mod tests {
         let s = stage();
         let req = request(VenueId(1));
         let honest = CheckinEvidence::local(wharf());
-        assert_eq!(s.verify(&ctx(&req, Some(&honest))), VerifierVerdict::Admit);
+        assert_eq!(
+            s.verify(&ctx(&req, Some(&honest))).0,
+            VerifierVerdict::Admit
+        );
         let spoof = CheckinEvidence::local(abq());
-        assert_eq!(s.verify(&ctx(&req, Some(&spoof))), VerifierVerdict::Reject);
+        assert_eq!(
+            s.verify(&ctx(&req, Some(&spoof))).0,
+            VerifierVerdict::Reject
+        );
     }
 
     #[test]
@@ -232,7 +234,7 @@ mod tests {
         let req = request(VenueId(2)); // no router registered
         let spoof = CheckinEvidence::local(abq());
         assert_eq!(
-            s.verify(&ctx(&req, Some(&spoof))),
+            s.verify(&ctx(&req, Some(&spoof))).0,
             VerifierVerdict::Abstain,
             "partial deployment only protects participating venues"
         );
@@ -243,8 +245,14 @@ mod tests {
         let s = stage();
         let req = request(VenueId(7));
         let spoof = CheckinEvidence::local(abq());
-        assert_eq!(s.verify(&ctx(&req, Some(&spoof))), VerifierVerdict::Abstain);
+        assert_eq!(
+            s.verify(&ctx(&req, Some(&spoof))).0,
+            VerifierVerdict::Abstain
+        );
         s.routers().register(VenueId(7));
-        assert_eq!(s.verify(&ctx(&req, Some(&spoof))), VerifierVerdict::Reject);
+        assert_eq!(
+            s.verify(&ctx(&req, Some(&spoof))).0,
+            VerifierVerdict::Reject
+        );
     }
 }

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{GeoError, GeoPoint};
+use crate::{equirectangular_distance, GeoError, GeoPoint, Meters, METERS_PER_DEGREE_LAT};
 
 /// An axis-aligned latitude/longitude rectangle.
 ///
@@ -50,20 +50,29 @@ impl BoundingBox {
     /// for an empty iterator.
     pub fn enclosing<I: IntoIterator<Item = GeoPoint>>(points: I) -> Option<Self> {
         let mut it = points.into_iter();
-        let first = it.next()?;
-        let mut b = BoundingBox {
-            min_lat: first.lat(),
-            max_lat: first.lat(),
-            min_lon: first.lon(),
-            max_lon: first.lon(),
-        };
+        let mut b = BoundingBox::point(it.next()?);
         for p in it {
-            b.min_lat = b.min_lat.min(p.lat());
-            b.max_lat = b.max_lat.max(p.lat());
-            b.min_lon = b.min_lon.min(p.lon());
-            b.max_lon = b.max_lon.max(p.lon());
+            b.extend(p);
         }
         Some(b)
+    }
+
+    /// The degenerate box holding only `p`.
+    pub fn point(p: GeoPoint) -> Self {
+        BoundingBox {
+            min_lat: p.lat(),
+            max_lat: p.lat(),
+            min_lon: p.lon(),
+            max_lon: p.lon(),
+        }
+    }
+
+    /// Grows the box just enough to contain `p`.
+    pub fn extend(&mut self, p: GeoPoint) {
+        self.min_lat = self.min_lat.min(p.lat());
+        self.max_lat = self.max_lat.max(p.lat());
+        self.min_lon = self.min_lon.min(p.lon());
+        self.max_lon = self.max_lon.max(p.lon());
     }
 
     /// Whether `p` lies inside the box (inclusive).
@@ -100,6 +109,20 @@ impl BoundingBox {
     /// Longitude span in degrees.
     pub fn lon_span(&self) -> f64 {
         self.max_lon - self.min_lon
+    }
+
+    /// The side, in metres, of the smallest square the box fits in: the
+    /// larger of its north–south and east–west extents. East–west metres
+    /// shrink with latitude, so that extent is measured along the box's
+    /// centre latitude.
+    pub fn square_extent_m(&self) -> Meters {
+        let lat_m = self.lat_span() * METERS_PER_DEGREE_LAT;
+        let center_lat = (self.min_lat + self.max_lat) / 2.0;
+        let lon_m = equirectangular_distance(
+            GeoPoint::from_valid(center_lat, self.min_lon),
+            GeoPoint::from_valid(center_lat, self.max_lon),
+        );
+        lat_m.max(lon_m)
     }
 
     /// The box's centre point.
@@ -149,6 +172,17 @@ mod tests {
     #[test]
     fn enclosing_empty_is_none() {
         assert!(BoundingBox::enclosing(std::iter::empty()).is_none());
+    }
+
+    #[test]
+    fn square_extent_is_the_larger_side() {
+        let base = p(35.0844, -106.6504);
+        let mut b = BoundingBox::point(base);
+        assert_eq!(b.square_extent_m(), 0.0);
+        b.extend(crate::destination(base, 90.0, 100.0));
+        b.extend(crate::destination(base, 0.0, 150.0));
+        let ext = b.square_extent_m();
+        assert!((ext - 150.0).abs() < 5.0, "extent {ext}");
     }
 
     #[test]

@@ -67,6 +67,12 @@ impl GeoPoint {
         Ok(GeoPoint { lat, lon })
     }
 
+    /// A point from coordinates taken from valid points (such as a
+    /// bounding box's edges), so [`GeoPoint::new`]'s checks cannot fail.
+    pub(crate) fn from_valid(lat: f64, lon: f64) -> GeoPoint {
+        GeoPoint { lat, lon }
+    }
+
     /// Latitude in decimal degrees, in `[-90, +90]`.
     pub fn lat(self) -> f64 {
         self.lat

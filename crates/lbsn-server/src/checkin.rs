@@ -263,6 +263,12 @@ pub enum CheckinError {
         /// Drain-rate-based resubmission hint.
         retry_after: std::time::Duration,
     },
+    /// The request-frontend worker admitting this check-in's batch
+    /// panicked before it returned the batch's decisions. The check-in
+    /// **may or may not have been recorded**: the unwind can come before,
+    /// during or after its own admission, and every decision of the
+    /// batch is lost with it.
+    WorkerPanicked,
 }
 
 impl fmt::Display for CheckinError {
@@ -279,6 +285,10 @@ impl fmt::Display for CheckinError {
                     "shed at queue high-water mark, retry after {retry_after:?}"
                 )
             }
+            CheckinError::WorkerPanicked => write!(
+                f,
+                "admission worker panicked mid-batch; the check-in may or may not be recorded"
+            ),
         }
     }
 }

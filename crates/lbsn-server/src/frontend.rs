@@ -404,7 +404,7 @@ impl RequestFrontend {
     /// empty *and* all tickets fulfilled). Used by benches and tests to
     /// close the books before reading conservation counters. Sleeps
     /// rather than spins: the worker that decides the last ticket wakes
-    /// it, and it re-checks on its own every [`QUIESCE_RECHECK`].
+    /// it, and it re-checks on its own every `QUIESCE_RECHECK` (5 ms).
     pub fn quiesce(&self) {
         self.shared.quiesce(QUIESCE_RECHECK);
     }
@@ -463,8 +463,10 @@ fn take_batch(inbox: &mut Inbox, batch_max: usize) -> Option<Vec<Pending>> {
 
 /// The batch-drain loop for worker `w`: wait for work, take one batch,
 /// admit it through [`LbsnServer::check_in_batch`] (one user-shard lock
-/// acquisition for the whole batch), fulfill the tickets, repeat. Exits
-/// when shutdown is signalled *and* its queues are empty.
+/// acquisition for the whole batch), fulfill the tickets, repeat. A
+/// batch that panics fulfills every ticket with
+/// [`CheckinError::WorkerPanicked`]. Exits when shutdown is signalled
+/// *and* its queues are empty.
 fn worker_loop(shared: &Shared, w: usize) {
     let state = &shared.workers[w];
     let metrics = shared.server.metrics();
@@ -494,7 +496,14 @@ fn worker_loop(shared: &Shared, w: usize) {
 
         let reqs: Vec<CheckinRequest> = batch.iter().map(|p| p.req).collect();
         let started = Instant::now();
-        let mut results = shared.server.check_in_batch(&reqs);
+        // A panic inside admission (a faulty verifier stage, say) fails
+        // this batch's tickets instead of leaving them, `quiesce` and
+        // this worker's shards hanging. The locks it unwinds through are
+        // not poisoned, so the worker keeps serving.
+        let mut results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            shared.server.check_in_batch(&reqs)
+        }))
+        .unwrap_or_else(|_| vec![Err(CheckinError::WorkerPanicked); reqs.len()]);
         let elapsed_ns = started.elapsed().as_nanos() as u64;
         // Fold this batch's per-op cost into the drain-rate EWMA.
         let per_op = elapsed_ns / reqs.len().max(1) as u64;

@@ -55,9 +55,7 @@ pub use frontend::{CheckinTicket, FrontendConfig, RequestFrontend, SubmitOutcome
 pub use history::{BriefRecord, BriefRev, FlagSet, HistoryIter, PackedHistory, PackedRecord};
 pub use ids::{UserId, VenueId};
 pub use metrics::ServerMetrics;
-pub use pipeline::{
-    AdmissionPipeline, BrandedAccountDetector, CheckinVerifier, VerifierVerdict, VerifyContext,
-};
+pub use pipeline::{AdmissionPipeline, CheckinVerifier, VerifierVerdict, VerifyContext};
 pub use policy::{DetectorConfig, PolicyConfig, RewardConfig};
 pub use rewards::{Badge, PointsPolicy};
 pub use server::{LbsnServer, ServerConfig};

@@ -3,15 +3,14 @@
 //!
 //! The paper's core claim (§2.3, §5.1) is about *which admission rules
 //! run on a check-in* — Foursquare's concealed cheater code, and the
-//! proposed location-verification defenses. This module makes that rule
-//! chain first-class: every §2.3 rule is an independent [`CheatRule`],
-//! and §5.1-style location verifiers slot in as [`CheckinVerifier`]
-//! stages — so a verified deployment is a different pipeline
-//! *configuration*, not a different code path. The detector chain is
-//! assembled from a serde-loadable [`PolicyConfig`], which is what lets
-//! rule-ablation sweeps and defense-vs-attack matrices run from JSON
-//! alone. The reward ladder is the paper's fixed behaviour: one plain
-//! function runs it, and the policy sets only its point values.
+//! proposed location-verification defenses. The cheater code is the
+//! paper's fixed set of rules: one detector chain, whose thresholds
+//! and on/off switches come from a serde-loadable [`PolicyConfig`], so
+//! rule-ablation sweeps run from JSON alone. §5.1-style location
+//! verifiers slot in as [`CheckinVerifier`] stages, so a verified
+//! deployment is a different pipeline *configuration*, not a different
+//! code path. The reward ladder is the paper's fixed behaviour too: one
+//! plain function runs it, and the policy sets only its point values.
 //!
 //! # Stage order
 //!
@@ -20,9 +19,10 @@
 //!    [`CheckinEvidence`] *before any shard lock
 //!    is taken* — a rejected check-in is never recorded, matching the
 //!    §5.1 premise that verification happens at submission time.
-//! 2. **Detect**: every [`CheatRule`] runs in order under the check-in
-//!    lock set with a read-only [`RuleContext`]. A terminal detector
-//!    (the branded-account check) short-circuits the rest.
+//! 2. **Detect**: every enabled detector of the [`crate::cheatercode`]
+//!    chain runs in order under the check-in lock set with a read-only
+//!    [`RuleContext`]. The terminal branded-account detector
+//!    short-circuits the rest.
 //! 3. **Record** (fixed): the check-in is appended to history whether or
 //!    not it was flagged, and flag escalation (account branding) runs.
 //! 4. **Reward** (fixed): mayorship, then badges, then points, then
@@ -43,45 +43,15 @@ use lbsn_geo::GeoPoint;
 use lbsn_obs::{Counter, DecisionBuilder, QuantileSketch};
 use lbsn_sim::Timestamp;
 
-use crate::cheatercode::{paper_rules, CheatRule, Judgement, RuleContext};
+use crate::cheatercode::{Detector, RuleContext};
 use crate::checkin::{CheatFlag, CheckinEvidence, CheckinRequest};
 use crate::metrics::{ServerMetrics, Stopwatch};
-use crate::policy::PolicyConfig;
+use crate::policy::{DetectorConfig, PolicyConfig};
 use crate::rewards::{decide_mayor, evaluate_badges, Badge, PointsPolicy, VenueLookup};
 use crate::shard::LeafLock;
 use crate::user::User;
 use crate::venue::{SpecialKind, Venue, VenueCategory};
 use crate::VenueId;
-
-/// The branded-account detector: once the §4.2 escalation has marked an
-/// account as a cheater, every subsequent check-in is invalidated
-/// without consulting any other rule.
-///
-/// Terminal (see [`CheatRule::is_terminal`]): matching the observed
-/// policy, a branded account's check-in carries *only*
-/// [`CheatFlag::AccountFlagged`] — the per-check-in rules never run.
-#[derive(Debug, Clone, Default)]
-pub struct BrandedAccountDetector;
-
-impl CheatRule for BrandedAccountDetector {
-    fn name(&self) -> &'static str {
-        "branded-account"
-    }
-
-    fn judge(&self, ctx: &RuleContext<'_>) -> Judgement {
-        let branded = ctx.user.branded_cheater;
-        Judgement {
-            flag: branded.then_some(CheatFlag::AccountFlagged),
-            observed: if branded { 1.0 } else { 0.0 },
-            threshold: 1.0,
-            unit: "branded",
-        }
-    }
-
-    fn is_terminal(&self) -> bool {
-        true
-    }
-}
 
 /// Out-of-band verdict from a [`CheckinVerifier`] stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,14 +90,10 @@ pub struct VerifyContext<'a> {
 pub trait CheckinVerifier: Send + Sync {
     /// Stable stage name, used for the per-verifier rejection counter.
     fn name(&self) -> &'static str;
-    /// Judge a check-in.
-    fn verify(&self, ctx: &VerifyContext<'_>) -> VerifierVerdict;
     /// Judge a check-in and name the deciding inner mechanism (e.g. the
-    /// rejecting verifier inside a composite stack), for the decision
-    /// audit plane. The default reports no inner evidence.
-    fn verify_explained(&self, ctx: &VerifyContext<'_>) -> (VerifierVerdict, &'static str) {
-        (self.verify(ctx), "")
-    }
+    /// rejecting verifier inside a composite stack) for the decision
+    /// audit plane; `""` when the stage has no inner evidence.
+    fn verify(&self, ctx: &VerifyContext<'_>) -> (VerifierVerdict, &'static str);
 }
 
 /// What the reward ladder produced, folded into the
@@ -223,15 +189,6 @@ pub(crate) fn reward(
     }
 }
 
-/// A detector with its pre-resolved observability handles.
-struct InstalledDetector {
-    detector: Box<dyn CheatRule>,
-    /// `server.checkin.detector.{name}.rejected`
-    rejected: Counter,
-    /// `server.checkin.detector.{name}.latency`
-    latency: QuantileSketch,
-}
-
 /// A verifier stage with its pre-resolved rejection counter.
 struct InstalledVerifier {
     verifier: Box<dyn CheckinVerifier>,
@@ -246,7 +203,12 @@ struct InstalledVerifier {
 /// per-stage metric handles are resolved once here so the hot path
 /// never touches the registry's name map.
 pub struct AdmissionPipeline {
-    detectors: Vec<InstalledDetector>,
+    /// The thresholds every detector judges against.
+    config: DetectorConfig,
+    /// The enabled detectors in [`Detector::CHAIN`] order, each with its
+    /// `server.checkin.detector.{name}.rejected` counter and
+    /// `.latency` sketch.
+    detectors: Vec<(Detector, Counter, QuantileSketch)>,
     verifiers: Vec<InstalledVerifier>,
 }
 
@@ -260,26 +222,22 @@ impl std::fmt::Debug for AdmissionPipeline {
 }
 
 impl AdmissionPipeline {
-    /// Assembles the stage chain: the branded-account detector first
-    /// (terminal), then each enabled §2.3 rule in the paper's order,
-    /// plus the given verifier stages up front.
+    /// Assembles the stage chain: the detectors `policy` enables, in
+    /// [`Detector::CHAIN`] order (branded-account first, terminal), plus
+    /// the given verifier stages up front.
     pub(crate) fn from_policy(
         policy: &PolicyConfig,
         metrics: &ServerMetrics,
         verifiers: Vec<Box<dyn CheckinVerifier>>,
     ) -> Self {
-        let mut detectors: Vec<Box<dyn CheatRule>> = vec![Box::new(BrandedAccountDetector)];
-        detectors.extend(paper_rules(&policy.detectors));
         AdmissionPipeline {
-            detectors: detectors
+            config: policy.detectors.clone(),
+            detectors: Detector::CHAIN
                 .into_iter()
-                .map(|detector| {
-                    let (rejected, latency) = metrics.detector_metrics(detector.name());
-                    InstalledDetector {
-                        detector,
-                        rejected,
-                        latency,
-                    }
+                .filter(|d| d.enabled(&policy.detectors))
+                .map(|d| {
+                    let (rejected, latency) = metrics.detector_metrics(d.name());
+                    (d, rejected, latency)
                 })
                 .collect(),
             verifiers: verifiers
@@ -294,7 +252,7 @@ impl AdmissionPipeline {
 
     /// Names of the installed detectors, in evaluation order.
     pub fn detector_names(&self) -> Vec<&'static str> {
-        self.detectors.iter().map(|d| d.detector.name()).collect()
+        self.detectors.iter().map(|(d, ..)| d.name()).collect()
     }
 
     /// Names of the installed verifier stages, in evaluation order.
@@ -320,7 +278,7 @@ impl AdmissionPipeline {
         decision: &mut DecisionBuilder,
     ) -> Option<&'static str> {
         for v in &self.verifiers {
-            let (verdict, evidence) = v.verifier.verify_explained(ctx);
+            let (verdict, evidence) = v.verifier.verify(ctx);
             let vote = match verdict {
                 VerifierVerdict::Admit => "admit",
                 VerifierVerdict::Reject => "reject",
@@ -335,12 +293,12 @@ impl AdmissionPipeline {
         None
     }
 
-    /// Runs every detector; returns all flags raised (deduplicated, in
-    /// detector order) and the stage's cost, the sum of the detectors'
-    /// laps on `watch`. A terminal detector that fires short-circuits
-    /// the chain and its flag is the only one reported. Each consulted
-    /// detector's verdict — evidence values and per-detector cost
-    /// included — lands on the decision builder.
+    /// Runs every detector; returns the flags raised, in detector order
+    /// (each detector raises its own flag), and the stage's cost, the
+    /// sum of the detectors' laps on `watch`. A terminal detector that
+    /// fires short-circuits the chain and its flag is the only one
+    /// reported. Each consulted detector's verdict — evidence values
+    /// and per-detector cost included — lands on the decision builder.
     pub(crate) fn detect(
         &self,
         ctx: &RuleContext<'_>,
@@ -349,13 +307,13 @@ impl AdmissionPipeline {
     ) -> (Vec<CheatFlag>, u64) {
         let mut flags = Vec::new();
         let mut detect_ns = 0;
-        for d in &self.detectors {
-            let judgement = d.detector.judge(ctx);
+        for (detector, rejected, latency) in &self.detectors {
+            let judgement = detector.judge(&self.config, ctx);
             let elapsed_ns = watch.lap();
-            d.latency.record(elapsed_ns);
+            latency.record(elapsed_ns);
             detect_ns += elapsed_ns;
             decision.verdict(
-                d.detector.name(),
+                detector.name(),
                 judgement.flag.map(CheatFlag::slug),
                 judgement.observed,
                 judgement.threshold,
@@ -363,13 +321,11 @@ impl AdmissionPipeline {
                 elapsed_ns,
             );
             if let Some(f) = judgement.flag {
-                d.rejected.inc();
-                if d.detector.is_terminal() {
+                rejected.inc();
+                if detector.is_terminal() {
                     return (vec![f], detect_ns);
                 }
-                if !flags.contains(&f) {
-                    flags.push(f);
-                }
+                flags.push(f);
             }
         }
         (flags, detect_ns)
@@ -379,9 +335,6 @@ impl AdmissionPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cheatercode::GpsProximityRule;
-    use crate::policy::DetectorConfig;
-    use crate::user::UserSpec;
     use lbsn_obs::Registry;
     use std::sync::Arc;
 
@@ -408,18 +361,36 @@ mod tests {
 
     #[test]
     fn enables_prune_stages() {
-        let policy = PolicyConfig::with_detectors(DetectorConfig {
-            enable_speed: false,
-            enable_rapid_fire: false,
-            ..DetectorConfig::default()
-        });
-        let p = AdmissionPipeline::from_policy(&policy, &metrics(), Vec::new());
+        // Every combination of the four `enable_*` switches: each one
+        // removes exactly its detector and the rest keep paper order.
         // Branded-account is always installed: escalation is account
         // state, not a per-check-in rule you can ablate away.
-        assert_eq!(
-            p.detector_names(),
-            vec!["branded-account", "gps-proximity", "frequent-checkins"]
-        );
+        for mask in 0..16u8 {
+            let on = |bit: u8| mask & (1 << bit) != 0;
+            let policy = PolicyConfig::with_detectors(DetectorConfig {
+                enable_gps: on(0),
+                enable_cooldown: on(1),
+                enable_speed: on(2),
+                enable_rapid_fire: on(3),
+                ..DetectorConfig::default()
+            });
+            let p = AdmissionPipeline::from_policy(&policy, &metrics(), Vec::new());
+            let mut expected = vec!["branded-account"];
+            for (bit, name) in [
+                "gps-proximity",
+                "frequent-checkins",
+                "superhuman-speed",
+                "rapid-fire",
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                if on(bit as u8) {
+                    expected.push(name);
+                }
+            }
+            assert_eq!(p.detector_names(), expected, "enable mask {mask:04b}");
+        }
     }
 
     #[test]
@@ -433,41 +404,6 @@ mod tests {
     }
 
     #[test]
-    fn branded_account_detector_is_terminal() {
-        let d = BrandedAccountDetector;
-        assert!(d.is_terminal());
-        let honest = GpsProximityRule { radius_m: 500.0 };
-        assert!(!honest.is_terminal(), "ordinary rules are not terminal");
-        let user = User::from_spec(crate::UserId(1), UserSpec::anonymous(), Timestamp(0));
-        let venue = Venue::sealed(
-            VenueId(1),
-            crate::venue::VenueSpec::new("V", GeoPoint::new(35.0, -106.0).unwrap()),
-        );
-        let req = CheckinRequest {
-            user: crate::UserId(1),
-            venue: VenueId(1),
-            reported_location: venue.location,
-            source: crate::CheckinSource::MobileApp,
-        };
-        let ctx = RuleContext {
-            user: &user,
-            venue: &venue,
-            request: &req,
-            now: Timestamp(0),
-        };
-        assert_eq!(d.judge(&ctx).flag, None, "unbranded account passes");
-        let mut branded = User::from_spec(crate::UserId(1), UserSpec::anonymous(), Timestamp(0));
-        branded.branded_cheater = true;
-        let ctx = RuleContext {
-            user: &branded,
-            venue: &venue,
-            request: &req,
-            now: Timestamp(0),
-        };
-        assert_eq!(d.judge(&ctx).flag, Some(CheatFlag::AccountFlagged));
-    }
-
-    #[test]
     fn verifier_reject_short_circuits_and_counts() {
         struct Always(VerifierVerdict);
         impl CheckinVerifier for Always {
@@ -478,8 +414,8 @@ mod tests {
                     VerifierVerdict::Abstain => "always-abstain",
                 }
             }
-            fn verify(&self, _: &VerifyContext<'_>) -> VerifierVerdict {
-                self.0
+            fn verify(&self, _: &VerifyContext<'_>) -> (VerifierVerdict, &'static str) {
+                (self.0, "")
             }
         }
         let registry = Arc::new(Registry::new());

@@ -89,11 +89,11 @@ impl CheckinVerifier for EvenUsersAtVenueOne {
         "even-users-at-venue-one"
     }
 
-    fn verify(&self, ctx: &VerifyContext<'_>) -> VerifierVerdict {
+    fn verify(&self, ctx: &VerifyContext<'_>) -> (VerifierVerdict, &'static str) {
         if ctx.request.venue == VenueId(1) && ctx.request.user.value().is_multiple_of(2) {
-            VerifierVerdict::Reject
+            (VerifierVerdict::Reject, "")
         } else {
-            VerifierVerdict::Abstain
+            (VerifierVerdict::Abstain, "")
         }
     }
 }
@@ -408,5 +408,68 @@ fn round_trips_keep_queue_counters_balanced() {
             THREADS * ROUND_TRIPS
         );
         assert_eq!(snap.counter(obs_names::FRONTEND_SHED), 0);
+    });
+}
+
+/// A verifier stage that panics on one user's check-ins and abstains on
+/// everything else: a fault in the middle of a worker's batch.
+struct PanicsOnUser(UserId);
+
+impl CheckinVerifier for PanicsOnUser {
+    fn name(&self) -> &'static str {
+        "panics-on-user"
+    }
+
+    fn verify(&self, ctx: &VerifyContext<'_>) -> (VerifierVerdict, &'static str) {
+        assert_ne!(ctx.request.user, self.0, "injected verifier fault");
+        (VerifierVerdict::Abstain, "")
+    }
+}
+
+/// A batch that panics mid-admission fails its tickets with
+/// `WorkerPanicked` instead of leaving them hanging, `quiesce` still
+/// returns, and the worker goes on deciding later submissions for the
+/// same shard.
+#[test]
+fn a_panicking_batch_fails_its_tickets_and_the_worker_keeps_serving() {
+    with_watchdog("a_panicking_batch_fails_its_tickets", || {
+        let victim = UserId(1);
+        let server = Arc::new(LbsnServer::with_pipeline(
+            SimClock::new(),
+            ServerConfig::default(),
+            Arc::new(Registry::new()),
+            vec![Box::new(PanicsOnUser(victim))],
+        ));
+        let venue = server.register_venue(VenueSpec::new("V", abq()));
+        assert_eq!(server.register_user(UserSpec::anonymous()), victim);
+        let neighbour = loop {
+            let user = server.register_user(UserSpec::anonymous());
+            if server.user_shard(user) == server.user_shard(victim) {
+                break user;
+            }
+        };
+        let frontend = RequestFrontend::new(
+            Arc::clone(&server),
+            FrontendConfig {
+                workers: 1,
+                ..FrontendConfig::default()
+            },
+        );
+        let decide = |user| {
+            frontend
+                .submit(CheckinRequest {
+                    user,
+                    venue,
+                    reported_location: abq(),
+                    source: CheckinSource::MobileApp,
+                })
+                .wait()
+        };
+
+        assert_eq!(decide(victim).unwrap_err(), CheckinError::WorkerPanicked);
+        frontend.quiesce();
+        let out = decide(neighbour).expect("the worker still decides its shards");
+        assert!(out.rewarded());
+        frontend.shutdown();
     });
 }
