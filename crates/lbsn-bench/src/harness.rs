@@ -45,8 +45,14 @@ impl TestBed {
 
     /// Builds a test bed from an explicit spec.
     pub fn from_spec(spec: &PopulationSpec) -> TestBed {
+        TestBed::from_spec_with_registry(spec, Arc::new(Registry::new()))
+    }
+
+    /// [`TestBed::from_spec`], reporting into an injected registry (one
+    /// configured to sample every span, say, so every check-in is
+    /// timed).
+    pub fn from_spec_with_registry(spec: &PopulationSpec, registry: Arc<Registry>) -> TestBed {
         let clock = SimClock::new();
-        let registry = Arc::new(Registry::new());
         let server = Arc::new(LbsnServer::with_registry(
             clock,
             ServerConfig::default(),

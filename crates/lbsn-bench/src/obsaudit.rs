@@ -118,6 +118,9 @@ fn render_record(record: &DecisionRecord) -> String {
         record.user,
         record.venue,
     );
+    // Only head-sampled decisions are timed; any other carries zeros,
+    // which must not read as free stages.
+    let timed = record.stage_ns.is_timed();
     if !record.detectors.is_empty() {
         out.push_str(
             "| detector | verdict | observed | threshold | unit | cost ns |\n\
@@ -129,9 +132,14 @@ fn render_record(record: &DecisionRecord) -> String {
             } else {
                 "passed".to_string()
             };
+            let cost = if timed {
+                d.elapsed_ns.to_string()
+            } else {
+                "untimed".to_string()
+            };
             out.push_str(&format!(
                 "| `{}` | {} | {} | {} | {} | {} |\n",
-                d.detector, verdict, d.observed, d.threshold, d.unit, d.elapsed_ns,
+                d.detector, verdict, d.observed, d.threshold, d.unit, cost,
             ));
         }
         out.push('\n');
@@ -147,10 +155,14 @@ fn render_record(record: &DecisionRecord) -> String {
         out.push('\n');
     }
     let ns = &record.stage_ns;
-    out.push_str(&format!(
-        "stage ns: verify {} / detect {} / record {} / rewards {} / total {}\n",
-        ns.verify, ns.detect, ns.record, ns.rewards, ns.total,
-    ));
+    if timed {
+        out.push_str(&format!(
+            "stage ns: verify {} / detect {} / record {} / rewards {} / total {}\n",
+            ns.verify, ns.detect, ns.record, ns.rewards, ns.total,
+        ));
+    } else {
+        out.push_str("stage ns: untimed (not head-sampled)\n");
+    }
     out
 }
 
@@ -403,6 +415,34 @@ mod tests {
         assert!(why.contains("first offense d0+01:00:00"), "{why}");
         // The non-firing detector still shows its compared values.
         assert!(why.contains("| `gps-proximity` | passed |"), "{why}");
+    }
+
+    #[test]
+    fn why_marks_an_untimed_decision() {
+        let data = corpus();
+        let why = render_why(&data, 7).unwrap();
+        assert!(why.contains("| checkins | 300 |"), "{why}");
+        assert!(why.contains("total 5000"), "{why}");
+        assert!(!why.contains("untimed"), "{why}");
+
+        // A decision that was not head-sampled carries zero durations.
+        let registry = Registry::new();
+        let plane = registry.audit_with_config(AuditConfig {
+            capacity: 16,
+            stripes: 1,
+            sample_every: 1,
+        });
+        let mut b = DecisionBuilder::new(3, 5, 60);
+        b.verdict("gps-proximity", Some("gps_mismatch"), 9e5, 150.0, "m", 0);
+        plane.finish(&b, DecisionOutcome::Rejected("gps_mismatch"));
+        let data = parse_audit_input(&registry.snapshot().to_json(), "u.json").unwrap();
+        let why = render_why(&data, 3).unwrap();
+        assert!(why.contains("| m | untimed |"), "{why}");
+        assert!(
+            why.contains("stage ns: untimed (not head-sampled)"),
+            "{why}"
+        );
+        assert!(!why.contains("total 0"), "{why}");
     }
 
     #[test]

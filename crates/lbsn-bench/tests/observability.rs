@@ -2,14 +2,25 @@
 //! serve → crawl) plus a flagged cheating check-in must leave a
 //! coherent trail in the bed's registry.
 
+use std::sync::Arc;
+
 use lbsn_bench::harness::TestBed;
 use lbsn_geo::destination;
+use lbsn_obs::{ObsConfig, Registry};
 use lbsn_server::{CheatFlag, CheckinRequest, CheckinSource, UserSpec};
 use lbsn_workload::PopulationSpec;
 
 #[test]
 fn testbed_run_populates_the_registry() {
-    let bed = TestBed::from_spec(&PopulationSpec::tiny(600, 17));
+    // Every span sampled, so every check-in is timed and the stage
+    // sketches hold one sample per decision. The span ring is sized so
+    // the crawl's spans (four per page) do not evict the check-ins'.
+    let registry = Arc::new(Registry::with_config(ObsConfig {
+        span_sample_all: true,
+        span_capacity: 1 << 15,
+        ..ObsConfig::default()
+    }));
+    let bed = TestBed::from_spec_with_registry(&PopulationSpec::tiny(600, 17), registry);
 
     // A blatant GPS-mismatch check-in on top of the generated traffic,
     // so at least one specific flag counter is guaranteed non-zero.

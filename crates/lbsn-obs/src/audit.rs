@@ -86,7 +86,8 @@ pub struct DetectorVerdict {
     /// Unit of `observed` / `threshold` (empty when the detector has no
     /// scalar evidence, e.g. a boolean account check).
     pub unit: String,
-    /// Wall nanoseconds this detector spent on the check-in.
+    /// Wall nanoseconds this detector spent on the check-in; 0 means
+    /// the decision was not timed (only head-sampled decisions are).
     pub elapsed_ns: u64,
 }
 
@@ -116,7 +117,9 @@ pub struct RewardSummary {
 }
 
 /// Per-stage pipeline cost of one decision, wall nanoseconds. Stages
-/// the decision never reached stay zero.
+/// the decision never reached stay zero. Only a decision whose root
+/// span is head-sampled is timed: all zero means the decision was not
+/// timed, not that it was free (see [`StageNanos::is_timed`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct StageNanos {
     /// Pre-admission verifier stage.
@@ -129,6 +132,13 @@ pub struct StageNanos {
     pub rewards: u64,
     /// Whole-pipeline total.
     pub total: u64,
+}
+
+impl StageNanos {
+    /// Whether the decision was timed: any stage holds a duration.
+    pub fn is_timed(&self) -> bool {
+        *self != StageNanos::default()
+    }
 }
 
 /// One wide admission event: everything the pipeline knew when it made

@@ -5,20 +5,19 @@
 //! Every hot path in the reproduction (check-in pipeline, crawler
 //! workers, attack executor) holds pre-resolved handles, so no update
 //! takes a map lookup or a lock. After one relaxed check of the enabled
-//! flag, a counter update is one atomic RMW, and a sketch record is one
-//! `ln` plus five (bucket, count, sum, min, max). Counters, sketches and
-//! the span and audit sampling tickets are striped: each thread writes
-//! its own cache-padded stripe (its dense thread number modulo 8) and
-//! reads merge the stripes, so two threads recording the same series
-//! do not share a cache line. Disabling a registry turns every update
-//! into the single flag check, and unsampled spans are fully inert. The
-//! enabled layer's cost is measured by the `perf` benchmark as
-//! `obs.overhead_pct` (registry on over registry off, per op). On a
-//! 2-core Xeon the median of three traced runs was +16 % on
-//! `paper_rung_frontend`, −3 % on `paper_replay` (one thread) and −11 %
-//! (noise) on `crawl_under_checkins`; over eight runs it was +60 % on
-//! `hot_venues` (two threads on eight venues), with single runs
-//! spreading by tens of points.
+//! flag, a counter update is one atomic RMW. A sketch record of 0 is
+//! one RMW (the zero cell); any other value is one `ln` plus two
+//! (bucket, sum), and a third only when the value moves the stripe's
+//! min or max. Counters, sketches and the span and audit sampling
+//! tickets are striped: each thread writes its own cache-padded stripe
+//! (its dense thread number modulo 8) and reads merge the stripes, so
+//! two threads recording the same series rarely share a cache line;
+//! threads that do share a stripe still add up exactly, because every
+//! stripe update is an atomic RMW. Disabling a registry turns every
+//! update into the single flag check, and unsampled spans are fully
+//! inert. The enabled layer's cost is measured by the `perf` benchmark
+//! as `obs.overhead_pct` (registry on over registry off, per op); the
+//! README's "Observability" section gives measured values.
 //!
 //! Metric names follow `subsystem.component.metric`, e.g.
 //! `server.checkin.flag.gps_mismatch` or

@@ -257,6 +257,17 @@ impl Registry {
         Span::start_root(&self.spans, name, true)
     }
 
+    /// Opens a root span for a request whose head-sampling decision an
+    /// earlier root of the same request already drew: it records iff
+    /// `sampled` (and the registry is enabled), and takes no sampling
+    /// ticket, so the two roots of one request are sampled together.
+    pub fn span_sampled(&self, name: &str, sampled: bool) -> Span {
+        if !sampled || !self.is_enabled() {
+            return Span::disabled();
+        }
+        Span::start_root(&self.spans, name, true)
+    }
+
     /// Changes the head-sampling rate to 1-in-`every` (0 disables
     /// sampling; forced spans still record).
     pub fn set_span_sample_every(&self, every: u64) {

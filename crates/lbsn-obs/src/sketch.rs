@@ -5,12 +5,14 @@
 //! geometrically with ratio `gamma = (1 + alpha) / (1 - alpha)`, so any
 //! observation in bucket `i` is within `alpha` relative error of the
 //! bucket's midpoint estimate `2·gamma^i / (gamma + 1)` — the property
-//! the vendored-proptest oracle test pins down. Recording is one `ln`
-//! plus five relaxed atomic RMWs (bucket, count, sum, min, max) on the
+//! the vendored-proptest oracle test pins down. Recording goes to the
 //! calling thread's stripe: a cache-padded header plus a dense bucket
 //! array (~18 KB at the default accuracy) allocated the first time that
-//! stripe records. A snapshot merges the stripes and serializes the
-//! buckets sparsely.
+//! stripe records a non-zero value. A zero is one relaxed atomic RMW
+//! (the zero cell). Any other value is one `ln` and two RMWs (bucket,
+//! sum), plus one more for min or max only when the value moves it.
+//! The count is not stored: a snapshot derives it as the zeros plus
+//! the buckets, merges the stripes and serializes the buckets sparsely.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -23,11 +25,12 @@ pub const DEFAULT_SKETCH_ALPHA: f64 = 0.01;
 
 /// One thread stripe of a sketch.
 struct SketchStripe {
-    /// Observations equal to zero (no logarithm).
+    /// Observations equal to zero (no logarithm). A zero touches no
+    /// other cell: it adds nothing to `sum`, cannot raise `max`, and
+    /// the stripe's minimum is 0 whenever this cell is non-zero.
     zero: AtomicU64,
-    count: AtomicU64,
     sum: AtomicU64,
-    /// `u64::MAX` until the first record.
+    /// Least non-zero value; `u64::MAX` until the first one.
     min: AtomicU64,
     max: AtomicU64,
     /// Bucket `i` holds values `v` with `ceil(log_gamma v) == i`,
@@ -41,7 +44,6 @@ impl SketchStripe {
     fn new() -> Self {
         SketchStripe {
             zero: AtomicU64::new(0),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
@@ -54,7 +56,6 @@ impl SketchStripe {
             b.store(0, Ordering::Relaxed);
         }
         self.zero.store(0, Ordering::Relaxed);
-        self.count.store(0, Ordering::Relaxed);
         self.sum.store(0, Ordering::Relaxed);
         self.min.store(u64::MAX, Ordering::Relaxed);
         self.max.store(0, Ordering::Relaxed);
@@ -97,16 +98,22 @@ impl SketchCell {
         let s = &self.stripes[stripe()].0;
         if value == 0 {
             s.zero.fetch_add(1, Ordering::Relaxed);
-        } else {
-            let buckets = s
-                .buckets
-                .get_or_init(|| (0..self.bucket_count).map(|_| AtomicU64::new(0)).collect());
-            buckets[self.index_of(value)].fetch_add(1, Ordering::Relaxed);
+            return;
         }
-        s.count.fetch_add(1, Ordering::Relaxed);
+        let buckets = s
+            .buckets
+            .get_or_init(|| (0..self.bucket_count).map(|_| AtomicU64::new(0)).collect());
+        buckets[self.index_of(value)].fetch_add(1, Ordering::Relaxed);
         s.sum.fetch_add(value, Ordering::Relaxed);
-        s.min.fetch_min(value, Ordering::Relaxed);
-        s.max.fetch_max(value, Ordering::Relaxed);
+        // Threads share stripes, so min and max stay atomic RMWs; the
+        // load only skips one that could not move them (min only falls
+        // and max only rises).
+        if value < s.min.load(Ordering::Relaxed) {
+            s.min.fetch_min(value, Ordering::Relaxed);
+        }
+        if value > s.max.load(Ordering::Relaxed) {
+            s.max.fetch_max(value, Ordering::Relaxed);
+        }
     }
 
     pub(crate) fn reset(&self) {
@@ -115,16 +122,14 @@ impl SketchCell {
         }
     }
 
-    /// Observations across every stripe.
+    /// Observations across every stripe: the zeros plus the buckets.
     pub(crate) fn count(&self) -> u64 {
-        self.stripes
-            .iter()
-            .map(|s| s.0.count.load(Ordering::Relaxed))
-            .sum()
+        self.snapshot().count
     }
 
-    /// Merges the stripes: counts and buckets add, min is the least
-    /// min and max the greatest max.
+    /// Merges the stripes: zeros, sums and buckets add, the count is
+    /// the zeros plus the buckets, min is the least min (0 once any
+    /// stripe holds a zero) and max the greatest max.
     pub(crate) fn snapshot(&self) -> SketchSnapshot {
         let mut merged = SketchSnapshot {
             alpha: self.alpha,
@@ -139,7 +144,6 @@ impl SketchCell {
         let mut buckets: Vec<u64> = Vec::new();
         for s in &self.stripes {
             let s = &s.0;
-            merged.count += s.count.load(Ordering::Relaxed);
             merged.sum = merged.sum.wrapping_add(s.sum.load(Ordering::Relaxed));
             merged.zero += s.zero.load(Ordering::Relaxed);
             merged.min = merged.min.min(s.min.load(Ordering::Relaxed));
@@ -151,7 +155,8 @@ impl SketchCell {
                 }
             }
         }
-        if merged.count == 0 {
+        merged.count = merged.zero + buckets.iter().sum::<u64>();
+        if merged.zero > 0 || merged.count == 0 {
             merged.min = 0;
         }
         merged.buckets = buckets
@@ -168,9 +173,9 @@ impl SketchCell {
 }
 
 /// A named quantile sketch behind a cheap cloneable handle; resolved
-/// through [`crate::Registry::sketch`]. Recording costs one `ln` and
-/// five relaxed atomic RMWs on the calling thread's stripe, behind the
-/// registry's enabled check.
+/// through [`crate::Registry::sketch`]. Behind the registry's enabled
+/// check, recording a zero costs one relaxed atomic RMW on the calling
+/// thread's stripe, and any other value one `ln` and two or three.
 #[derive(Clone)]
 pub struct QuantileSketch {
     pub(crate) enabled: Arc<AtomicBool>,
@@ -184,6 +189,12 @@ impl QuantileSketch {
         if self.enabled.load(Ordering::Relaxed) {
             self.cell.record(value);
         }
+    }
+
+    /// Whether recording is on: the registry's enabled flag.
+    #[inline]
+    pub fn is_enabled(&self) -> bool {
+        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Number of observations.
@@ -226,7 +237,7 @@ mod tests {
                 "v={v} est={est} err={err}"
             );
         }
-        // A snapshot racing the first `record` (count bumped, min and
+        // A snapshot racing the first `record` (bucket bumped, min and
         // max not yet) or an outside document can carry min > max; the
         // estimate is still total and within alpha.
         let mut snap = sketch().snapshot();

@@ -4,9 +4,89 @@
 //! The sketch is DDSketch-style with α = 0.01, so any estimated
 //! quantile must land within ~1% of the true value; we allow 2% to
 //! absorb the integer rounding of the bucket-midpoint estimator.
+//!
+//! A second property pins the record path's shape: a snapshot equals,
+//! bit for bit, what a straightforward record that updates every field
+//! on every observation (zero, count, sum, min, max and bucket) yields.
 
-use lbsn_obs::Registry;
+use lbsn_obs::{Registry, SketchBucket, SketchSnapshot, DEFAULT_SKETCH_ALPHA};
 use proptest::prelude::*;
+
+/// The reference record: every observation bumps its bucket (or the
+/// zero cell), the count and the sum, and folds into min and max. The
+/// bucket index is the sketch's own `ceil(ln v / ln gamma)`, clamped
+/// into the bucket range, computed with the same floating-point steps.
+struct ReferenceSketch {
+    alpha: f64,
+    gamma: f64,
+    inv_ln_gamma: f64,
+    zero: u64,
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+    buckets: Vec<u64>,
+}
+
+impl ReferenceSketch {
+    fn new(alpha: f64) -> Self {
+        let gamma = (1.0 + alpha) / (1.0 - alpha);
+        let bucket_count = ((u64::MAX as f64).ln() / gamma.ln()).ceil() as usize + 1;
+        ReferenceSketch {
+            alpha,
+            gamma,
+            inv_ln_gamma: 1.0 / gamma.ln(),
+            zero: 0,
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+            buckets: vec![0; bucket_count],
+        }
+    }
+
+    fn record(&mut self, value: u64) {
+        if value == 0 {
+            self.zero += 1;
+        } else {
+            let idx = ((value as f64).ln() * self.inv_ln_gamma).ceil() as i64;
+            let idx = idx.clamp(0, self.buckets.len() as i64 - 1) as usize;
+            self.buckets[idx] += 1;
+        }
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(value);
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+    }
+
+    fn snapshot(&self) -> SketchSnapshot {
+        SketchSnapshot {
+            alpha: self.alpha,
+            gamma: self.gamma,
+            count: self.count,
+            sum: self.sum,
+            zero: self.zero,
+            min: if self.count == 0 { 0 } else { self.min },
+            max: self.max,
+            buckets: self
+                .buckets
+                .iter()
+                .enumerate()
+                .filter(|&(_, &count)| count > 0)
+                .map(|(idx, &count)| SketchBucket {
+                    idx: idx as u32,
+                    count,
+                })
+                .collect(),
+        }
+    }
+}
+
+/// Observations drawn to hit every record branch: exact zeros, small
+/// values, the full range and the saturating top.
+fn observation() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), 1u64..1_000, 1u64..u64::MAX, Just(u64::MAX),]
+}
 
 /// The true quantile: nearest-rank over the sorted samples, matching
 /// the sketch's `ceil(q * count)` rank convention.
@@ -78,5 +158,33 @@ proptest! {
             prop_assert_eq!(stored.quantile(q), sketch.quantile(q));
         }
         prop_assert_eq!(stored.count, samples.len() as u64);
+    }
+
+    #[test]
+    fn snapshot_matches_the_reference_record_bit_for_bit(
+        samples in prop::collection::vec(observation(), 0..300),
+        threads in 1usize..4,
+    ) {
+        let registry = Registry::new();
+        let sketch = registry.sketch("prop.ref");
+        // Split the stream over a few threads, so several stripes (or
+        // one shared stripe) merge into the snapshot.
+        let chunk = samples.len().div_ceil(threads).max(1);
+        std::thread::scope(|scope| {
+            for part in samples.chunks(chunk) {
+                let sketch = sketch.clone();
+                scope.spawn(move || part.iter().for_each(|&v| sketch.record(v)));
+            }
+        });
+        let mut reference = ReferenceSketch::new(DEFAULT_SKETCH_ALPHA);
+        samples.iter().for_each(|&v| reference.record(v));
+        let want = reference.snapshot();
+        let got = &registry.snapshot().sketches["prop.ref"];
+        prop_assert_eq!(got, &want);
+        prop_assert_eq!(
+            (got.alpha.to_bits(), got.gamma.to_bits()),
+            (want.alpha.to_bits(), want.gamma.to_bits())
+        );
+        prop_assert_eq!(sketch.count(), want.count);
     }
 }

@@ -5,10 +5,12 @@ use std::sync::Arc;
 
 use lbsn_obs::{Registry, ShardHeat, Snapshot};
 
-const THREADS: usize = 8;
+/// More threads than the 8 telemetry stripes, so some threads share a
+/// stripe and every stripe update must be an atomic RMW to stay exact.
+const THREADS: usize = 12;
 const OPS: u64 = 100_000;
 
-/// 8 threads × 100k increments each must land exactly — counters and
+/// 12 threads × 100k increments each must land exactly — counters and
 /// histograms are lock-free but must not lose updates.
 #[test]
 fn concurrent_counters_and_histograms_are_exact() {
@@ -83,7 +85,7 @@ fn heat_op(heat: &ShardHeat, t: u64, i: u64) {
     }
 }
 
-/// 8 threads record 100k known values each into one sketch and one
+/// 12 threads record 100k known values each into one sketch and one
 /// shard heatmap while a reader polls a counter. The merged stripes
 /// must equal a single-thread reference field by field, the counter
 /// must never read lower than it did before, and a reset must zero

@@ -3,28 +3,37 @@
 //! All handles are resolved once at server construction so the hot
 //! path never touches the registry's name map. After one relaxed check
 //! of the enabled flag, a counter update is one atomic RMW and a sketch
-//! record five, all on the calling thread's cache-padded stripe (see
-//! `lbsn-obs`), so two admission threads never write the same line.
-//! Stage durations come from one `Stopwatch` per decision: a clock
-//! read at the start and after each detector, record and rewards (8 per
-//! accepted check-in on the default five-detector chain), with every
-//! stage the gap between two consecutive reads.
+//! record one (a zero) to three, all on the calling thread's
+//! cache-padded stripe (see `lbsn-obs`), so two admission threads
+//! rarely write the same line.
+//!
+//! Stage durations come from one `Stopwatch` per decision, and only a
+//! decision whose root span is head-sampled (1 in
+//! `ObsConfig::span_sample_every`, default 16, or every one under
+//! `Registry::set_span_sample_all`) is timed. A timed decision reads
+//! the clock at the start and after each detector, record and rewards
+//! (8 reads per accepted check-in on the default five-detector chain,
+//! 7 per rejected one), every stage is the gap between two consecutive
+//! reads, and its stage, total and detector sketches each get one
+//! sample. An unsampled decision reads no clock, records into none of
+//! those sketches, and its audit record carries zero durations. The
+//! counters count every decision.
 //!
 //! Metric names (scheme `subsystem.component.metric`):
 //!
 //! | metric | kind | meaning |
 //! |---|---|---|
-//! | `server.checkin.total` | sketch (ns) | whole-pipeline latency: the sum of the three stages below |
-//! | `server.checkin.stage.verify` | sketch (ns) | pre-admission verifier stages (only sampled when verifiers are installed) |
-//! | `server.checkin.stage.cheater_code` | sketch (ns) | GPS verify + cheater-code rules: the sum of the detector latencies |
-//! | `server.checkin.stage.record` | sketch (ns) | history append + flag bookkeeping |
-//! | `server.checkin.stage.rewards` | sketch (ns) | mayorship, badges, points, specials |
+//! | `server.checkin.total` | sketch (ns) | whole-pipeline latency of each timed (head-sampled) decision: the sum of the three stages below |
+//! | `server.checkin.stage.verify` | sketch (ns) | pre-admission verifier stages, timed decisions only (no samples unless verifiers are installed) |
+//! | `server.checkin.stage.cheater_code` | sketch (ns) | GPS verify + cheater-code rules: the sum of the detector latencies, timed decisions only |
+//! | `server.checkin.stage.record` | sketch (ns) | history append + flag bookkeeping, timed decisions only |
+//! | `server.checkin.stage.rewards` | sketch (ns) | mayorship, badges, points, specials, timed accepted decisions only |
 //! | `server.checkin.accepted` | counter | check-ins that earned rewards |
 //! | `server.checkin.rejected` | counter | flagged check-ins |
 //! | `server.checkin.verifier_rejected` | counter | check-ins dropped by a verifier stage before recording |
 //! | `server.checkin.flag.*` | counter | one per [`CheatFlag`] rule fired |
 //! | `server.checkin.detector.{name}.rejected` | counter | times detector `{name}` raised its flag |
-//! | `server.checkin.detector.{name}.latency` | sketch (ns) | per-check-in cost of detector `{name}` |
+//! | `server.checkin.detector.{name}.latency` | sketch (ns) | per-check-in cost of detector `{name}`, timed decisions only |
 //! | `server.checkin.verifier.{name}.rejected` | counter | times verifier stage `{name}` rejected |
 //! | `server.checkin.branded` | counter | accounts escalated to branded cheater |
 //! | `server.checkin.lock_retry` | counter | optimistic lock-set widenings (uncovered incumbent mayor) |
@@ -32,7 +41,7 @@
 //! | `server.rewards.badges_granted` | counter | badges awarded |
 //! | `server.rewards.mayorships_granted` | counter | mayorship handovers |
 //! | `server.rewards.points_granted` | counter | points awarded |
-//! | `server.shard.lock_wait` | sketch (ns) | shard-lock acquisition wait (0 on the uncontended fast path) |
+//! | `server.shard.lock_wait` | sketch (ns) | shard-lock acquisition wait, every acquisition (0 on the uncontended fast path) |
 //! | `server.shard.count` | gauge | configured lock-stripe count |
 //! | `server.shard.heat.{users,venues}` | shard heat | per-shard ops / contention / wait / occupancy (the heatmap) |
 //! | `server.mem.users_bytes` | gauge | deep owned bytes of all user state at the last sample |
@@ -61,7 +70,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use lbsn_obs::names::server as names;
-use lbsn_obs::{AuditPlane, Counter, Gauge, Histogram, QuantileSketch, Registry};
+use lbsn_obs::{AuditPlane, Counter, Gauge, Histogram, QuantileSketch, Registry, Span};
 
 use crate::checkin::CheatFlag;
 
@@ -232,35 +241,79 @@ impl ServerMetrics {
     }
 }
 
+/// Reads the monotonic clock. Every clock read in admission (the
+/// stopwatch's and the shard locks' contended path) goes through here,
+/// so the test build can count them per thread.
+#[inline]
+pub(crate) fn now() -> Instant {
+    #[cfg(test)]
+    clock_reads::bump();
+    Instant::now()
+}
+
+/// The test build's per-thread tally of [`now`] calls.
+#[cfg(test)]
+pub(crate) mod clock_reads {
+    use std::cell::Cell;
+
+    thread_local! {
+        static READS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(crate) fn bump() {
+        READS.with(|r| r.set(r.get() + 1));
+    }
+
+    /// The calling thread's clock reads since the last `take`.
+    pub(crate) fn take() -> u64 {
+        READS.with(|r| r.replace(0))
+    }
+}
+
 /// Times one decision's stages with one clock read per stage boundary.
 /// Each [`Stopwatch::lap`] returns the nanoseconds since the previous
 /// boundary, so consecutive laps tile the decision without gaps or
 /// overlap, and a total made of laps is their sum by construction.
+///
+/// Only a decision whose root span is head-sampled is timed; for any
+/// other the stopwatch is inert: it reads no clock, every lap is 0 and
+/// it records nothing.
 pub(crate) struct Stopwatch {
     /// The last boundary; `None` when the stopwatch is inert.
     last: Option<Instant>,
 }
 
 impl Stopwatch {
-    /// Reads the clock once, unless the registry is disabled: then the
-    /// stopwatch is inert, never reads the clock and every lap is 0.
+    /// Reads the clock once when `span` is sampled (never on a disabled
+    /// registry, whose spans are inert); otherwise starts inert.
     #[inline]
-    pub(crate) fn start(metrics: &ServerMetrics) -> Self {
+    pub(crate) fn start(span: &Span) -> Self {
         Stopwatch {
-            last: metrics.registry.is_enabled().then(Instant::now),
+            last: span.sampled().then(now),
         }
     }
 
-    /// Nanoseconds since the previous boundary, which this call becomes.
+    /// Nanoseconds since the previous boundary, which this call
+    /// becomes, recorded into `sketch`. Inert: 0, and nothing recorded.
     #[inline]
-    pub(crate) fn lap(&mut self) -> u64 {
+    pub(crate) fn lap(&mut self, sketch: &QuantileSketch) -> u64 {
         let Some(last) = self.last.as_mut() else {
             return 0;
         };
-        let now = Instant::now();
+        let now = now();
         let nanos = now.duration_since(*last).as_nanos().min(u64::MAX as u128) as u64;
         *last = now;
+        sketch.record(nanos);
         nanos
+    }
+
+    /// Records `nanos`, a sum of this stopwatch's laps, into `sketch`
+    /// when the decision is timed.
+    #[inline]
+    pub(crate) fn record(&self, sketch: &QuantileSketch, nanos: u64) {
+        if self.last.is_some() {
+            sketch.record(nanos);
+        }
     }
 }
 
@@ -270,13 +323,32 @@ mod tests {
     use lbsn_obs::Registry;
 
     #[test]
-    fn stopwatch_is_inert_when_disabled() {
-        let metrics = ServerMetrics::new(Arc::new(Registry::new()));
-        assert!(Stopwatch::start(&metrics).last.is_some());
-        metrics.registry().set_enabled(false);
-        let mut inert = Stopwatch::start(&metrics);
-        assert!(inert.last.is_none(), "a disabled registry reads no clock");
-        assert_eq!(inert.lap(), 0);
+    fn stopwatch_times_only_sampled_spans() {
+        let registry = Arc::new(Registry::new());
+        let sketch = registry.sketch("test.lap");
+        registry.set_span_sample_every(2);
+        clock_reads::take();
+        let sampled = registry.span("test.root");
+        let mut timed = Stopwatch::start(&sampled);
+        timed.lap(&sketch);
+        timed.record(&sketch, 5);
+        assert!(sampled.sampled());
+        assert_eq!(clock_reads::take(), 2);
+        assert_eq!(sketch.count(), 2);
+
+        let unsampled = registry.span("test.root");
+        let mut inert = Stopwatch::start(&unsampled);
+        assert!(!unsampled.sampled());
+        assert_eq!(inert.lap(&sketch), 0);
+        inert.record(&sketch, 5);
+        assert_eq!(clock_reads::take(), 0, "an unsampled span reads no clock");
+        assert_eq!(sketch.count(), 2, "an inert stopwatch records nothing");
+
+        registry.set_span_sample_all(true);
+        registry.set_enabled(false);
+        let mut disabled = Stopwatch::start(&registry.span("test.root"));
+        assert_eq!(disabled.lap(&sketch), 0);
+        assert_eq!(clock_reads::take(), 0, "a disabled registry reads no clock");
     }
 
     #[test]

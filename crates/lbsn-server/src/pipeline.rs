@@ -295,7 +295,8 @@ impl AdmissionPipeline {
 
     /// Runs every detector; returns the flags raised, in detector order
     /// (each detector raises its own flag), and the stage's cost, the
-    /// sum of the detectors' laps on `watch`. A terminal detector that
+    /// sum of the detectors' laps on `watch` (0 when `watch` is inert:
+    /// then no detector latency is recorded either). A terminal detector that
     /// fires short-circuits the chain and its flag is the only one
     /// reported. Each consulted detector's verdict — evidence values
     /// and per-detector cost included — lands on the decision builder.
@@ -309,8 +310,7 @@ impl AdmissionPipeline {
         let mut detect_ns = 0;
         for (detector, rejected, latency) in &self.detectors {
             let judgement = detector.judge(&self.config, ctx);
-            let elapsed_ns = watch.lap();
-            latency.record(elapsed_ns);
+            let elapsed_ns = watch.lap(latency);
             detect_ns += elapsed_ns;
             decision.verdict(
                 detector.name(),

@@ -779,16 +779,18 @@ impl LbsnServer {
     ) {
         // Verify pre-pass, before the first acquisition. Left empty
         // (no allocation) when no verifier stage is installed; an `Err`
-        // verdict drops its op, which the lock walk then skips.
-        let verdicts: Vec<Result<DecisionBuilder, CheckinError>> = if self.pipeline.has_verifiers()
-        {
-            let now = self.clock.now();
-            reqs.iter()
-                .map(|req| self.verify(req, evidence, now))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        // verdict drops its op, which the lock walk then skips. An `Ok`
+        // verdict carries whether the op's verify root span was
+        // head-sampled, so its `server.checkin` root follows suit.
+        let verdicts: Vec<Result<(DecisionBuilder, bool), CheckinError>> =
+            if self.pipeline.has_verifiers() {
+                let now = self.clock.now();
+                reqs.iter()
+                    .map(|req| self.verify(req, evidence, now))
+                    .collect()
+            } else {
+                Vec::new()
+            };
         // `i` is the next unprocessed op; `attempt` counts lock-set
         // acquisitions made on op `i`'s behalf (reset as `i` advances).
         let mut i = 0usize;
@@ -839,8 +841,11 @@ impl LbsnServer {
                 let req = &reqs[i];
                 let now = self.clock.now();
                 let decision = match verdicts.get(i) {
-                    None => DecisionBuilder::new(req.user.value(), req.venue.value(), now.secs()),
-                    Some(Ok(decision)) => decision.clone(),
+                    None => (
+                        DecisionBuilder::new(req.user.value(), req.venue.value(), now.secs()),
+                        None,
+                    ),
+                    Some(Ok((decision, sampled))) => (decision.clone(), Some(*sampled)),
                     Some(Err(dropped)) => {
                         report(match *dropped {
                             CheckinError::VerifierRejected(verifier) => {
@@ -916,7 +921,8 @@ impl LbsnServer {
     }
 
     /// The verify stage for one op, run with no lock held. `Ok` carries
-    /// the op's decision, with the stage votes on it; `Err` is the op's
+    /// the op's decision, with the stage votes on it, and whether its
+    /// root span was head-sampled (so the op is timed); `Err` is the op's
     /// final answer: [`CheckinError::VerifierRejected`] when a stage
     /// dropped it, [`CheckinError::UnknownVenue`] when there is no venue
     /// to verify against.
@@ -925,14 +931,14 @@ impl LbsnServer {
         req: &CheckinRequest,
         evidence: Option<&CheckinEvidence>,
         now: Timestamp,
-    ) -> Result<DecisionBuilder, CheckinError> {
+    ) -> Result<(DecisionBuilder, bool), CheckinError> {
         // The wide-event accumulator for this decision: stack-allocated,
         // `Copy` contents only (see `lbsn_obs::audit`).
         let mut decision = DecisionBuilder::new(req.user.value(), req.venue.value(), now.secs());
         let mut span = self.metrics.registry().span(obs_names::STAGE_VERIFY);
         span.attr("user", req.user.value());
         span.attr("venue", req.venue.value());
-        let mut watch = Stopwatch::start(&self.metrics);
+        let mut watch = Stopwatch::start(&span);
         let Some(venue_location) = self.with_venue(req.venue, |v| v.location) else {
             return Err(CheckinError::UnknownVenue(req.venue));
         };
@@ -943,8 +949,7 @@ impl LbsnServer {
             now,
         };
         let rejected_by = self.pipeline.verify(&ctx, &mut decision);
-        let verify_ns = watch.lap();
-        self.metrics.stage_verify.record(verify_ns);
+        let verify_ns = watch.lap(&self.metrics.stage_verify);
         decision.verify_ns(verify_ns);
         if let Some(verifier) = rejected_by {
             self.metrics.verifier_rejected.inc();
@@ -955,12 +960,16 @@ impl LbsnServer {
                 .finish(&decision, DecisionOutcome::VerifierRejected(verifier));
             return Err(CheckinError::VerifierRejected(verifier));
         }
+        let sampled = span.sampled();
         span.end();
-        Ok(decision)
+        Ok((decision, sampled))
     }
 
     /// The pipeline body, entered from the admission loop with the user
-    /// lock set and the venue shard held. `user` is the submitting user,
+    /// lock set and the venue shard held. `decision` comes with the
+    /// verify stage's sampling draw when a verify stage ran (`None`
+    /// otherwise: the op's root span draws its own). `user` is the
+    /// submitting user,
     /// `incumbent` the venue's mayor when that is someone else, and
     /// `venue` the claimed venue: handles the loop looked up once under
     /// the held locks, so many ops run under one acquisition.
@@ -974,7 +983,7 @@ impl LbsnServer {
         &self,
         req: &CheckinRequest,
         now: Timestamp,
-        mut decision: DecisionBuilder,
+        (mut decision, sampled): (DecisionBuilder, Option<bool>),
         user: &mut User,
         incumbent: Option<&mut User>,
         venue: &mut Venue,
@@ -982,18 +991,23 @@ impl LbsnServer {
         // One root span per check-in (head-sampled); stages become
         // children and cheater flags become span events, so a sampled
         // request can be followed end to end in chrome://tracing.
-        let mut span = self.metrics.registry().span(obs_names::CHECKIN_SPAN);
+        let registry = self.metrics.registry();
+        let mut span = match sampled {
+            None => registry.span(obs_names::CHECKIN_SPAN),
+            Some(sampled) => registry.span_sampled(obs_names::CHECKIN_SPAN, sampled),
+        };
         span.attr("user", req.user.value());
         span.attr("venue", req.venue.value());
 
         // 1. Judge the check-in with immutable borrows. The detector
         // chain starts with the terminal branded-account detector, so a
         // branded account short-circuits to rejection before any
-        // threshold rule runs. From here on every stage is the gap
-        // between two consecutive stopwatch reads, and the total is
-        // their sum.
+        // threshold rule runs. A head-sampled decision is timed: from
+        // here on every stage is the gap between two consecutive
+        // stopwatch reads, and the total is their sum. Any other
+        // decision reads no clock and every duration is 0.
         let stage_span = span.child(obs_names::STAGE_CHEATER_CODE);
-        let mut watch = Stopwatch::start(&self.metrics);
+        let mut watch = Stopwatch::start(&span);
         let ctx = RuleContext {
             user,
             venue,
@@ -1001,7 +1015,7 @@ impl LbsnServer {
             now,
         };
         let (flags, detect_ns) = self.pipeline.detect(&ctx, &mut decision, &mut watch);
-        self.metrics.stage_cheater_code.record(detect_ns);
+        watch.record(&self.metrics.stage_cheater_code, detect_ns);
         decision.detect_ns(detect_ns);
         stage_span.end();
         for &flag in &flags {
@@ -1054,12 +1068,11 @@ impl LbsnServer {
                 );
             }
             let is_mayor = !branded_now && venue.mayor == Some(req.user);
-            let record_ns = watch.lap();
-            self.metrics.stage_record.record(record_ns);
+            let record_ns = watch.lap(&self.metrics.stage_record);
             decision.record_ns(record_ns);
             stage_span.end();
             let total_ns = detect_ns + record_ns;
-            self.metrics.checkin_total.record(total_ns);
+            watch.record(&self.metrics.checkin_total, total_ns);
             decision.total_ns(total_ns);
             // The terminal reason is the *first* flag raised (detector
             // order); branding on this decision escalates it.
@@ -1086,8 +1099,7 @@ impl LbsnServer {
             );
         }
 
-        let record_ns = watch.lap();
-        self.metrics.stage_record.record(record_ns);
+        let record_ns = watch.lap(&self.metrics.stage_record);
         decision.record_ns(record_ns);
         stage_span.end();
         self.metrics.accepted.inc();
@@ -1132,12 +1144,11 @@ impl LbsnServer {
             became_mayor,
             special_unlocked.is_some(),
         );
-        let rewards_ns = watch.lap();
-        self.metrics.stage_rewards.record(rewards_ns);
+        let rewards_ns = watch.lap(&self.metrics.stage_rewards);
         decision.rewards_ns(rewards_ns);
         stage_span.end();
         let total_ns = detect_ns + record_ns + rewards_ns;
-        self.metrics.checkin_total.record(total_ns);
+        watch.record(&self.metrics.checkin_total, total_ns);
         decision.total_ns(total_ns);
         self.metrics
             .audit
@@ -2156,6 +2167,157 @@ mod tests {
         }
         reader.join().unwrap();
         assert_eq!(server.venue(venue).unwrap().checkins_here, 50);
+    }
+
+    /// Only a head-sampled decision is timed. On one thread at the
+    /// default 1-in-16 rate, decision `i` is sampled exactly when
+    /// `i % 16 == 0`: it reads the clock 8 times when accepted and 7
+    /// when rejected, and one sample lands in the total, each stage and
+    /// each detector sketch. Every other decision reads no clock,
+    /// records into none of them and leaves zero durations on its audit
+    /// record. Counters count every decision, and a disabled registry
+    /// reads no clock at all.
+    #[test]
+    fn only_head_sampled_decisions_are_timed() {
+        use crate::metrics::clock_reads;
+        use lbsn_obs::{AuditConfig, StageNanos};
+
+        const N: u64 = 100;
+        let registry = Arc::new(Registry::new());
+        registry.audit_with_config(AuditConfig {
+            capacity: 1 << 10,
+            stripes: 1,
+            sample_every: 1,
+        });
+        let server = LbsnServer::with_registry(
+            SimClock::new(),
+            branding_config(None),
+            Arc::clone(&registry),
+        );
+        let venue = server.register_venue(VenueSpec::new("Cafe", abq()));
+        let honest = server.register_user(UserSpec::anonymous());
+        let spoofer = server.register_user(UserSpec::anonymous());
+        let far = destination(abq(), 45.0, 500_000.0);
+        // Every third op is a GPS spoof; ops 32 and 80 are sampled ones.
+        let spoofed = |i: u64| i % 3 == 2;
+        let run = |ops: std::ops::Range<u64>, want: &dyn Fn(u64) -> u64| {
+            for i in ops {
+                server.clock().advance(Duration::secs(3_700));
+                let r = if spoofed(i) {
+                    req(spoofer, venue, far)
+                } else {
+                    req(honest, venue, abq())
+                };
+                clock_reads::take();
+                let out = server.check_in(&r).unwrap();
+                assert_eq!(clock_reads::take(), want(i), "decision {i}");
+                assert_eq!(out.rewarded(), !spoofed(i), "decision {i}");
+            }
+        };
+        run(0..N, &|i| match (i % 16 == 0, spoofed(i)) {
+            (false, _) => 0,
+            (true, false) => 8,
+            (true, true) => 7,
+        });
+
+        let timed = N.div_ceil(16);
+        let rejected = (0..N).filter(|&i| spoofed(i)).count() as u64;
+        let timed_rejected = (0..N).filter(|&i| i % 16 == 0 && spoofed(i)).count() as u64;
+        assert_eq!(timed_rejected, 2);
+        let snap = registry.snapshot();
+        let samples = |name: &str| snap.sketches[name].count;
+        assert_eq!(samples(obs_names::CHECKIN_TOTAL), timed);
+        assert_eq!(samples(obs_names::STAGE_CHEATER_CODE), timed);
+        assert_eq!(samples(obs_names::STAGE_RECORD), timed);
+        assert_eq!(samples(obs_names::STAGE_REWARDS), timed - timed_rejected);
+        assert_eq!(samples(obs_names::STAGE_VERIFY), 0);
+        for name in server.pipeline.detector_names() {
+            assert_eq!(samples(&obs_names::detector_latency(name)), timed, "{name}");
+        }
+        assert_eq!(snap.counter(obs_names::ACCEPTED), N - rejected);
+        assert_eq!(snap.counter(obs_names::REJECTED), rejected);
+        assert_eq!(snap.counter(obs_names::FLAG_GPS_MISMATCH), rejected);
+        assert_eq!(
+            snap.counter(&obs_names::detector_rejected("gps-proximity")),
+            rejected
+        );
+
+        let mut decisions = snap.decisions.clone();
+        decisions.sort_by_key(|d| d.seq);
+        assert_eq!(decisions.len() as u64, N);
+        for (i, d) in (0..N).zip(&decisions) {
+            let detectors: u64 = d.detectors.iter().map(|v| v.elapsed_ns).sum();
+            if i % 16 == 0 {
+                assert!(d.stage_ns.total > 0, "decision {i}");
+                assert_eq!(d.stage_ns.detect, detectors, "decision {i}");
+                assert_eq!(
+                    d.stage_ns.total,
+                    d.stage_ns.detect + d.stage_ns.record + d.stage_ns.rewards,
+                    "decision {i}"
+                );
+            } else {
+                assert_eq!(d.stage_ns, StageNanos::default(), "decision {i}");
+                assert_eq!(detectors, 0, "decision {i}");
+                assert_eq!(d.detectors.len(), 5, "decision {i}");
+            }
+        }
+
+        registry.set_enabled(false);
+        run(N..N + 32, &|_| 0);
+    }
+
+    /// On a verified server the verify root and the `server.checkin`
+    /// root of one op share one sampling draw: one op in 16 is timed in
+    /// both, and every other op in neither.
+    #[test]
+    fn verified_ops_time_verify_and_pipeline_together() {
+        use crate::pipeline::{CheckinVerifier, VerifierVerdict, VerifyContext};
+        use lbsn_obs::{AuditConfig, StageNanos};
+
+        struct Admit;
+        impl CheckinVerifier for Admit {
+            fn name(&self) -> &'static str {
+                "always-admit"
+            }
+            fn verify(&self, _: &VerifyContext<'_>) -> (VerifierVerdict, &'static str) {
+                (VerifierVerdict::Admit, "")
+            }
+        }
+
+        const N: u64 = 64;
+        let registry = Arc::new(Registry::new());
+        registry.audit_with_config(AuditConfig {
+            capacity: 1 << 10,
+            stripes: 1,
+            sample_every: 1,
+        });
+        let server = LbsnServer::with_pipeline(
+            SimClock::new(),
+            ServerConfig::default(),
+            Arc::clone(&registry),
+            vec![Box::new(Admit)],
+        );
+        let venue = server.register_venue(VenueSpec::new("Cafe", abq()));
+        let user = server.register_user(UserSpec::anonymous());
+        for _ in 0..N {
+            server.clock().advance(Duration::secs(3_700));
+            let out = server.check_in_with_evidence(&req(user, venue, abq()), None);
+            assert!(out.expect("admitted").rewarded());
+        }
+        let snap = registry.snapshot();
+        let timed = N.div_ceil(16);
+        assert_eq!(snap.sketches[obs_names::STAGE_VERIFY].count, timed);
+        assert_eq!(snap.sketches[obs_names::CHECKIN_TOTAL].count, timed);
+        let mut decisions = snap.decisions.clone();
+        decisions.sort_by_key(|d| d.seq);
+        assert_eq!(decisions.len() as u64, N);
+        for (i, d) in (0..N).zip(&decisions) {
+            if i % 16 == 0 {
+                assert!(d.stage_ns.verify > 0 && d.stage_ns.total > 0, "op {i}");
+            } else {
+                assert_eq!(d.stage_ns, StageNanos::default(), "op {i}");
+            }
+        }
     }
 
     #[test]

@@ -46,7 +46,8 @@
 //! Every acquisition is timed into the `server.shard.lock_wait`
 //! sketch: the uncontended try-lock fast path records 0 ns
 //! without reading the clock, the contended slow path records the
-//! measured wait, so the sketch's p99 is a direct contention signal the
+//! measured wait (two clock reads, none while the registry is
+//! disabled), so the sketch's p99 is a direct contention signal the
 //! SLO gate can bound. The aggregate sketch deliberately erases *which*
 //! stripe was hot, so each acquisition additionally bumps a per-shard
 //! [`ShardHeat`] row (ops always; contended count + wait only on the
@@ -58,6 +59,8 @@ use std::time::Instant;
 
 use lbsn_obs::{QuantileSketch, ShardHeat};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+use crate::metrics::now;
 
 /// Which ordered family of striped locks a [`ShardedVec`] belongs to.
 /// Rule 1 orders the families: `Users` shards are always acquired
@@ -209,7 +212,7 @@ impl<T> ShardedVec<T> {
             self.heat.record_fast(shard);
             guard
         } else {
-            let start = Instant::now();
+            let start = self.lock_wait.is_enabled().then(now);
             let guard = lock.read();
             self.record_wait(shard, start);
             guard
@@ -232,7 +235,7 @@ impl<T> ShardedVec<T> {
             self.heat.record_fast(shard);
             guard
         } else {
-            let start = Instant::now();
+            let start = self.lock_wait.is_enabled().then(now);
             let guard = lock.write();
             self.record_wait(shard, start);
             guard
@@ -244,8 +247,14 @@ impl<T> ShardedVec<T> {
         }
     }
 
-    fn record_wait(&self, shard: usize, start: Instant) {
-        let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+    /// Records a contended acquisition's wait since `start`, which is
+    /// `None` (no clock read on either side) while the registry is
+    /// disabled.
+    fn record_wait(&self, shard: usize, start: Option<Instant>) {
+        let Some(start) = start else {
+            return;
+        };
+        let nanos = now().duration_since(start).as_nanos().min(u64::MAX as u128) as u64;
         self.lock_wait.record(nanos);
         self.heat.record_wait(shard, nanos);
     }
@@ -820,6 +829,65 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_rejected() {
         map(6);
+    }
+
+    /// A contended acquisition reads the clock twice (start and end of
+    /// the wait) while the registry is enabled, and never while it is
+    /// disabled; the uncontended fast path never does.
+    #[test]
+    fn contended_acquisition_reads_the_clock_only_when_enabled() {
+        use crate::metrics::clock_reads;
+        use std::time::Duration;
+
+        for (enabled, write, want) in [
+            (true, false, 2),
+            (true, true, 2),
+            (false, false, 0),
+            (false, true, 0),
+        ] {
+            let registry = Registry::new();
+            let m = ShardedVec::<u64>::new(
+                ShardFamily::Users,
+                1,
+                registry.sketch("test.lock_wait"),
+                registry.shard_heat("test.heat.users", 1),
+            );
+            registry.set_enabled(enabled);
+            clock_reads::take();
+            drop(m.write_shard(0));
+            drop(m.read_shard(0));
+            assert_eq!(clock_reads::take(), 0, "fast path");
+            // The contender starts acquiring once the lock is held (the
+            // barrier). No API shows that it is parked on the lock, so
+            // the holder keeps it a while and the count is taken only
+            // from a try in which the contender demonstrably waited,
+            // i.e. took the slow path.
+            let reads = loop {
+                let held = m.write_shard(0);
+                let barrier = std::sync::Barrier::new(2);
+                let (reads, waited) = std::thread::scope(|scope| {
+                    let contender = scope.spawn(|| {
+                        barrier.wait();
+                        clock_reads::take();
+                        let began = Instant::now();
+                        if write {
+                            drop(m.write_shard(0));
+                        } else {
+                            drop(m.read_shard(0));
+                        }
+                        (clock_reads::take(), began.elapsed())
+                    });
+                    barrier.wait();
+                    std::thread::sleep(Duration::from_millis(30));
+                    drop(held);
+                    contender.join().expect("contender panicked")
+                });
+                if waited >= Duration::from_millis(15) {
+                    break reads;
+                }
+            };
+            assert_eq!(reads, want, "enabled {enabled}, write {write}");
+        }
     }
 
     #[test]

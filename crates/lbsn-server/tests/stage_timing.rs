@@ -16,12 +16,14 @@ use lbsn_sim::{Duration, SimClock};
 const THREADS: u64 = 2;
 const OPS: u64 = 2_000;
 
-/// A server whose audit plane keeps every decision, with two threads of
+/// A server whose audit plane keeps every decision and whose spans are
+/// all sampled, so every decision is timed, with two threads of
 /// check-ins already run through it: honest users at their venues and,
 /// every fourth op, a cheater spoofing from 500 km away (rejected, then
 /// branded).
 fn run(enabled: bool) -> (Arc<Registry>, u64, u64) {
     let registry = Arc::new(Registry::new());
+    registry.set_span_sample_all(true);
     registry.audit_with_config(AuditConfig {
         capacity: 1 << 16,
         stripes: 8,
