@@ -406,12 +406,12 @@ mod tests {
 
     #[test]
     fn allow_markers_are_collected_and_scoped() {
-        let src = "x(); // lint:allow(no-unwrap-hot-path, lock-discipline)\ny();\nz();";
+        let src = "x(); // lint:allow(no-unwrap-hot-path, dead-metric)\ny();\nz();";
         let scan = scan(src);
         assert!(scan.allowed("no-unwrap-hot-path", 1), "same line");
         assert!(scan.allowed("no-unwrap-hot-path", 2), "line below");
         assert!(!scan.allowed("no-unwrap-hot-path", 3), "two lines below");
-        assert!(scan.allowed("lock-discipline", 1));
+        assert!(scan.allowed("dead-metric", 1));
         assert!(!scan.allowed("no-std-sync", 1), "unlisted rule");
     }
 }

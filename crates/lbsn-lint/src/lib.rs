@@ -2,7 +2,9 @@
 //!
 //! A purpose-built static checker for this repository's
 //! machine-checkable contracts (see DESIGN.md §"Static & dynamic
-//! invariant checking" and §14):
+//! invariant checking"). The shard lock order is not among them: it
+//! is stated in `lbsn-server`'s lock types and checked by the compiler
+//! (DESIGN.md §7):
 //!
 //! 1. **Observability names are registered** — every string literal
 //!    shaped like a metric/span/event name (`server.…`, `crawler.…`,
@@ -27,22 +29,13 @@
 //!    in the impl body ([`rules::MEM_FOOTPRINT_FIELD_MISSING`]), so a
 //!    field added later can't become heap the memory gauges silently
 //!    undercount.
-//! 5. **Lock discipline, interprocedurally** — an item-level parse
-//!    ([`parse`]) feeds a workspace call graph ([`callgraph`]) and a
-//!    summary-based lock-effect analysis ([`lockflow`]) that verifies
-//!    the DESIGN.md §7 rules *across* function boundaries
-//!    ([`rules::LOCK_DISCIPLINE`]); call edges whose effects cannot be
-//!    bounded (recursion, dynamic dispatch) degrade to
-//!    [`rules::LOCK_EFFECT_UNKNOWN`] while locks are held, never to a
-//!    false pass. A server file the parser cannot model gets one
-//!    [`rules::LOCK_EFFECT_UNKNOWN`] finding: its lock flow is
-//!    unchecked.
-//! 6. **Waiver and registry hygiene** — a `lint:allow` marker whose
+//! 5. **Waiver and registry hygiene** — a `lint:allow` marker whose
 //!    line no longer triggers its rule is itself a violation
 //!    ([`rules::STALE_WAIVER`]), and a name registered in
 //!    `lbsn_obs::names` that is never recorded — or recorded but cited
 //!    in neither the docs nor the SLO baseline — is dead weight
-//!    ([`rules::DEAD_METRIC`]).
+//!    ([`rules::DEAD_METRIC`]; an item-level [`parse`] finds the
+//!    registry's builder functions).
 //!
 //! The scanner is token-level ([`lexer`]) — no `syn`, no network, no
 //! build artifacts needed — and conservative by design: rules only
@@ -53,14 +46,11 @@
 //! stale-waiver audit see them); they just don't fail the build.
 //!
 //! `#[cfg(test)] mod` regions are exempt from the source rules: tests
-//! legitimately probe unregistered names and hold locks in the wrong
-//! order on purpose.
+//! legitimately probe unregistered names on purpose.
 
 #![warn(missing_docs)]
 
-pub mod callgraph;
 pub mod lexer;
-pub mod lockflow;
 pub mod parse;
 pub mod rules;
 
@@ -105,8 +95,7 @@ pub struct FileCtx {
     pub rel: String,
     /// The lexer's views of the file.
     pub scan: lexer::Scan,
-    /// Item-level parse, `None` when the file can't be modeled (the
-    /// lock-flow pass then reports a server file as unchecked).
+    /// Item-level parse, `None` when the file can't be modeled.
     pub parsed: Option<Vec<parse::FnItem>>,
 }
 
@@ -156,7 +145,6 @@ pub fn run(root: &Path) -> io::Result<Vec<Violation>> {
     for f in &files {
         rules::check_source(&f.rel, &f.scan, &mut violations);
     }
-    lockflow::check(&files, &mut violations);
     rules::check_slo_baseline(root, &mut violations)?;
     rules::check_docs(root, &mut violations)?;
     rules::check_policy_surface(root, &mut violations)?;

@@ -21,14 +21,6 @@ pub const NO_STD_SYNC: &str = "no-std-sync";
 pub const NO_WALL_CLOCK: &str = "no-wall-clock";
 /// `unwrap()` / `expect()` in a check-in hot-path module.
 pub const NO_UNWRAP_HOT_PATH: &str = "no-unwrap-hot-path";
-/// A lock acquisition (direct or through a callee's effect signature)
-/// violates the DESIGN.md §7 discipline given the held set.
-pub const LOCK_DISCIPLINE: &str = "lock-discipline";
-/// A call whose lock effects cannot be bounded (recursion through
-/// acquisitions, dynamic dispatch with no workspace body) happens
-/// while locks are held — or a whole server file the item parser
-/// cannot model, so its lock flow is unchecked.
-pub const LOCK_EFFECT_UNKNOWN: &str = "lock-effect-unknown";
 /// A `lint:allow` marker whose line no longer triggers the waived
 /// rule — waivers must not rot.
 pub const STALE_WAIVER: &str = "stale-waiver";
@@ -112,29 +104,6 @@ pub fn check_source(rel: &str, scan: &Scan, out: &mut Vec<Violation>) {
 fn push(scan: &Scan, out: &mut Vec<Violation>, mut v: Violation) {
     v.waived = scan.allowed(v.rule, v.line);
     out.push(v);
-}
-
-/// [`push`] for callers outside this module (the lock-flow pass),
-/// building the violation from parts.
-pub(crate) fn push_violation(
-    scan: &Scan,
-    out: &mut Vec<Violation>,
-    file: String,
-    line: usize,
-    rule: &'static str,
-    message: String,
-) {
-    push(
-        scan,
-        out,
-        Violation {
-            waived: false,
-            file,
-            line,
-            rule,
-            message,
-        },
-    );
 }
 
 // ---------------------------------------------------------------------
@@ -381,31 +350,6 @@ fn check_unwrap(rel: &str, scan: &Scan, test_lines: &BTreeSet<usize>, out: &mut 
             );
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Acquisition-site helpers (used by the lock-flow pass)
-// ---------------------------------------------------------------------
-
-/// The identifier immediately before the final `.` of `prefix`
-/// (e.g. `self.users` → `users`).
-pub(crate) fn receiver_ident(prefix: &str) -> Option<&str> {
-    let end = prefix.len();
-    let start = prefix
-        .rfind(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-        .map_or(0, |p| p + 1);
-    (start < end).then(|| &prefix[start..end])
-}
-
-/// Parses an integer literal at the start of `rest` (the argument
-/// position of an acquisition call), if the full argument is one.
-pub(crate) fn leading_int(rest: &str) -> Option<u64> {
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    if digits.is_empty() {
-        return None;
-    }
-    let after = rest[digits.len()..].chars().next();
-    matches!(after, Some(')') | Some(',')).then(|| digits.parse().ok())?
 }
 
 // ---------------------------------------------------------------------

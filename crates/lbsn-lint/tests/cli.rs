@@ -32,9 +32,7 @@ fn violations_fixture_reports_every_rule_with_exact_spans() {
         "unregistered-metric-name: baselines/slo.json:4: SLO rule references \"server.checkin.nope\"",
         "no-std-sync: crates/lbsn-app/src/lib.rs:1:",
         "unregistered-metric-name: crates/lbsn-app/src/lib.rs:4: \"server.checkin.bogus\"",
-        "lock-discipline: crates/lbsn-server/src/server.rs:3: shard 1 acquired after shard 3",
-        "no-unwrap-hot-path: crates/lbsn-server/src/server.rs:7:",
-        "lock-discipline: crates/lbsn-server/src/server.rs:17: user-shard acquisition while a venue shard is held",
+        "no-unwrap-hot-path: crates/lbsn-server/src/server.rs:2:",
         "no-wall-clock: crates/lbsn-sim/src/lib.rs:2: Instant::now",
         "policy-field-missing: policies/broken.json:1: does not set `enable_gps` (DetectorConfig)",
     ];
@@ -46,7 +44,7 @@ fn violations_fixture_reports_every_rule_with_exact_spans() {
         expected.len(),
         "exactly one line per violation:\n{stdout}"
     );
-    // The lint:allow'd unwrap on line 12 is suppressed: only one
+    // The lint:allow'd unwrap on line 7 is suppressed: only one
     // no-unwrap finding in the whole tree.
     assert_eq!(stdout.matches("no-unwrap-hot-path").count(), 1);
 }
@@ -111,41 +109,6 @@ fn missing_root_value_is_a_usage_error() {
 }
 
 #[test]
-fn interproc_fixture_reports_cross_function_findings_with_exact_spans() {
-    let out = lint(&fixture("interproc"), &[]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(1), "stdout: {stdout}");
-    let expected = [
-        // Arena interned under a shard write lock, one call deep.
-        "lock-discipline: crates/lbsn-server/src/arena.rs:10: arena mutex acquisition \
-         (via `intern_name`) while a shard write lock is held",
-        // The parser refuses the unbalanced file: its lock flow is
-        // reported as unchecked rather than passed.
-        "lock-effect-unknown: crates/lbsn-server/src/fallback.rs:1: the item parser \
-         cannot model this file; its lock flow is unchecked",
-        // The seeded cross-function rule-1 inversion.
-        "lock-discipline: crates/lbsn-server/src/inversion.rs:15: user-shard acquisition \
-         (via `audit_user`) while a venue shard is held",
-        // Side-map leaf held across a call that locks a shard.
-        "lock-discipline: crates/lbsn-server/src/sidemap.rs:10: user-shard acquisition \
-         (via `lock_user_shard`) while the `usernames` side-map leaf is held",
-        // Recursion and dynamic dispatch degrade to explicit warnings.
-        "lock-effect-unknown: crates/lbsn-server/src/unknown.rs:22: call to `spiral` \
-         has unknown lock effects",
-        "lock-effect-unknown: crates/lbsn-server/src/unknown.rs:23: call to `probe` \
-         resolves only to trait declarations",
-    ];
-    for needle in expected {
-        assert!(stdout.contains(needle), "missing `{needle}` in:\n{stdout}");
-    }
-    assert_eq!(
-        stdout.lines().count(),
-        expected.len(),
-        "exactly one line per violation:\n{stdout}"
-    );
-}
-
-#[test]
 fn json_format_emits_all_findings_including_waived() {
     let out = lint(&fixture("violations"), &["--format", "json"]);
     assert_eq!(
@@ -158,8 +121,8 @@ fn json_format_emits_all_findings_including_waived() {
     let serde_json::Value::Array(records) = parsed else {
         panic!("top level must be an array: {stdout}");
     };
-    // Text mode prints 9 failing findings; JSON adds the waived unwrap.
-    assert_eq!(records.len(), 10, "{stdout}");
+    // Text mode prints 7 failing findings; JSON adds the waived unwrap.
+    assert_eq!(records.len(), 8, "{stdout}");
     let field = |r: &serde_json::Value, k: &str| -> serde_json::Value {
         match r {
             serde_json::Value::Object(map) => map.get(k).expect("field present").clone(),
@@ -180,7 +143,7 @@ fn json_format_emits_all_findings_including_waived() {
             );
             assert_eq!(
                 field(r, "line"),
-                serde_json::Value::Number(serde_json::Number::PosInt(12))
+                serde_json::Value::Number(serde_json::Number::PosInt(7))
             );
         }
     }

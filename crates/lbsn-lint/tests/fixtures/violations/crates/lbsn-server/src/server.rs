@@ -1,8 +1,3 @@
-fn descend(m: &ShardedVec<u64>) {
-    let a = m.write_shard(3);
-    let b = m.write_shard(1);
-}
-
 fn unchecked(x: Option<u32>) -> u32 {
     x.unwrap()
 }
@@ -10,9 +5,4 @@ fn unchecked(x: Option<u32>) -> u32 {
 fn waived(x: Option<u32>) -> u32 {
     // lint:allow(no-unwrap-hot-path): fixture proves suppression works
     x.unwrap()
-}
-
-fn families(server: &Server, s: usize, t: usize) {
-    let v = server.venues.write_shard(s);
-    let u = server.users.read_shard(t);
 }

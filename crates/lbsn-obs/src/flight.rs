@@ -1,12 +1,10 @@
 //! The flight recorder: crash forensics for paper-scale runs.
 //!
-//! A deadlock-sentinel panic in a 1M-entity run is useless if all it
-//! leaves behind is a backtrace. Once [`arm`]ed, the recorder keeps a
-//! process-wide panic hook that writes a **flight dump** — the last
-//! trace events, the sampled spans still open mid-request, the
-//! panicking thread's held-lock state (from an injectable provider, so
-//! the debug sentinel in `lbsn-server` can report without a dependency
-//! cycle), and a final metrics snapshot — to `target/flight/<ts>.json`.
+//! A panic in a 1M-entity run is useless if all it leaves behind is a
+//! backtrace. Once [`arm`]ed, the recorder keeps a process-wide panic
+//! hook that writes a **flight dump** — the last trace events, the
+//! sampled spans still open mid-request, the last admission decisions,
+//! and a final metrics snapshot — to `target/flight/<ts>.json`.
 //! The same dump can be taken explicitly via [`dump_flight`] from a
 //! watchdog or a failing test.
 //!
@@ -32,12 +30,6 @@ use crate::snapshot::{EventRecord, Snapshot};
 use crate::span::OpenSpan;
 use crate::Registry;
 
-/// Callback returning the calling thread's held-lock descriptions.
-/// `lbsn-server` registers the debug sentinel's held list here; the
-/// hook runs on the panicking thread, so the dump sees exactly the
-/// locks that thread was holding.
-pub type HeldLocksProvider = Box<dyn Fn() -> Vec<String> + Send + Sync>;
-
 /// Trace events retained in a dump (the tail of the ring).
 const DUMP_EVENT_TAIL: usize = 256;
 
@@ -51,7 +43,6 @@ struct Armed {
 }
 
 static ARMED: Mutex<Option<Armed>> = Mutex::new(None);
-static PROVIDER: Mutex<Option<HeldLocksProvider>> = Mutex::new(None);
 static HOOK: Once = Once::new();
 static SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -63,9 +54,6 @@ pub struct FlightDump {
     pub reason: String,
     /// Wall-clock milliseconds since the Unix epoch at dump time.
     pub at_unix_ms: u64,
-    /// The dumping thread's held-lock descriptions (empty without a
-    /// registered provider — release builds compile the sentinel out).
-    pub held_locks: Vec<String>,
     /// Sampled spans open (started, unfinished) at dump time.
     pub open_spans: Vec<OpenSpan>,
     /// The tail of the trace ring, oldest first.
@@ -108,12 +96,6 @@ pub fn disarm() {
     *ARMED.lock() = None;
 }
 
-/// Registers the held-locks provider consulted at dump time (see
-/// [`HeldLocksProvider`]). Replaces any previous provider.
-pub fn set_held_locks_provider(provider: HeldLocksProvider) {
-    *PROVIDER.lock() = Some(provider);
-}
-
 /// Takes a flight dump now. Returns the written path, or `Ok(None)`
 /// when the recorder is not armed.
 ///
@@ -136,10 +118,6 @@ fn write_dump(reason: &str) -> io::Result<Option<PathBuf>> {
             None => return Ok(None),
         }
     };
-    let held_locks = {
-        let provider = PROVIDER.lock();
-        provider.as_ref().map(|p| p()).unwrap_or_default()
-    };
     let mut events = registry.events().drain_copy();
     if events.len() > DUMP_EVENT_TAIL {
         events.drain(..events.len() - DUMP_EVENT_TAIL);
@@ -147,7 +125,6 @@ fn write_dump(reason: &str) -> io::Result<Option<PathBuf>> {
     let dump = FlightDump {
         reason: reason.to_string(),
         at_unix_ms: unix_ms(),
-        held_locks,
         open_spans: registry.open_spans(),
         events,
         decisions: registry.last_decisions(DUMP_DECISION_TAIL),
@@ -194,14 +171,12 @@ mod tests {
         decision.verdict("rapid-fire", Some("rapid_fire"), 4.0, 4.0, "checkins", 50);
         plane.finish(&decision, crate::DecisionOutcome::Branded("rapid_fire"));
         let open = registry.span_forced("server.checkin");
-        set_held_locks_provider(Box::new(|| vec!["shard users[2] (test)".to_string()]));
         arm(Arc::clone(&registry), &dir);
 
         // Explicit dump.
         let path = dump_flight("watchdog fired").unwrap().expect("armed");
         let dump = FlightDump::from_json(&fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(dump.reason, "watchdog fired");
-        assert_eq!(dump.held_locks, vec!["shard users[2] (test)".to_string()]);
         assert_eq!(dump.open_spans.len(), 1);
         assert_eq!(dump.open_spans[0].name, "server.checkin");
         assert!(dump
@@ -219,7 +194,7 @@ mod tests {
         // Panic dump via the installed hook (the panic is caught, but
         // hooks run for caught panics too).
         let before: usize = fs::read_dir(&dir).unwrap().count();
-        let result = panic::catch_unwind(|| panic!("sentinel tripped in test"));
+        let result = panic::catch_unwind(|| panic!("worker tripped in test"));
         assert!(result.is_err());
         let mut after: Vec<PathBuf> = fs::read_dir(&dir)
             .unwrap()
@@ -230,14 +205,13 @@ mod tests {
         let last =
             FlightDump::from_json(&fs::read_to_string(after.last().unwrap()).unwrap()).unwrap();
         assert!(
-            last.reason.contains("sentinel tripped in test"),
+            last.reason.contains("worker tripped in test"),
             "{}",
             last.reason
         );
 
         // Disarmed again: panics stop dumping.
         disarm();
-        *PROVIDER.lock() = None;
         let _ = panic::catch_unwind(|| panic!("quiet"));
         assert_eq!(fs::read_dir(&dir).unwrap().count(), after.len());
     }

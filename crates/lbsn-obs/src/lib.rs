@@ -41,8 +41,8 @@
 //!   owned-byte accounting for resident-memory gauges without allocator
 //!   hooks, [`ShardHeat`] keeps per-shard contention heatmaps that
 //!   expose skew across lock stripes, and the [`flight`] recorder turns
-//!   a panic mid-run into a forensic dump (held locks, open spans, last
-//!   trace events, final snapshot) instead of a bare backtrace.
+//!   a panic mid-run into a forensic dump (open spans, last trace
+//!   events and decisions, final snapshot) instead of a bare backtrace.
 //! - **Why was this account branded?** The decision [`audit`] plane
 //!   captures one wide [`DecisionRecord`] per admitted-or-refused
 //!   check-in (detector verdicts with compared thresholds, verifier
@@ -74,7 +74,7 @@ pub use audit::{
     MAX_DETECTOR_VERDICTS, MAX_VERIFIER_VOTES,
 };
 pub use export::chrome_trace_json;
-pub use flight::{arm, disarm, dump_flight, FlightDump, HeldLocksProvider};
+pub use flight::{arm, disarm, dump_flight, FlightDump};
 pub use heat::ShardHeat;
 pub use mem::MemFootprint;
 pub use metrics::{Counter, Gauge, Histogram};

@@ -36,7 +36,10 @@ pub mod pipeline;
 pub mod policy;
 pub mod rewards;
 mod server;
-mod shard;
+// Public, but hidden, only so the `compile_fail` doctests on its lock
+// order can name the lock and level types.
+#[doc(hidden)]
+pub mod shard;
 mod user;
 mod venue;
 pub mod web;

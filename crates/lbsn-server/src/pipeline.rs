@@ -48,7 +48,7 @@ use crate::checkin::{CheatFlag, CheckinEvidence, CheckinRequest};
 use crate::metrics::{ServerMetrics, Stopwatch};
 use crate::policy::{DetectorConfig, PolicyConfig};
 use crate::rewards::{decide_mayor, evaluate_badges, Badge, PointsPolicy, VenueLookup};
-use crate::shard::LeafLock;
+use crate::shard::{LeafLock, VenueLevel};
 use crate::user::User;
 use crate::venue::{SpecialKind, Venue, VenueCategory};
 use crate::VenueId;
@@ -127,8 +127,8 @@ impl VenueLookup for CategoryTable<'_> {
 /// on it. `incumbent` is the venue's mayor when that is someone else:
 /// the admission loop holds the incumbent's shard, so a seated mayor is
 /// always passed. `categories` is the append-only category table, read
-/// as a leaf lock (rule 4 of the `shard` module) only while badges are
-/// evaluated.
+/// as a leaf lock (rule 4 of the `shard` module) at the held venue
+/// shard's `level` only while badges are evaluated.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn reward(
     policy: &PointsPolicy,
@@ -140,6 +140,7 @@ pub(crate) fn reward(
     incumbent: Option<&mut User>,
     venue: &mut Venue,
     categories: &LeafLock<Vec<VenueCategory>>,
+    level: &mut VenueLevel<'_>,
 ) -> RewardOutcome {
     // Most distinct check-in days in the trailing window takes the
     // seat; ties keep the incumbent.
@@ -154,7 +155,7 @@ pub(crate) fn reward(
     let is_mayor = venue.mayor == Some(request.user);
 
     let new_badges = {
-        let categories = categories.read();
+        let categories = categories.read(level);
         evaluate_badges(user, venue, now, &CategoryTable(&categories))
     };
     for &badge in &new_badges {

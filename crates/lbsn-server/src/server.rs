@@ -9,7 +9,9 @@
 //! paths that only touch the shards they need. The deadlock-freedom
 //! rules (user shards before venue shards, ascending order within a
 //! family, at most one venue shard at a time, side maps as leaf locks)
-//! are documented on [`crate::shard`] and in DESIGN.md.
+//! are level tokens on [`crate::shard`]'s acquisitions (DESIGN.md §7):
+//! each locking section below mints one [`Unlocked`] and the compiler
+//! checks the order from there.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -21,7 +23,7 @@ use lbsn_geo::{GeoGrid, GeoPoint, Meters};
 use lbsn_obs::names::server as obs_names;
 use lbsn_obs::{DecisionBuilder, DecisionOutcome, MemFootprint, Registry};
 use lbsn_sim::{SimClock, Timestamp, DAY};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLockWriteGuard};
 use serde::{Deserialize, Serialize};
 
 use crate::cheatercode::RuleContext;
@@ -32,7 +34,7 @@ use crate::compact::StrArena;
 use crate::metrics::{ServerMetrics, Stopwatch};
 use crate::pipeline::{reward, AdmissionPipeline, CheckinVerifier, RewardOutcome, VerifyContext};
 use crate::policy::{DetectorConfig, PolicyConfig};
-use crate::shard::{LeafLock, ShardFamily, ShardWriteGuard, ShardedVec};
+use crate::shard::{LeafLock, RootLock, ShardedVec, Unlocked, Users, VenueLevel, Venues};
 use crate::user::{User, UserSpec};
 use crate::venue::{Venue, VenueCategory, VenueSpec};
 use crate::{UserId, VenueId};
@@ -143,8 +145,8 @@ pub struct LbsnServer {
     config: ServerConfig,
     pipeline: AdmissionPipeline,
     metrics: ServerMetrics,
-    users: ShardedVec<User>,
-    venues: ShardedVec<Venue>,
+    users: ShardedVec<User, Users>,
+    venues: ShardedVec<Venue, Venues>,
     /// Vanity-name resolution (leaf lock).
     usernames: LeafLock<HashMap<String, UserId>>,
     /// Spatial index for `venues_near` (leaf lock) — read paths never
@@ -156,9 +158,9 @@ pub struct LbsnServer {
     venue_categories: LeafLock<Vec<VenueCategory>>,
     /// Per-venue-shard string arenas holding name+address text (see
     /// [`crate::StrArena`]). Locked *before* the venue shard during
-    /// registration, never while a shard lock is held; each shard's
-    /// share of a registration chunk is sealed into one shared chunk.
-    venue_arenas: Vec<Mutex<StrArena>>,
+    /// registration, with nothing else held; each shard's share of a
+    /// registration chunk is sealed into one shared chunk.
+    venue_arenas: Vec<RootLock<StrArena>>,
     /// Serializes user registration so shard slots fill densely in id
     /// order; the count itself lives in `user_count`.
     user_reg: Mutex<()>,
@@ -245,7 +247,6 @@ impl LbsnServer {
         let shards = config.shards.max(1).next_power_of_two();
         metrics.shard_count.set(shards as f64);
         let users = ShardedVec::new(
-            ShardFamily::Users,
             shards,
             metrics.shard_lock_wait.clone(),
             metrics
@@ -253,7 +254,6 @@ impl LbsnServer {
                 .shard_heat(&obs_names::shard_heat("users"), shards),
         );
         let venues = ShardedVec::new(
-            ShardFamily::Venues,
             shards,
             metrics.shard_lock_wait.clone(),
             metrics
@@ -267,10 +267,12 @@ impl LbsnServer {
             metrics,
             users,
             venues,
-            usernames: LeafLock::new("usernames", HashMap::new()),
-            venue_grid: LeafLock::new("venue_grid", GeoGrid::new(1_000.0)),
-            venue_categories: LeafLock::new("venue_categories", Vec::new()),
-            venue_arenas: (0..shards).map(|_| Mutex::new(StrArena::new())).collect(),
+            usernames: LeafLock::new(HashMap::new()),
+            venue_grid: LeafLock::new(GeoGrid::new(1_000.0)),
+            venue_categories: LeafLock::new(Vec::new()),
+            venue_arenas: (0..shards)
+                .map(|_| RootLock::new(StrArena::new()))
+                .collect(),
             user_reg: Mutex::new(()),
             venue_reg: Mutex::new(()),
             user_count: AtomicU64::new(0),
@@ -316,8 +318,8 @@ impl LbsnServer {
     /// to amortize the last sweep ([`MEM_SWEEP_BYTES_PER_OP`]). The
     /// common path — sample not yet due — is one relaxed atomic load; a
     /// CAS claims the slot so concurrent check-ins run at most one
-    /// sweep per interval.
-    fn maybe_sample_memory(&self, now: Timestamp) {
+    /// sweep per interval. `unlocked` proves the caller holds no lock.
+    fn maybe_sample_memory(&self, unlocked: &mut Unlocked, now: Timestamp) {
         let due = self.next_mem_sample.load(Ordering::Relaxed);
         if now.secs() < due {
             return;
@@ -343,41 +345,43 @@ impl LbsnServer {
             .is_ok()
         {
             self.mem_sweep_ops.store(0, Ordering::Relaxed);
-            self.sample_memory();
+            self.sweep_memory(unlocked);
         }
     }
 
     /// Walks all server state, refreshing the `server.mem.*` gauges and
     /// each shard family's occupancy column in the contention heatmap.
     ///
-    /// Takes one shard read lock at a time — never two — so it composes
-    /// with the documented lock order from any calling context. The
-    /// sweep's own acquisitions count in the heatmap's ops column, a
-    /// deliberate choice: the heatmap answers "who touched this shard",
-    /// and the sampler did. Runs automatically every
-    /// 6 virtual hours during check-in traffic; benches and tests may
-    /// also call it directly before snapshotting.
+    /// Takes one lock at a time. The sweep's own acquisitions count in
+    /// the heatmap's ops column, a deliberate choice: the heatmap
+    /// answers "who touched this shard", and the sampler did. Runs
+    /// automatically every 6 virtual hours during check-in traffic;
+    /// benches and tests may also call it directly before snapshotting.
     pub fn sample_memory(&self) {
+        self.sweep_memory(&mut Unlocked::mint());
+    }
+
+    /// The sweep behind [`LbsnServer::sample_memory`].
+    fn sweep_memory(&self, unlocked: &mut Unlocked) {
         let mut user_bytes = 0usize;
         for shard in 0..self.users.shard_count() {
-            let guard = self.users.read_shard(shard);
+            let (guard, _) = self.users.read_shard(unlocked, shard);
             self.users.heat().set_occupancy(shard, guard.len() as u64);
             user_bytes += guard.deep_bytes();
         }
         let mut venue_bytes = 0usize;
         for shard in 0..self.venues.shard_count() {
-            let guard = self.venues.read_shard(shard);
+            let (guard, _) = self.venues.read_shard(unlocked, shard);
             self.venues.heat().set_occupancy(shard, guard.len() as u64);
             venue_bytes += guard.deep_bytes();
         }
-        // One leaf lock per statement — rule 4 allows no two at once.
-        let mut side_bytes = self.usernames.read().deep_bytes();
-        side_bytes += self.venue_grid.read().approx_heap_bytes();
-        side_bytes += self.venue_categories.read().deep_bytes();
+        let mut side_bytes = self.usernames.read(unlocked).deep_bytes();
+        side_bytes += self.venue_grid.read(unlocked).approx_heap_bytes();
+        side_bytes += self.venue_categories.read(unlocked).deep_bytes();
         // Interned venue text is charged here, once per shard, rather
         // than per venue handle (`ArenaStr` reports zero).
         for arena in &self.venue_arenas {
-            side_bytes += arena.lock().bytes();
+            side_bytes += arena.lock(unlocked).bytes();
         }
         let total = user_bytes + venue_bytes + side_bytes;
         self.mem_sweep_cost.store(total as u64, Ordering::Relaxed);
@@ -394,14 +398,9 @@ impl LbsnServer {
     /// Arms the process-wide [`lbsn_obs::flight`] recorder: a panic
     /// anywhere in the process (and any explicit
     /// [`LbsnServer::dump_flight`] call) writes a forensic dump into
-    /// `dir` — last trace events, open spans, this server's final
-    /// snapshot, and, in debug builds, the lock-order sentinel's
-    /// held-lock state for the dumping thread.
+    /// `dir` — last trace events, open spans, the last admission
+    /// decisions, and this server's final snapshot.
     pub fn arm_flight_recorder(&self, dir: impl Into<std::path::PathBuf>) {
-        #[cfg(debug_assertions)]
-        lbsn_obs::flight::set_held_locks_provider(Box::new(
-            crate::shard::sentinel::held_descriptions,
-        ));
         lbsn_obs::flight::arm(Arc::clone(self.metrics.registry()), dir);
     }
 
@@ -476,17 +475,18 @@ impl LbsnServer {
                 }
                 staged[self.users.shard_of(id.value())].push(user);
             }
+            let mut unlocked = Unlocked::mint();
             for (shard, batch) in staged.iter_mut().enumerate() {
                 if batch.is_empty() {
                     continue;
                 }
-                let mut guard = self.users.write_shard(shard);
+                let (mut guard, _) = self.users.write_shard(&mut unlocked, shard);
                 debug_assert_eq!(guard.len(), self.users.slot_of(batch[0].id.value()));
                 guard.append(batch);
             }
             // Names resolve only once the profiles are visible.
             if !names.is_empty() {
-                self.usernames.write().extend(names.drain(..));
+                self.usernames.write(&mut unlocked).extend(names.drain(..));
             }
             if in_chunk < BULK_CHUNK {
                 break;
@@ -519,25 +519,29 @@ impl LbsnServer {
                 grid_entries.push((spec.location, id));
                 staged[self.venues.shard_of(id.value())].push((id, spec));
             }
+            let mut unlocked = Unlocked::mint();
             // Categories first: by the time a venue is visible in its
             // shard, badge evaluation can already resolve its category.
             if !categories.is_empty() {
-                self.venue_categories.write().extend(categories.drain(..));
+                self.venue_categories
+                    .write(&mut unlocked)
+                    .extend(categories.drain(..));
             }
             for (shard, batch) in staged.iter_mut().enumerate() {
                 if batch.is_empty() {
                     continue;
                 }
-                // Arena before shard lock — never the other way around,
-                // and never both at once.
-                Venue::seal_batch(batch, now, &mut self.venue_arenas[shard].lock(), &mut built);
-                let mut guard = self.venues.write_shard(shard);
+                // Arena before shard lock, never both at once.
+                let mut arena = self.venue_arenas[shard].lock(&mut unlocked);
+                Venue::seal_batch(batch, now, &mut arena, &mut built);
+                drop(arena);
+                let (mut guard, _) = self.venues.write_shard(&mut unlocked, shard);
                 debug_assert_eq!(guard.len(), self.venues.slot_of(built[0].id.value()));
                 guard.append(&mut built);
             }
             // Discoverability last.
             if !grid_entries.is_empty() {
-                let mut grid = self.venue_grid.write();
+                let mut grid = self.venue_grid.write(&mut unlocked);
                 for (location, id) in grid_entries.drain(..) {
                     grid.insert(location, id);
                 }
@@ -557,29 +561,29 @@ impl LbsnServer {
     /// would faithfully report; call this once after a load (the scale
     /// harness does) so the gauges reflect steady-state residency.
     ///
-    /// Takes one lock at a time, so it composes with the documented
-    /// lock order from any calling context.
+    /// Takes one lock at a time.
     pub fn compact_memory(&self) {
+        let mut unlocked = Unlocked::mint();
         for shard in 0..self.users.shard_count() {
-            let mut guard = self.users.write_shard(shard);
+            let (mut guard, _) = self.users.write_shard(&mut unlocked, shard);
             for user in guard.iter_mut() {
                 user.shrink_to_fit();
             }
             guard.shrink_to_fit();
         }
         for shard in 0..self.venues.shard_count() {
-            let mut guard = self.venues.write_shard(shard);
+            let (mut guard, _) = self.venues.write_shard(&mut unlocked, shard);
             for venue in guard.iter_mut() {
                 venue.shrink_to_fit();
             }
             guard.shrink_to_fit();
         }
         for arena in &self.venue_arenas {
-            arena.lock().shrink_to_fit();
+            arena.lock(&mut unlocked).shrink_to_fit();
         }
-        self.usernames.write().shrink_to_fit();
-        self.venue_grid.write().shrink_to_fit();
-        self.venue_categories.write().shrink_to_fit();
+        self.usernames.write(&mut unlocked).shrink_to_fit();
+        self.venue_grid.write(&mut unlocked).shrink_to_fit();
+        self.venue_categories.write(&mut unlocked).shrink_to_fit();
     }
 
     /// Venues within `radius` metres of `center`, nearest first, capped
@@ -593,7 +597,8 @@ impl LbsnServer {
         radius: Meters,
         limit: usize,
     ) -> Vec<(VenueId, Meters)> {
-        let grid = self.venue_grid.read();
+        let mut unlocked = Unlocked::mint();
+        let grid = self.venue_grid.read(&mut unlocked);
         grid.within_radius(center, radius)
             .into_iter()
             .take(limit)
@@ -664,7 +669,8 @@ impl LbsnServer {
             // load time, and the heap it left behind (each user's list
             // grown in one burst) made later check-ins ~7 % slower.
             if !touched.is_empty() {
-                let mut set = self.users.write_set(&mut touched);
+                let mut unlocked = Unlocked::mint();
+                let (mut set, _) = self.users.write_set(&mut unlocked, &mut touched);
                 for (shard, users) in set.shards_mut() {
                     for (slot, friend) in rows[shard].drain(..) {
                         // Validated above: every staged slot is registered.
@@ -800,8 +806,6 @@ impl LbsnServer {
         let mut extra_shards: Vec<usize> = Vec::new();
         let mut shard_ids: Vec<usize> = Vec::with_capacity(reqs.len() + 2);
         'acquire: while i < reqs.len() {
-            // No locks are held here: safe point for the periodic sweep.
-            self.maybe_sample_memory(self.clock.now());
             shard_ids.clear();
             if attempt >= MAYOR_LOCK_RETRIES {
                 self.metrics.lock_fallback.inc();
@@ -832,11 +836,13 @@ impl LbsnServer {
             if let Some(probe) = self.retry_probe.lock().as_mut() {
                 probe(attempt);
             }
-            let mut uset = self.users.write_set(&mut shard_ids);
-            // Walk ops FIFO under this one user lock set. Rule 3: the
-            // venue guard is held one shard at a time, released before
-            // the next venue's shard is acquired.
-            let mut vguard: Option<(usize, ShardWriteGuard<'_, Venue>)> = None;
+            let mut unlocked = Unlocked::mint();
+            self.maybe_sample_memory(&mut unlocked, self.clock.now());
+            let (mut uset, mut user_level) = self.users.write_set(&mut unlocked, &mut shard_ids);
+            // Walk ops FIFO under this one user lock set, holding one
+            // venue shard at a time (rule 3) with its level token.
+            let mut vguard: Option<(usize, RwLockWriteGuard<'_, Vec<Venue>>, VenueLevel<'_>)> =
+                None;
             while i < reqs.len() {
                 let req = &reqs[i];
                 let now = self.clock.now();
@@ -866,11 +872,14 @@ impl LbsnServer {
                 }
                 let vshard = self.venues.shard_of(req.venue.value());
                 let vslot = self.venues.slot_of(req.venue.value());
-                if vguard.as_ref().map(|(held, _)| *held) != Some(vshard) {
-                    drop(vguard.take()); // release before switching (rule 3)
-                    vguard = Some((vshard, self.venues.write_shard(vshard)));
+                if vguard.as_ref().map(|(held, ..)| *held) != Some(vshard) {
+                    // Release before switching. Moving the guard out,
+                    // not `take()`, ends its borrow of `user_level`.
+                    drop(vguard);
+                    let (guard, level) = self.venues.write_shard(&mut user_level, vshard);
+                    vguard = Some((vshard, guard, level));
                 }
-                let Some((_, guard)) = vguard.as_mut() else {
+                let Some((_, guard, venue_level)) = vguard.as_mut() else {
                     unreachable!("venue guard installed above")
                 };
                 let Some(venue) = guard.get_mut(vslot) else {
@@ -900,7 +909,7 @@ impl LbsnServer {
                     continue;
                 };
                 let (outcome, stripped) =
-                    self.check_in_core(req, now, decision, user, incumbent, venue);
+                    self.check_in_core(req, now, decision, user, incumbent, venue, venue_level);
                 report(Ok(AdmissionOutcome::Processed(outcome)));
                 i += 1;
                 attempt = 0;
@@ -911,9 +920,9 @@ impl LbsnServer {
                     // batch. A later check-in by this user is already
                     // rejected (`branded_cheater` is set), so nothing
                     // re-enters the mayorship set.
-                    drop(vguard.take());
+                    drop(vguard);
                     drop(uset);
-                    self.strip_mayor_seats(req.user, &stripped);
+                    self.strip_mayor_seats(&mut unlocked, req.user, &stripped);
                     continue 'acquire;
                 }
             }
@@ -972,13 +981,16 @@ impl LbsnServer {
     /// submitting user,
     /// `incumbent` the venue's mayor when that is someone else, and
     /// `venue` the claimed venue: handles the loop looked up once under
-    /// the held locks, so many ops run under one acquisition.
+    /// the held locks, so many ops run under one acquisition, and
+    /// `venue_level` is the held venue shard's level token, at which the
+    /// reward ladder reads the category leaf.
     /// Returns the venue seats to strip when this decision
     /// branded the account: the caller must release every held shard,
     /// run [`LbsnServer::strip_mayor_seats`], and only then process
     /// further ops — a branded account's subsequent check-ins are
     /// already rejected by the terminal detector, but a *stale seat*
     /// would change how later ops judge a mayorship challenge.
+    #[allow(clippy::too_many_arguments)]
     fn check_in_core(
         &self,
         req: &CheckinRequest,
@@ -987,6 +999,7 @@ impl LbsnServer {
         user: &mut User,
         incumbent: Option<&mut User>,
         venue: &mut Venue,
+        venue_level: &mut VenueLevel<'_>,
     ) -> (CheckinOutcome, Vec<VenueId>) {
         // One root span per check-in (head-sampled); stages become
         // children and cheater flags become span events, so a sampled
@@ -1131,6 +1144,7 @@ impl LbsnServer {
             incumbent,
             venue,
             &self.venue_categories,
+            venue_level,
         );
 
         if became_mayor {
@@ -1171,10 +1185,10 @@ impl LbsnServer {
     }
 
     /// Clears `user` out of the mayor seat of every venue in `venues`,
-    /// one shard at a time in ascending shard order (no other lock is
-    /// held on entry). A venue whose seat has already been taken over
-    /// by someone else is left alone.
-    fn strip_mayor_seats(&self, user: UserId, venues: &[VenueId]) {
+    /// one shard at a time in ascending shard order (`unlocked`: no
+    /// other lock is held on entry). A venue whose seat has already
+    /// been taken over by someone else is left alone.
+    fn strip_mayor_seats(&self, unlocked: &mut Unlocked, user: UserId, venues: &[VenueId]) {
         if venues.is_empty() {
             return;
         }
@@ -1186,7 +1200,7 @@ impl LbsnServer {
         let mut i = 0;
         while i < by_shard.len() {
             let shard = by_shard[i].0;
-            let mut guard = self.venues.write_shard(shard);
+            let (mut guard, _) = self.venues.write_shard(unlocked, shard);
             while i < by_shard.len() && by_shard[i].0 == shard {
                 let v = by_shard[i].1;
                 if let Some(venue) = guard.get_mut(self.venues.slot_of(v.value())) {
@@ -1213,7 +1227,8 @@ impl LbsnServer {
     /// [`LbsnServer::with_user`] on hot paths, or
     /// [`LbsnServer::user_profile`] for profile-page reads).
     pub fn user(&self, id: UserId) -> Option<User> {
-        self.users.with(id.value(), |u| u.clone())
+        self.users
+            .with(&mut Unlocked::mint(), id.value(), |u| u.clone())
     }
 
     /// The profile-page projection of a user — just the fields the web
@@ -1221,36 +1236,44 @@ impl LbsnServer {
     /// world go through here so each page view copies a few dozen
     /// bytes, not a lifetime check-in history.
     pub fn user_profile(&self, id: UserId) -> Option<crate::user::UserProfile> {
-        self.users.with(id.value(), |u| u.profile())
+        self.users
+            .with(&mut Unlocked::mint(), id.value(), |u| u.profile())
     }
 
     /// Clones a venue's full record.
     pub fn venue(&self, id: VenueId) -> Option<Venue> {
-        self.venues.with(id.value(), |v| v.clone())
+        self.venues
+            .with(&mut Unlocked::mint(), id.value(), |v| v.clone())
     }
 
     /// Runs a closure against a user's record without cloning, under
     /// only that user's shard lock.
     pub fn with_user<R>(&self, id: UserId, f: impl FnOnce(&User) -> R) -> Option<R> {
-        self.users.with(id.value(), f)
+        self.users.with(&mut Unlocked::mint(), id.value(), f)
     }
 
     /// Runs a closure against a venue's record without cloning, under
     /// only that venue's shard lock.
     pub fn with_venue<R>(&self, id: VenueId, f: impl FnOnce(&Venue) -> R) -> Option<R> {
-        self.venues.with(id.value(), f)
+        self.venues.with(&mut Unlocked::mint(), id.value(), f)
     }
 
     /// A venue's category from the append-only category table that
     /// badge evaluation reads — a leaf-lock read, no venue shard.
     pub fn venue_category(&self, id: VenueId) -> Option<VenueCategory> {
         let idx = id.value().checked_sub(1)? as usize;
-        self.venue_categories.read().get(idx).copied()
+        self.venue_categories
+            .read(&mut Unlocked::mint())
+            .get(idx)
+            .copied()
     }
 
     /// Resolves a vanity username to an ID.
     pub fn user_id_by_name(&self, name: &str) -> Option<UserId> {
-        self.usernames.read().get(name).copied()
+        self.usernames
+            .read(&mut Unlocked::mint())
+            .get(name)
+            .copied()
     }
 
     /// Searches venues by name substring (case-insensitive), ID order —
@@ -1261,8 +1284,9 @@ impl LbsnServer {
     pub fn search_venues_by_name(&self, query: &str, limit: usize) -> Vec<VenueId> {
         let needle = query.to_lowercase();
         let mut hits: Vec<VenueId> = Vec::new();
+        let mut unlocked = Unlocked::mint();
         for shard in 0..self.venues.shard_count() {
-            let guard = self.venues.read_shard(shard);
+            let (guard, _) = self.venues.read_shard(&mut unlocked, shard);
             hits.extend(
                 guard
                     .iter()
@@ -1292,10 +1316,16 @@ impl LbsnServer {
         text: impl Into<String>,
     ) -> Result<(), CheckinError> {
         let now = self.clock.now();
-        if self.users.with(user.value(), |_| ()).is_none() {
+        let mut unlocked = Unlocked::mint();
+        if self
+            .users
+            .with(&mut unlocked, user.value(), |_| ())
+            .is_none()
+        {
             return Err(CheckinError::UnknownUser(user));
         }
-        let mut guard = self.venues.write_shard(self.venues.shard_of(venue.value()));
+        let shard = self.venues.shard_of(venue.value());
+        let (mut guard, _) = self.venues.write_shard(&mut unlocked, shard);
         let v = guard
             .get_mut(self.venues.slot_of(venue.value()))
             .ok_or(CheckinError::UnknownVenue(venue))?;
@@ -1323,8 +1353,9 @@ impl LbsnServer {
         }
         // Key order: more points wins, then lower id wins.
         let mut heap: BinaryHeap<Reverse<(u64, Reverse<u64>)>> = BinaryHeap::with_capacity(n + 1);
+        let mut unlocked = Unlocked::mint();
         for shard in 0..self.users.shard_count() {
-            let guard = self.users.read_shard(shard);
+            let (guard, _) = self.users.read_shard(&mut unlocked, shard);
             for u in guard.iter() {
                 let key = (u.points, Reverse(u.id.value()));
                 if heap.len() < n {
@@ -1346,8 +1377,9 @@ impl LbsnServer {
     /// Visits every user, one shard read lock at a time, in shard-major
     /// order (ids interleave across shards — not global id order).
     pub fn for_each_user(&self, mut f: impl FnMut(&User)) {
+        let mut unlocked = Unlocked::mint();
         for shard in 0..self.users.shard_count() {
-            let guard = self.users.read_shard(shard);
+            let (guard, _) = self.users.read_shard(&mut unlocked, shard);
             for u in guard.iter() {
                 f(u);
             }
@@ -1357,8 +1389,9 @@ impl LbsnServer {
     /// Visits every venue, one shard read lock at a time, in
     /// shard-major order (not global id order).
     pub fn for_each_venue(&self, mut f: impl FnMut(&Venue)) {
+        let mut unlocked = Unlocked::mint();
         for shard in 0..self.venues.shard_count() {
-            let guard = self.venues.read_shard(shard);
+            let (guard, _) = self.venues.read_shard(&mut unlocked, shard);
             for v in guard.iter() {
                 f(v);
             }
@@ -2085,10 +2118,7 @@ mod tests {
         // `MAYOR_LOCK_RETRIES` attempts and lock every user shard —
         // converging instead of spinning. The retry probe fires at the
         // top of every attempt with no locks held, so it can hop the
-        // mayor adversarially between attempts; under debug_assertions
-        // the whole dance also runs against the lock-order sentinel,
-        // proving the fallback path (the widest lock set the server
-        // ever takes) obeys the shard discipline.
+        // mayor adversarially between attempts.
         let registry = Arc::new(Registry::new());
         let server = Arc::new(LbsnServer::with_registry(
             SimClock::new(),
@@ -2118,7 +2148,9 @@ mod tests {
                 // cover: rotate through shards 1, 2, 3 (never the
                 // checker's shard 0, never the previous attempt's).
                 let mayor = UserId(2 + u64::from(attempt % 3));
-                hopper.venues.write_shard(venue_shard)[venue_slot].mayor = Some(mayor);
+                let mut unlocked = Unlocked::mint();
+                hopper.venues.write_shard(&mut unlocked, venue_shard).0[venue_slot].mayor =
+                    Some(mayor);
             }));
         }
         let out = server.check_in(&req(checker, venue, abq())).unwrap();
@@ -2403,12 +2435,11 @@ mod tests {
         assert!(heat.shards.iter().any(|r| r.ops > 0));
     }
 
-    /// Acceptance check for the flight recorder: a worker thread killed
-    /// by the lock-order sentinel must leave a dump carrying the
-    /// violating thread's held-lock state and the retained trace.
-    #[cfg(debug_assertions)]
+    /// Acceptance check for the flight recorder: a worker thread that
+    /// panics while holding a venue shard must leave a dump carrying
+    /// the panic and the retained trace.
     #[test]
-    fn sentinel_kill_writes_flight_dump_with_forensics() {
+    fn worker_panic_under_a_shard_lock_writes_flight_dump_with_forensics() {
         use lbsn_obs::FlightDump;
         let dir = concat!(
             env!("CARGO_MANIFEST_DIR"),
@@ -2432,25 +2463,20 @@ mod tests {
         let worker = {
             let server = Arc::clone(&server);
             std::thread::spawn(move || {
-                // Rule 1 violation: a user shard while holding a venue
-                // shard. The sentinel panics; the flight hook fires
-                // before unwinding releases the guards.
-                let _venue_guard = server.venues.write_shard(0);
-                let _user_guard = server.users.read_shard(0);
+                // The flight hook fires before unwinding releases the
+                // guard.
+                let mut unlocked = Unlocked::mint();
+                let _venue_guard = server.venues.write_shard(&mut unlocked, 0);
+                panic!("worker died holding venue shard 0");
             })
         };
-        assert!(worker.join().is_err(), "sentinel must kill the worker");
+        assert!(worker.join().is_err(), "the worker must die");
         lbsn_obs::disarm();
         let mut found = false;
         for entry in std::fs::read_dir(dir).unwrap() {
             let path = entry.unwrap().path();
             let dump = FlightDump::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
-            if dump.reason.contains("rule 1") {
-                assert!(
-                    dump.held_locks.iter().any(|l| l.contains("venue shard 0")),
-                    "held locks must name the venue shard: {:?}",
-                    dump.held_locks
-                );
+            if dump.reason.contains("worker died holding venue shard 0") {
                 assert!(
                     dump.events
                         .iter()
@@ -2460,6 +2486,19 @@ mod tests {
                 found = true;
             }
         }
-        assert!(found, "no dump carries the sentinel panic reason");
+        assert!(found, "no dump carries the worker's panic reason");
+    }
+
+    /// A server call from inside a callback that holds a shard lock
+    /// re-enters the server: the debug mint check stops it before it
+    /// can take a second lock out of order.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "a second Unlocked minted on this thread")]
+    fn reentering_the_server_from_a_callback_panics() {
+        let (server, _, _) = setup();
+        server.for_each_user(|_| {
+            server.leaderboard(1);
+        });
     }
 }

@@ -10,37 +10,43 @@
 //! contend with check-ins that touch the *same* shard, not with the
 //! whole service.
 //!
-//! # Lock discipline
+//! # Lock order, in the types
 //!
-//! Deadlock freedom across the server rests on four rules, stated here
-//! once and relied on everywhere (see DESIGN.md §"Sharded concurrency"):
+//! Deadlock freedom across the server rests on four rules (DESIGN.md
+//! §7). Each is a signature here, so a violation does not compile.
+//! Every acquisition takes a zero-sized *level token* by `&mut` and
+//! returns a guard that keeps that borrow alive, plus the token of the
+//! next level down:
 //!
-//! 1. **Families are ordered**: user shards are always acquired before
-//!    venue shards. No code path acquires a user shard while holding a
-//!    venue shard.
-//! 2. **Within a family, ascending order**: when more than one shard of
-//!    the same family must be held simultaneously ([`ShardedVec::
-//!    write_set`]), shards are locked in ascending shard-index order.
-//! 3. **At most one venue shard** is held at a time. Cross-venue
-//!    transitions (mayor stripping on account branding) are two-phase:
-//!    collect the venue list under the user's shard, release, then
-//!    apply shard-by-shard in ascending order.
-//! 4. **Side maps are leaves**: the username map, the venue grid, and
-//!    the category table each have their own lock ([`LeafLock`]) and
-//!    are never held while acquiring any other lock.
+//! | lock | takes | gives |
+//! |---|---|---|
+//! | user shard, [`ShardedVec::write_set`] | `&mut` [`Unlocked`] | [`UserLevel`] |
+//! | venue shard | `&mut` [`Unlocked`] or `&mut` [`UserLevel`] | [`VenueLevel`] |
+//! | leaf ([`LeafLock`]: username map, venue grid, category table) | `&mut` any level | nothing |
+//! | venue-string arena ([`RootLock`]) | `&mut` [`Unlocked`] | nothing |
 //!
-//! In debug builds a **lock-order sentinel** ([`sentinel`]) turns the
-//! prose above into machine-checked assertions: every tracked
-//! acquisition records `(family, shard index)` plus its
-//! `#[track_caller]` site into a thread-local held-lock list, the four
-//! rules are asserted on every acquire, and a global lock-dependency
-//! graph with cycle detection backstops them across threads. A
-//! violation panics naming *both* acquisition sites — the lock being
-//! taken and the held lock it conflicts with. Release builds compile
-//! the sentinel out entirely: the guards are transparent newtypes and
-//! acquisition cost is identical to bare `parking_lot`.
-//! `try_read_shard` peeks are deliberately untracked — a try-acquire
-//! never blocks, and the optimistic mayor peek is dropped before any
+//! 1. **Families are ordered**: user shards before venue shards. A
+//!    venue guard borrows the token every user acquisition needs.
+//! 2. **Within a family, ascending order**: a user guard borrows the
+//!    only [`Unlocked`], so a second user shard is held only through
+//!    [`ShardedVec::write_set`], which sorts.
+//! 3. **At most one venue shard**: a venue guard borrows its level
+//!    exclusively, and no acquisition accepts a [`VenueLevel`].
+//!    Cross-venue transitions (mayor stripping on account branding)
+//!    are two-phase: collect the venue list under the user's shard,
+//!    release, then apply shard by shard in ascending order.
+//! 4. **Side maps are leaves**: a leaf guard borrows whatever level it
+//!    was taken at and gives none back, so nothing is acquired under it.
+//!
+//! The types cannot see one thing: a second [`Unlocked`] minted while
+//! the first one's guards live, which is what a server call made from
+//! inside a `for_each_user`/`with_user` callback would do. Tokens are
+//! therefore minted only around a locking section, never handed out,
+//! and debug builds assert that a thread holds at most one live
+//! [`Unlocked`] ([`Unlocked::mint`]). Guards are the bare `parking_lot`
+//! guards and tokens are `PhantomData`, so release builds pay nothing.
+//! [`ShardedVec::try_read_shard`] needs no token: a try-acquire never
+//! blocks, and the optimistic mayor peek drops its guard before any
 //! real acquisition.
 //!
 //! Every acquisition is timed into the `server.shard.lock_wait`
@@ -53,35 +59,292 @@
 //! [`ShardHeat`] row (ops always; contended count + wait only on the
 //! slow path) — the `server.shard.heat.{users,venues}` families the
 //! scale ladder renders as a contention heatmap.
+//!
+//! # What does not compile
+//!
+//! Each block below breaks one rule and names the borrow error that
+//! rejects it. The blocks share this setup:
+//!
+//! ```
+//! # use lbsn_server::shard::*;
+//! let r = lbsn_obs::Registry::new();
+//! let users: ShardedVec<u64, Users> = ShardedVec::new(8, r.sketch("u"), r.shard_heat("u", 8));
+//! let venues: ShardedVec<u64, Venues> = ShardedVec::new(8, r.sketch("v"), r.shard_heat("v", 8));
+//! let names = LeafLock::new(0u64);
+//! let arena = RootLock::new(0u64);
+//! // The legal order: user shards, one venue shard, a leaf.
+//! let mut unlocked = Unlocked::mint();
+//! let (set, mut user_level) = users.write_set(&mut unlocked, &mut vec![5, 1]);
+//! let (venue, mut venue_level) = venues.write_shard(&mut user_level, 0);
+//! let name = names.read(&mut venue_level);
+//! drop((name, venue, set));
+//! *arena.lock(&mut unlocked) += 1;
+//! ```
+//!
+//! Rule 2, a descending pair of user shards:
+//!
+//! ```compile_fail,E0499
+//! # use lbsn_server::shard::*; let r = lbsn_obs::Registry::new();
+//! # let users: ShardedVec<u64, Users> = ShardedVec::new(8, r.sketch("u"), r.shard_heat("u", 8));
+//! let mut unlocked = Unlocked::mint();
+//! let (a, _) = users.write_shard(&mut unlocked, 3);
+//! let (b, _) = users.write_shard(&mut unlocked, 1);
+//! drop((b, a));
+//! ```
+//!
+//! Rule 2, a `write_set` under a held user shard:
+//!
+//! ```compile_fail,E0499
+//! # use lbsn_server::shard::*; let r = lbsn_obs::Registry::new();
+//! # let users: ShardedVec<u64, Users> = ShardedVec::new(8, r.sketch("u"), r.shard_heat("u", 8));
+//! let mut unlocked = Unlocked::mint();
+//! let (outer, _) = users.write_shard(&mut unlocked, 5);
+//! let (set, _) = users.write_set(&mut unlocked, &mut vec![1]);
+//! drop((set, outer));
+//! ```
+//!
+//! Rule 2, re-entering a held user shard:
+//!
+//! ```compile_fail,E0499
+//! # use lbsn_server::shard::*; let r = lbsn_obs::Registry::new();
+//! # let users: ShardedVec<u64, Users> = ShardedVec::new(8, r.sketch("u"), r.shard_heat("u", 8));
+//! let mut unlocked = Unlocked::mint();
+//! let (a, _) = users.read_shard(&mut unlocked, 2);
+//! let (b, _) = users.read_shard(&mut unlocked, 2);
+//! drop((b, a));
+//! ```
+//!
+//! Rule 1, a user shard under a venue shard:
+//!
+//! ```compile_fail,E0499
+//! # use lbsn_server::shard::*; let r = lbsn_obs::Registry::new();
+//! # let users: ShardedVec<u64, Users> = ShardedVec::new(8, r.sketch("u"), r.shard_heat("u", 8));
+//! # let venues: ShardedVec<u64, Venues> = ShardedVec::new(8, r.sketch("v"), r.shard_heat("v", 8));
+//! let mut unlocked = Unlocked::mint();
+//! let (v, _) = venues.write_shard(&mut unlocked, 1);
+//! let (u, _) = users.read_shard(&mut unlocked, 2);
+//! drop((u, v));
+//! ```
+//!
+//! Rule 1 after user shards were released: the venue guard still
+//! borrows the user level, which borrows the only [`Unlocked`].
+//!
+//! ```compile_fail,E0499
+//! # use lbsn_server::shard::*; let r = lbsn_obs::Registry::new();
+//! # let users: ShardedVec<u64, Users> = ShardedVec::new(8, r.sketch("u"), r.shard_heat("u", 8));
+//! # let venues: ShardedVec<u64, Venues> = ShardedVec::new(8, r.sketch("v"), r.shard_heat("v", 8));
+//! let mut unlocked = Unlocked::mint();
+//! let (set, mut user_level) = users.write_set(&mut unlocked, &mut vec![1]);
+//! drop(set);
+//! let (v, _) = venues.write_shard(&mut user_level, 0);
+//! let (u, _) = users.read_shard(&mut unlocked, 0);
+//! drop((u, v));
+//! ```
+//!
+//! Rule 1 across functions: a helper
+//! returns a venue guard and the caller locks a user shard through a
+//! second helper. The guard's borrow crosses the call.
+//!
+//! ```compile_fail,E0499
+//! # use lbsn_server::shard::*; use parking_lot::RwLockWriteGuard;
+//! fn lock_target_venue<'a>(
+//!     venues: &'a ShardedVec<u64, Venues>,
+//!     unlocked: &'a mut Unlocked,
+//! ) -> RwLockWriteGuard<'a, Vec<u64>> {
+//!     venues.write_shard(unlocked, 1).0
+//! }
+//! fn audit_user(users: &ShardedVec<u64, Users>, unlocked: &mut Unlocked) {
+//!     let _profile = users.read_shard(unlocked, 2);
+//! }
+//! fn cross_function_inversion(users: &ShardedVec<u64, Users>, venues: &ShardedVec<u64, Venues>) {
+//!     let mut unlocked = Unlocked::mint();
+//!     let vguard = lock_target_venue(venues, &mut unlocked);
+//!     audit_user(users, &mut unlocked);
+//!     drop(vguard);
+//! }
+//! ```
+//!
+//! Rule 3, a second venue shard:
+//!
+//! ```compile_fail,E0499
+//! # use lbsn_server::shard::*; let r = lbsn_obs::Registry::new();
+//! # let venues: ShardedVec<u64, Venues> = ShardedVec::new(8, r.sketch("v"), r.shard_heat("v", 8));
+//! let mut unlocked = Unlocked::mint();
+//! let (a, _) = venues.write_shard(&mut unlocked, 0);
+//! let (b, _) = venues.write_shard(&mut unlocked, 1);
+//! drop((b, a));
+//! ```
+//!
+//! Rule 3 through the venue level: no acquisition accepts it.
+//!
+//! ```compile_fail,E0277
+//! # use lbsn_server::shard::*; let r = lbsn_obs::Registry::new();
+//! # let venues: ShardedVec<u64, Venues> = ShardedVec::new(8, r.sketch("v"), r.shard_heat("v", 8));
+//! let mut unlocked = Unlocked::mint();
+//! let (a, mut venue_level) = venues.write_shard(&mut unlocked, 0);
+//! let (b, _) = venues.write_shard(&mut venue_level, 1);
+//! drop((b, a));
+//! ```
+//!
+//! Rule 4, a shard under a leaf:
+//!
+//! ```compile_fail,E0499
+//! # use lbsn_server::shard::*; let r = lbsn_obs::Registry::new();
+//! # let users: ShardedVec<u64, Users> = ShardedVec::new(8, r.sketch("u"), r.shard_heat("u", 8));
+//! let sidemap = LeafLock::new(0u64);
+//! let mut unlocked = Unlocked::mint();
+//! let leaf = sidemap.write(&mut unlocked);
+//! let (shard, _) = users.read_shard(&mut unlocked, 0);
+//! drop((shard, leaf));
+//! ```
+//!
+//! Rule 4 across a call: the username leaf
+//! is held while a helper locks a user shard.
+//!
+//! ```compile_fail,E0499
+//! # use lbsn_server::shard::*;
+//! fn lock_user_shard(users: &ShardedVec<u64, Users>, unlocked: &mut Unlocked, u: usize) {
+//!     let _slot = users.write_shard(unlocked, u);
+//! }
+//! fn resolve_then_lock(users: &ShardedVec<u64, Users>, usernames: &LeafLock<Vec<u64>>) {
+//!     let mut unlocked = Unlocked::mint();
+//!     let names = usernames.read(&mut unlocked);
+//!     lock_user_shard(users, &mut unlocked, names.len());
+//!     drop(names);
+//! }
+//! ```
+//!
+//! The arena under a venue shard, one call deep:
+//!
+//! ```compile_fail,E0499
+//! # use lbsn_server::shard::*;
+//! fn intern_name(arena: &RootLock<Vec<String>>, unlocked: &mut Unlocked, name: &str) -> u64 {
+//!     let mut arena = arena.lock(unlocked);
+//!     arena.push(name.to_string());
+//!     arena.len() as u64
+//! }
+//! fn rename_venue(venues: &ShardedVec<u64, Venues>, arena: &RootLock<Vec<String>>, v: usize) {
+//!     let mut unlocked = Unlocked::mint();
+//!     let (mut shard, _) = venues.write_shard(&mut unlocked, v);
+//!     shard[0] = intern_name(arena, &mut unlocked, "espresso");
+//! }
+//! ```
+//!
+//! Recursion under a held shard: the recursive helper's signature
+//! states its lock effect.
+//!
+//! ```compile_fail,E0499
+//! # use lbsn_server::shard::*;
+//! fn spiral(users: &ShardedVec<u64, Users>, unlocked: &mut Unlocked, depth: usize) {
+//!     if depth == 0 {
+//!         return;
+//!     }
+//!     drop(users.read_shard(unlocked, depth));
+//!     spiral(users, unlocked, depth - 1);
+//! }
+//! fn drive(users: &ShardedVec<u64, Users>, u: usize) {
+//!     let mut unlocked = Unlocked::mint();
+//!     let (uguard, _) = users.read_shard(&mut unlocked, u);
+//!     spiral(users, &mut unlocked, 3);
+//!     drop(uguard);
+//! }
+//! ```
+//!
+//! Dynamic dispatch under a held shard: a trait method that locks
+//! must take the token too.
+//!
+//! ```compile_fail,E0499
+//! # use lbsn_server::shard::*;
+//! trait Probe {
+//!     fn probe(&self, unlocked: &mut Unlocked);
+//! }
+//! fn drive(users: &ShardedVec<u64, Users>, probe: &dyn Probe, u: usize) {
+//!     let mut unlocked = Unlocked::mint();
+//!     let (uguard, _) = users.read_shard(&mut unlocked, u);
+//!     probe.probe(&mut unlocked);
+//!     drop(uguard);
+//! }
+//! ```
 
-use std::ops::{Deref, DerefMut};
+use std::marker::PhantomData;
 use std::time::Instant;
 
 use lbsn_obs::{QuantileSketch, ShardHeat};
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::metrics::now;
 
-/// Which ordered family of striped locks a [`ShardedVec`] belongs to.
-/// Rule 1 orders the families: `Users` shards are always acquired
-/// before `Venues` shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum ShardFamily {
-    /// User shards — acquired first.
-    Users,
-    /// Venue shards — acquired after user shards, at most one at a time.
-    Venues,
+/// The level of a thread that holds no lock of this module: what user
+/// shards, write sets and arenas are acquired from.
+///
+/// Not `Send`: the debug mint check is per thread.
+pub struct Unlocked(PhantomData<*const ()>);
+
+/// The level below a held user shard or user write set: only a venue
+/// shard or a leaf can still be acquired.
+pub struct UserLevel<'a>(PhantomData<&'a mut Unlocked>);
+
+/// The level below a held venue shard: only a leaf can still be
+/// acquired.
+pub struct VenueLevel<'a>(PhantomData<&'a mut Unlocked>);
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::Unlocked {}
+    impl Sealed for super::UserLevel<'_> {}
+    impl Sealed for super::VenueLevel<'_> {}
 }
 
-impl ShardFamily {
-    #[cfg(debug_assertions)]
-    fn label(self) -> &'static str {
-        match self {
-            ShardFamily::Users => "user",
-            ShardFamily::Venues => "venue",
-        }
+/// Any level token; a [`LeafLock`] accepts each of them (rule 4).
+pub trait Level: sealed::Sealed {}
+impl Level for Unlocked {}
+impl Level for UserLevel<'_> {}
+impl Level for VenueLevel<'_> {}
+
+/// A level a venue shard may be acquired from: nothing held, or user
+/// shards only (rules 1 and 3).
+pub trait BeforeVenues: Level {}
+impl BeforeVenues for Unlocked {}
+impl BeforeVenues for UserLevel<'_> {}
+
+#[cfg(debug_assertions)]
+thread_local! {
+    /// Whether this thread holds a live [`Unlocked`].
+    static MINTED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+impl Unlocked {
+    /// Mints this thread's unlocked level for one locking section.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, when the thread already holds a live
+    /// [`Unlocked`]: a server call re-entered the server (from a
+    /// callback, say) while the outer call may hold locks.
+    #[track_caller]
+    pub fn mint() -> Self {
+        #[cfg(debug_assertions)]
+        assert!(
+            !MINTED.with(|minted| minted.replace(true)),
+            "lock order: a second Unlocked minted on this thread; \
+             a server call re-entered the server while holding its locks"
+        );
+        Unlocked(PhantomData)
     }
 }
+
+#[cfg(debug_assertions)]
+impl Drop for Unlocked {
+    fn drop(&mut self) {
+        MINTED.with(|minted| minted.set(false));
+    }
+}
+
+/// The user lock family: acquired first.
+pub enum Users {}
+
+/// The venue lock family: acquired after user shards, one at a time.
+pub enum Venues {}
 
 /// Pads a shard's lock to its own cache line so lock words of adjacent
 /// shards never false-share under cross-core traffic. Pure
@@ -90,17 +353,14 @@ impl ShardFamily {
 #[repr(align(64))]
 struct CacheAligned<T>(T);
 
-/// A vector of entities split across independently locked shards.
+/// A vector of entities split across independently locked shards, in
+/// lock family `F` ([`Users`] or [`Venues`]).
 ///
 /// IDs are dense and 1-based; id 0 (and any unregistered id) simply
 /// misses every lookup. Shard count is a power of two fixed at
 /// construction.
-pub(crate) struct ShardedVec<T> {
+pub struct ShardedVec<T, F> {
     shards: Box<[CacheAligned<RwLock<Vec<T>>>]>,
-    /// Which ordered lock family these shards belong to (sentinel
-    /// bookkeeping; carries no release-build behaviour).
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    family: ShardFamily,
     /// log2(shard count).
     bits: u32,
     /// shard count - 1.
@@ -109,54 +369,14 @@ pub(crate) struct ShardedVec<T> {
     lock_wait: QuantileSketch,
     /// Per-shard contention heatmap rows for this family.
     heat: ShardHeat,
+    family: PhantomData<F>,
 }
 
-/// Read guard for one shard, dereferencing to the shard's slot vector.
-/// In debug builds it carries the sentinel registration that is removed
-/// again on drop; in release builds it is a transparent wrapper.
-pub(crate) struct ShardReadGuard<'a, T> {
-    guard: RwLockReadGuard<'a, Vec<T>>,
-    #[cfg(debug_assertions)]
-    _held: sentinel::Held,
-}
-
-impl<T> Deref for ShardReadGuard<'_, T> {
-    type Target = Vec<T>;
-    fn deref(&self) -> &Vec<T> {
-        &self.guard
-    }
-}
-
-/// Write guard for one shard; see [`ShardReadGuard`].
-pub(crate) struct ShardWriteGuard<'a, T> {
-    guard: RwLockWriteGuard<'a, Vec<T>>,
-    #[cfg(debug_assertions)]
-    _held: sentinel::Held,
-}
-
-impl<T> Deref for ShardWriteGuard<'_, T> {
-    type Target = Vec<T>;
-    fn deref(&self) -> &Vec<T> {
-        &self.guard
-    }
-}
-
-impl<T> DerefMut for ShardWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut Vec<T> {
-        &mut self.guard
-    }
-}
-
-impl<T> ShardedVec<T> {
+impl<T, F> ShardedVec<T, F> {
     /// Creates an empty map with `shard_count` shards (must be a power
-    /// of two ≥ 1) in lock family `family`, reporting lock waits into
-    /// `lock_wait` and per-shard contention into `heat`.
-    pub fn new(
-        family: ShardFamily,
-        shard_count: usize,
-        lock_wait: QuantileSketch,
-        heat: ShardHeat,
-    ) -> Self {
+    /// of two ≥ 1), reporting lock waits into `lock_wait` and per-shard
+    /// contention into `heat`.
+    pub fn new(shard_count: usize, lock_wait: QuantileSketch, heat: ShardHeat) -> Self {
         assert!(
             shard_count.is_power_of_two(),
             "shard count must be a power of two, got {shard_count}"
@@ -166,11 +386,11 @@ impl<T> ShardedVec<T> {
             .collect();
         ShardedVec {
             shards,
-            family,
             bits: shard_count.trailing_zeros(),
             mask: (shard_count - 1) as u64,
             lock_wait,
             heat,
+            family: PhantomData,
         }
     }
 
@@ -192,59 +412,47 @@ impl<T> ShardedVec<T> {
     }
 
     /// Read-locks one shard only if immediately available (used for
-    /// optimistic peeks that have a correct slow path anyway). Not
-    /// counted in the lock-wait sketch — a peek is not an acquisition —
-    /// and not tracked by the sentinel: a try-acquire can never block,
-    /// so it cannot participate in a deadlock *wait*, and every peek
-    /// call site drops the guard before the first real acquisition.
+    /// optimistic peeks that have a correct slow path anyway). Needs no
+    /// level token and is not counted in the lock-wait sketch: a
+    /// try-acquire never blocks, so it cannot take part in a deadlock,
+    /// and every peek drops its guard before the first real
+    /// acquisition.
     pub fn try_read_shard(&self, shard: usize) -> Option<RwLockReadGuard<'_, Vec<T>>> {
         self.shards[shard].0.try_read()
     }
 
+    /// This family's heatmap handle (the memory sampler refreshes its
+    /// occupancy rows while walking shards).
+    pub fn heat(&self) -> &ShardHeat {
+        &self.heat
+    }
+
     /// Read-locks one shard, recording the acquisition wait.
-    #[track_caller]
-    pub fn read_shard(&self, shard: usize) -> ShardReadGuard<'_, T> {
-        #[cfg(debug_assertions)]
-        let _held = sentinel::acquire_shard(self.family, shard);
+    fn lock_read(&self, shard: usize) -> RwLockReadGuard<'_, Vec<T>> {
         let lock = &self.shards[shard].0;
-        let guard = if let Some(guard) = lock.try_read() {
+        if let Some(guard) = lock.try_read() {
             self.lock_wait.record(0);
             self.heat.record_fast(shard);
-            guard
-        } else {
-            let start = self.lock_wait.is_enabled().then(now);
-            let guard = lock.read();
-            self.record_wait(shard, start);
-            guard
-        };
-        ShardReadGuard {
-            guard,
-            #[cfg(debug_assertions)]
-            _held,
+            return guard;
         }
+        let start = self.lock_wait.is_enabled().then(now);
+        let guard = lock.read();
+        self.record_wait(shard, start);
+        guard
     }
 
     /// Write-locks one shard, recording the acquisition wait.
-    #[track_caller]
-    pub fn write_shard(&self, shard: usize) -> ShardWriteGuard<'_, T> {
-        #[cfg(debug_assertions)]
-        let _held = sentinel::acquire_shard(self.family, shard);
+    fn lock_write(&self, shard: usize) -> RwLockWriteGuard<'_, Vec<T>> {
         let lock = &self.shards[shard].0;
-        let guard = if let Some(guard) = lock.try_write() {
+        if let Some(guard) = lock.try_write() {
             self.lock_wait.record(0);
             self.heat.record_fast(shard);
-            guard
-        } else {
-            let start = self.lock_wait.is_enabled().then(now);
-            let guard = lock.write();
-            self.record_wait(shard, start);
-            guard
-        };
-        ShardWriteGuard {
-            guard,
-            #[cfg(debug_assertions)]
-            _held,
+            return guard;
         }
+        let start = self.lock_wait.is_enabled().then(now);
+        let guard = lock.write();
+        self.record_wait(shard, start);
+        guard
     }
 
     /// Records a contended acquisition's wait since `start`, which is
@@ -258,46 +466,93 @@ impl<T> ShardedVec<T> {
         self.lock_wait.record(nanos);
         self.heat.record_wait(shard, nanos);
     }
+}
 
-    /// This family's heatmap handle (the memory sampler refreshes its
-    /// occupancy rows while walking shards).
-    pub fn heat(&self) -> &ShardHeat {
-        &self.heat
+impl<T> ShardedVec<T, Users> {
+    /// Read-locks one user shard (rules 1 and 2: nothing held).
+    pub fn read_shard<'a>(
+        &'a self,
+        _level: &'a mut Unlocked,
+        shard: usize,
+    ) -> (RwLockReadGuard<'a, Vec<T>>, UserLevel<'a>) {
+        (self.lock_read(shard), UserLevel(PhantomData))
     }
 
-    /// Runs a closure against the entity with `id` under its shard's
-    /// read lock, without cloning. `None` for unregistered ids.
-    #[track_caller]
-    pub fn with<R>(&self, id: u64, f: impl FnOnce(&T) -> R) -> Option<R> {
-        let guard = self.read_shard(self.shard_of(id));
-        guard.get(self.slot_of(id)).map(f)
+    /// Write-locks one user shard (rules 1 and 2: nothing held).
+    pub fn write_shard<'a>(
+        &'a self,
+        _level: &'a mut Unlocked,
+        shard: usize,
+    ) -> (RwLockWriteGuard<'a, Vec<T>>, UserLevel<'a>) {
+        (self.lock_write(shard), UserLevel(PhantomData))
     }
 
-    /// Write-locks a set of shards in ascending index order (rule 2).
-    /// `shard_ids` may contain duplicates and be unsorted; it is sorted
-    /// and deduplicated in place (callers on the hot path reuse one
-    /// scratch vector across retries instead of allocating per attempt).
-    #[track_caller]
-    pub fn write_set(&self, shard_ids: &mut Vec<usize>) -> WriteSet<'_, T> {
+    /// Write-locks a set of user shards in ascending index order (rule
+    /// 2). `shard_ids` may contain duplicates and be unsorted; it is
+    /// sorted and deduplicated in place (callers on the hot path reuse
+    /// one scratch vector across retries instead of allocating per
+    /// attempt).
+    pub fn write_set<'a>(
+        &'a self,
+        _level: &'a mut Unlocked,
+        shard_ids: &mut Vec<usize>,
+    ) -> (WriteSet<'a, T>, UserLevel<'a>) {
         shard_ids.sort_unstable();
         shard_ids.dedup();
-        let guards = shard_ids
-            .iter()
-            .map(|&i| (i, self.write_shard(i)))
-            .collect();
-        WriteSet {
+        let guards = shard_ids.iter().map(|&i| (i, self.lock_write(i))).collect();
+        let set = WriteSet {
             guards,
             bits: self.bits,
             mask: self.mask,
-        }
+        };
+        (set, UserLevel(PhantomData))
+    }
+
+    /// Runs a closure against the user with `id` under its shard's read
+    /// lock, without cloning. `None` for unregistered ids.
+    pub fn with<R>(&self, level: &mut Unlocked, id: u64, f: impl FnOnce(&T) -> R) -> Option<R> {
+        let (guard, _) = self.read_shard(level, self.shard_of(id));
+        guard.get(self.slot_of(id)).map(f)
     }
 }
 
-/// A set of simultaneously held shard write guards, acquired in
+impl<T> ShardedVec<T, Venues> {
+    /// Read-locks one venue shard (rules 1 and 3: no venue shard held).
+    pub fn read_shard<'a, L: BeforeVenues>(
+        &'a self,
+        _level: &'a mut L,
+        shard: usize,
+    ) -> (RwLockReadGuard<'a, Vec<T>>, VenueLevel<'a>) {
+        (self.lock_read(shard), VenueLevel(PhantomData))
+    }
+
+    /// Write-locks one venue shard (rules 1 and 3: no venue shard held).
+    pub fn write_shard<'a, L: BeforeVenues>(
+        &'a self,
+        _level: &'a mut L,
+        shard: usize,
+    ) -> (RwLockWriteGuard<'a, Vec<T>>, VenueLevel<'a>) {
+        (self.lock_write(shard), VenueLevel(PhantomData))
+    }
+
+    /// Runs a closure against the venue with `id` under its shard's
+    /// read lock, without cloning. `None` for unregistered ids.
+    pub fn with<R>(
+        &self,
+        level: &mut impl BeforeVenues,
+        id: u64,
+        f: impl FnOnce(&T) -> R,
+    ) -> Option<R> {
+        let (guard, _) = self.read_shard(level, self.shard_of(id));
+        guard.get(self.slot_of(id)).map(f)
+    }
+}
+
+/// A set of simultaneously held user-shard write guards, acquired in
 /// ascending shard order, addressable by entity id.
-pub(crate) struct WriteSet<'a, T> {
+pub struct WriteSet<'a, T> {
     /// (shard index, guard), ascending by shard index.
-    guards: Vec<(usize, ShardWriteGuard<'a, T>)>,
+    guards: Vec<(usize, RwLockWriteGuard<'a, Vec<T>>)>,
     bits: u32,
     mask: u64,
 }
@@ -368,330 +623,42 @@ impl<'a, T> WriteSet<'a, T> {
     }
 }
 
-/// A named leaf lock (rule 4): the side maps — username map, venue
-/// grid, category table — each live behind one of these. A leaf may be
-/// acquired while shard locks are held (it orders after every shard),
-/// but the sentinel panics if *anything* is acquired while a leaf is
-/// held.
-pub(crate) struct LeafLock<T> {
-    /// Stable name used in sentinel violation messages (only read in
-    /// debug builds).
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    name: &'static str,
-    /// Process-unique leaf id (distinguishes leaves of distinct server
-    /// instances in the global dependency graph).
-    #[cfg(debug_assertions)]
-    id: usize,
-    inner: RwLock<T>,
-}
-
-/// Read guard for a [`LeafLock`].
-pub(crate) struct LeafReadGuard<'a, T> {
-    guard: RwLockReadGuard<'a, T>,
-    #[cfg(debug_assertions)]
-    _held: sentinel::Held,
-}
-
-impl<T> Deref for LeafReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.guard
-    }
-}
-
-/// Write guard for a [`LeafLock`].
-pub(crate) struct LeafWriteGuard<'a, T> {
-    guard: RwLockWriteGuard<'a, T>,
-    #[cfg(debug_assertions)]
-    _held: sentinel::Held,
-}
-
-impl<T> Deref for LeafWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.guard
-    }
-}
-
-impl<T> DerefMut for LeafWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.guard
-    }
-}
+/// A leaf lock (rule 4): the side maps — username map, venue grid,
+/// category table — each live behind one of these. A leaf is acquired
+/// at any level and borrows it, so nothing is acquired under it.
+pub struct LeafLock<T>(RwLock<T>);
 
 impl<T> LeafLock<T> {
-    /// Creates a leaf lock around `value`, named `name` for sentinel
-    /// diagnostics.
-    pub fn new(name: &'static str, value: T) -> Self {
-        LeafLock {
-            name,
-            #[cfg(debug_assertions)]
-            id: sentinel::next_leaf_id(),
-            inner: RwLock::new(value),
-        }
+    /// Creates a leaf lock around `value`.
+    pub fn new(value: T) -> Self {
+        LeafLock(RwLock::new(value))
     }
 
     /// Read-locks the leaf.
-    #[track_caller]
-    pub fn read(&self) -> LeafReadGuard<'_, T> {
-        #[cfg(debug_assertions)]
-        let _held = sentinel::acquire_leaf(self.id, self.name);
-        LeafReadGuard {
-            guard: self.inner.read(),
-            #[cfg(debug_assertions)]
-            _held,
-        }
+    pub fn read<'a, L: Level>(&'a self, _level: &'a mut L) -> RwLockReadGuard<'a, T> {
+        self.0.read()
     }
 
     /// Write-locks the leaf.
-    #[track_caller]
-    pub fn write(&self) -> LeafWriteGuard<'_, T> {
-        #[cfg(debug_assertions)]
-        let _held = sentinel::acquire_leaf(self.id, self.name);
-        LeafWriteGuard {
-            guard: self.inner.write(),
-            #[cfg(debug_assertions)]
-            _held,
-        }
+    pub fn write<'a, L: Level>(&'a self, _level: &'a mut L) -> RwLockWriteGuard<'a, T> {
+        self.0.write()
     }
 }
 
-/// The debug-only runtime lock-order sentinel.
-///
-/// Tracks every [`ShardedVec`] / [`LeafLock`] acquisition in a
-/// thread-local held-lock list, asserts the module's four ordering
-/// rules on each acquire, and feeds a global lock-dependency graph
-/// whose cycle detection backstops the per-thread rules across
-/// threads. All violations panic with a message naming the acquisition
-/// being attempted *and* the already-held acquisition it conflicts
-/// with, each with its `#[track_caller]` site.
-#[cfg(debug_assertions)]
-pub(crate) mod sentinel {
-    use std::cell::RefCell;
-    use std::collections::HashMap;
-    use std::fmt;
-    use std::panic::Location;
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+/// A lock acquired only with nothing else held: the per-shard
+/// venue-string arenas, which registration fills before it takes the
+/// venue shard.
+pub struct RootLock<T>(Mutex<T>);
 
-    use parking_lot::Mutex;
-
-    use super::ShardFamily;
-
-    /// A vertex in the lock-dependency graph.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-    pub enum Node {
-        /// One shard of a [`super::ShardedVec`] family.
-        Shard(ShardFamily, usize),
-        /// One [`super::LeafLock`], by process-unique id.
-        Leaf(usize, &'static str),
+impl<T> RootLock<T> {
+    /// Creates a root lock around `value`.
+    pub fn new(value: T) -> Self {
+        RootLock(Mutex::new(value))
     }
 
-    impl fmt::Display for Node {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                Node::Shard(family, index) => write!(f, "{} shard {index}", family.label()),
-                Node::Leaf(_, name) => write!(f, "leaf lock `{name}`"),
-            }
-        }
-    }
-
-    /// One tracked acquisition on the current thread.
-    struct Entry {
-        node: Node,
-        site: &'static Location<'static>,
-        seq: u64,
-    }
-
-    thread_local! {
-        /// The locks this thread currently holds, in acquisition order.
-        static HELD: RefCell<Vec<Entry>> = const { RefCell::new(Vec::new()) };
-    }
-
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    static LEAF_IDS: AtomicUsize = AtomicUsize::new(0);
-
-    /// Allocates a process-unique [`super::LeafLock`] id.
-    pub fn next_leaf_id() -> usize {
-        LEAF_IDS.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Lock-dependency edges `held → acquired`, each remembering the
-    /// first pair of sites that produced it.
-    type Graph =
-        HashMap<Node, HashMap<Node, (&'static Location<'static>, &'static Location<'static>)>>;
-
-    static GRAPH: Mutex<Option<Graph>> = Mutex::new(None);
-
-    /// RAII registration for one acquisition; dropping it removes the
-    /// entry from the thread's held-lock list (locks are not always
-    /// released LIFO — [`super::WriteSet`] drops in vec order — so
-    /// removal is by identity, not a pop).
-    pub struct Held {
-        seq: u64,
-    }
-
-    impl Drop for Held {
-        fn drop(&mut self) {
-            HELD.with(|held| {
-                let mut held = held.borrow_mut();
-                if let Some(pos) = held.iter().rposition(|e| e.seq == self.seq) {
-                    held.remove(pos);
-                }
-            });
-        }
-    }
-
-    /// Registers the acquisition of shard `index` in `family`,
-    /// asserting rules 1–4 and the dependency graph's acyclicity.
-    #[track_caller]
-    pub fn acquire_shard(family: ShardFamily, index: usize) -> Held {
-        acquire(Node::Shard(family, index))
-    }
-
-    /// Registers the acquisition of a leaf lock.
-    #[track_caller]
-    pub fn acquire_leaf(id: usize, name: &'static str) -> Held {
-        acquire(Node::Leaf(id, name))
-    }
-
-    #[track_caller]
-    fn acquire(node: Node) -> Held {
-        let site = Location::caller();
-        let snapshot: Vec<(Node, &'static Location<'static>)> =
-            HELD.with(|held| held.borrow().iter().map(|e| (e.node, e.site)).collect());
-        for &(held_node, held_site) in &snapshot {
-            if let Some(rule) = rule_violation(held_node, node) {
-                panic!(
-                    "lock-order sentinel: {rule}: acquiring {node} at {site} \
-                     while holding {held_node} acquired at {held_site}"
-                );
-            }
-        }
-        record_edges(&snapshot, node, site);
-        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-        HELD.with(|held| held.borrow_mut().push(Entry { node, site, seq }));
-        Held { seq }
-    }
-
-    /// The four-rule discipline, as a predicate over (held, acquiring).
-    /// Returns the violated rule's description, or `None` if the pair
-    /// is permitted.
-    fn rule_violation(held: Node, acquiring: Node) -> Option<&'static str> {
-        if matches!(held, Node::Leaf(..)) {
-            // Rule 4: side maps are leaves — never held across any
-            // other acquisition (leaf-after-leaf included).
-            return Some("rule 4 (side maps are leaves) violated");
-        }
-        match (held, acquiring) {
-            (Node::Shard(ShardFamily::Venues, _), Node::Shard(ShardFamily::Users, _)) => {
-                // Rule 1: user shards strictly before venue shards.
-                Some("rule 1 (user shards before venue shards) violated")
-            }
-            (Node::Shard(ShardFamily::Venues, _), Node::Shard(ShardFamily::Venues, _)) => {
-                // Rule 3: at most one venue shard at a time.
-                Some("rule 3 (at most one venue shard) violated")
-            }
-            (Node::Shard(hf, hi), Node::Shard(af, ai)) if hf == af && hi >= ai => {
-                // Rule 2: ascending within a family (re-entry included —
-                // acquiring a shard already held would self-deadlock).
-                Some("rule 2 (ascending order within a family) violated")
-            }
-            _ => None,
-        }
-    }
-
-    /// Adds `held → acquired` edges to the global dependency graph and
-    /// panics if any insertion closes a cycle. The per-thread rules
-    /// make the discipline totally ordered, so a cycle can only appear
-    /// if a code path bypasses them; the graph is the cross-thread
-    /// backstop the concurrency tests exercise for free.
-    fn record_edges(
-        held: &[(Node, &'static Location<'static>)],
-        acquired: Node,
-        site: &'static Location<'static>,
-    ) {
-        if held.is_empty() {
-            return;
-        }
-        let mut graph = GRAPH.lock();
-        let graph = graph.get_or_insert_with(Graph::default);
-        for &(held_node, held_site) in held {
-            if held_node == acquired {
-                continue;
-            }
-            graph
-                .entry(held_node)
-                .or_default()
-                .entry(acquired)
-                .or_insert((held_site, site));
-            if let Some((back_from, back_to, (site_a, site_b))) =
-                find_path(graph, acquired, held_node)
-            {
-                panic!(
-                    "lock-order sentinel: dependency cycle: acquiring {acquired} at {site} \
-                     while holding {held_node} acquired at {held_site}, but the reverse \
-                     ordering {back_from} → {back_to} was first observed at {site_a} \
-                     (held) → {site_b} (acquired)"
-                );
-            }
-        }
-    }
-
-    /// Depth-first search for a path `from → … → to`; returns the first
-    /// edge on the path (excluding the edge just inserted) with its
-    /// recorded sites.
-    #[allow(clippy::type_complexity)]
-    fn find_path(
-        graph: &Graph,
-        from: Node,
-        to: Node,
-    ) -> Option<(
-        Node,
-        Node,
-        (&'static Location<'static>, &'static Location<'static>),
-    )> {
-        let mut stack = vec![from];
-        let mut visited = vec![from];
-        while let Some(node) = stack.pop() {
-            if let Some(edges) = graph.get(&node) {
-                for (&next, &sites) in edges {
-                    if node == to && next == from {
-                        // The edge we just inserted; a "cycle" through
-                        // it alone is the pair itself, already checked
-                        // by the ordering rules.
-                        continue;
-                    }
-                    if next == to {
-                        return Some((node, next, sites));
-                    }
-                    if !visited.contains(&next) {
-                        visited.push(next);
-                        stack.push(next);
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// Number of locks the current thread holds (test observability).
-    #[cfg(test)]
-    pub fn held_count() -> usize {
-        HELD.with(|held| held.borrow().len())
-    }
-
-    /// Human-readable descriptions of the locks the current thread
-    /// holds, in acquisition order — what the flight recorder's
-    /// held-lock provider reports when a sentinel panic fires on this
-    /// thread (panic hooks run before unwinding drops the guards, so
-    /// the violating acquisitions are still in the list).
-    pub fn held_descriptions() -> Vec<String> {
-        HELD.with(|held| {
-            held.borrow()
-                .iter()
-                .map(|e| format!("{} acquired at {}", e.node, e.site))
-                .collect()
-        })
+    /// Locks it (nothing else may be held).
+    pub fn lock<'a>(&'a self, _level: &'a mut Unlocked) -> MutexGuard<'a, T> {
+        self.0.lock()
     }
 }
 
@@ -700,29 +667,23 @@ mod tests {
     use super::*;
     use lbsn_obs::Registry;
 
-    fn map(shards: usize) -> ShardedVec<u64> {
+    fn map<F>(shards: usize) -> ShardedVec<u64, F> {
         let registry = Registry::new();
         ShardedVec::new(
-            ShardFamily::Users,
             shards,
             registry.sketch("test.lock_wait"),
             registry.shard_heat("test.heat.users", shards),
         )
     }
 
-    fn venue_map(shards: usize) -> ShardedVec<u64> {
-        let registry = Registry::new();
-        ShardedVec::new(
-            ShardFamily::Venues,
-            shards,
-            registry.sketch("test.lock_wait"),
-            registry.shard_heat("test.heat.venues", shards),
-        )
+    /// Appends `value` to `shard` of a user map.
+    fn push(m: &ShardedVec<u64, Users>, shard: usize, value: u64) {
+        m.write_shard(&mut Unlocked::mint(), shard).0.push(value);
     }
 
     #[test]
     fn id_to_shard_slot_round_trips_densely() {
-        let m = map(8);
+        let m = map::<Users>(8);
         // Dense ids fill shards round-robin and slots densely per shard.
         for id in 1..=64u64 {
             let shard = m.shard_of(id);
@@ -735,20 +696,22 @@ mod tests {
     #[test]
     fn id_zero_misses_without_panicking() {
         let m = map(4);
-        m.write_shard(m.shard_of(1)).push(10);
+        push(&m, m.shard_of(1), 10);
         assert!(m.shard_of(0) < 4, "id 0 wraps to an in-range shard");
-        assert_eq!(m.with(0, |v| *v), None);
-        assert_eq!(m.with(1, |v| *v), Some(10));
-        assert_eq!(m.with(2, |v| *v), None);
+        let mut unlocked = Unlocked::mint();
+        assert_eq!(m.with(&mut unlocked, 0, |v| *v), None);
+        assert_eq!(m.with(&mut unlocked, 1, |v| *v), Some(10));
+        assert_eq!(m.with(&mut unlocked, 2, |v| *v), None);
     }
 
     #[test]
     fn write_set_sorts_and_dedups() {
         let m = map(8);
         for id in 1..=16u64 {
-            m.write_shard(m.shard_of(id)).push(id * 100);
+            push(&m, m.shard_of(id), id * 100);
         }
-        let set = m.write_set(&mut vec![5, 1, 5, 3]);
+        let mut unlocked = Unlocked::mint();
+        let (set, _) = m.write_set(&mut unlocked, &mut vec![5, 1, 5, 3]);
         assert_eq!(
             set.guards.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
             vec![1, 3, 5]
@@ -764,17 +727,21 @@ mod tests {
     /// Eight shards holding ids 1..=16 (id `n` stores `n * 100`), with
     /// shards 1 and 3 locked: ids 2, 10 (shard 1) and 4, 12 (shard 3)
     /// are covered, id 1 (shard 0) is not.
-    fn paired_fixture(m: &ShardedVec<u64>) -> WriteSet<'_, u64> {
+    fn paired_fixture<'a>(
+        m: &'a ShardedVec<u64, Users>,
+        unlocked: &'a mut Unlocked,
+    ) -> WriteSet<'a, u64> {
         for id in 1..=16u64 {
-            m.write_shard(m.shard_of(id)).push(id * 100);
+            m.write_shard(unlocked, m.shard_of(id)).0.push(id * 100);
         }
-        m.write_set(&mut vec![1, 3])
+        m.write_set(unlocked, &mut vec![1, 3]).0
     }
 
     #[test]
     fn get_with_mut_pairs_two_entities_in_one_shard() {
         let m = map(8);
-        let mut set = paired_fixture(&m);
+        let mut unlocked = Unlocked::mint();
+        let mut set = paired_fixture(&m, &mut unlocked);
         let (a, b) = set.get_with_mut(2, Some(10)).unwrap();
         assert_eq!((*a, b.as_deref().copied()), (200, Some(1000)));
         *a = 1;
@@ -785,7 +752,8 @@ mod tests {
     #[test]
     fn get_with_mut_pairs_entities_across_shards() {
         let m = map(8);
-        let mut set = paired_fixture(&m);
+        let mut unlocked = Unlocked::mint();
+        let mut set = paired_fixture(&m, &mut unlocked);
         let (a, b) = set.get_with_mut(12, Some(2)).unwrap();
         assert_eq!((*a, b.as_deref().copied()), (1200, Some(200)));
         *a = 3;
@@ -796,7 +764,8 @@ mod tests {
     #[test]
     fn get_with_mut_drops_the_second_handle_it_cannot_give() {
         let m = map(8);
-        let mut set = paired_fixture(&m);
+        let mut unlocked = Unlocked::mint();
+        let mut set = paired_fixture(&m, &mut unlocked);
         let alone =
             |pair: Option<(&mut u64, Option<&mut u64>)>| pair.map(|(a, b)| (*a, b.is_some()));
         assert_eq!(alone(set.get_with_mut(4, None)), Some((400, false)));
@@ -820,7 +789,8 @@ mod tests {
     #[test]
     fn get_with_mut_misses_an_unregistered_or_uncovered_id() {
         let m = map(8);
-        let mut set = paired_fixture(&m);
+        let mut unlocked = Unlocked::mint();
+        let mut set = paired_fixture(&m, &mut unlocked);
         assert!(set.get_with_mut(98, Some(2)).is_none(), "id unregistered");
         assert!(set.get_with_mut(1, Some(2)).is_none(), "id uncovered");
     }
@@ -828,7 +798,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_rejected() {
-        map(6);
+        map::<Users>(6);
     }
 
     /// A contended acquisition reads the clock twice (start and end of
@@ -846,16 +816,15 @@ mod tests {
             (false, true, 0),
         ] {
             let registry = Registry::new();
-            let m = ShardedVec::<u64>::new(
-                ShardFamily::Users,
+            let m = ShardedVec::<u64, Users>::new(
                 1,
                 registry.sketch("test.lock_wait"),
                 registry.shard_heat("test.heat.users", 1),
             );
             registry.set_enabled(enabled);
             clock_reads::take();
-            drop(m.write_shard(0));
-            drop(m.read_shard(0));
+            drop(m.write_shard(&mut Unlocked::mint(), 0));
+            drop(m.read_shard(&mut Unlocked::mint(), 0));
             assert_eq!(clock_reads::take(), 0, "fast path");
             // The contender starts acquiring once the lock is held (the
             // barrier). No API shows that it is parked on the lock, so
@@ -863,17 +832,19 @@ mod tests {
             // from a try in which the contender demonstrably waited,
             // i.e. took the slow path.
             let reads = loop {
-                let held = m.write_shard(0);
+                let mut unlocked = Unlocked::mint();
+                let held = m.write_shard(&mut unlocked, 0);
                 let barrier = std::sync::Barrier::new(2);
                 let (reads, waited) = std::thread::scope(|scope| {
                     let contender = scope.spawn(|| {
                         barrier.wait();
                         clock_reads::take();
                         let began = Instant::now();
+                        let mut unlocked = Unlocked::mint();
                         if write {
-                            drop(m.write_shard(0));
+                            drop(m.write_shard(&mut unlocked, 0));
                         } else {
-                            drop(m.read_shard(0));
+                            drop(m.read_shard(&mut unlocked, 0));
                         }
                         (clock_reads::take(), began.elapsed())
                     });
@@ -893,15 +864,14 @@ mod tests {
     #[test]
     fn heatmap_rows_track_per_shard_ops() {
         let registry = Registry::new();
-        let m = ShardedVec::<u64>::new(
-            ShardFamily::Users,
+        let m = ShardedVec::<u64, Users>::new(
             4,
             registry.sketch("test.lock_wait"),
             registry.shard_heat("test.heat.users", 4),
         );
-        m.write_shard(1).push(7);
-        drop(m.read_shard(1));
-        drop(m.read_shard(3));
+        push(&m, 1, 7);
+        drop(m.read_shard(&mut Unlocked::mint(), 1));
+        drop(m.read_shard(&mut Unlocked::mint(), 3));
         m.heat().set_occupancy(1, 1);
         let snap = registry.snapshot();
         assert_eq!(snap.shard_heat.len(), 1);
@@ -916,173 +886,33 @@ mod tests {
 
     #[test]
     fn single_shard_degenerates_to_one_lock() {
-        let m = map(1);
+        let m = map::<Users>(1);
         for id in 1..=10u64 {
             assert_eq!(m.shard_of(id), 0);
             assert_eq!(m.slot_of(id), (id - 1) as usize);
         }
     }
 
-    /// The sentinel only exists under `debug_assertions`; every test
-    /// below seeds a deliberate discipline violation and asserts the
-    /// panic identifies the rule and both acquisition sites.
+    #[test]
+    fn leaf_after_shards_is_permitted() {
+        let users = map::<Users>(4);
+        let venues = map::<Venues>(4);
+        let leaf = LeafLock::new(7u64);
+        let mut unlocked = Unlocked::mint();
+        let (_u, mut user_level) = users.write_shard(&mut unlocked, 1);
+        let (_v, mut venue_level) = venues.write_shard(&mut user_level, 0);
+        assert_eq!(*leaf.read(&mut venue_level), 7);
+    }
+
+    /// The mint check is per thread and clears when the token drops
+    /// (a second live one panics: see the server's re-entry test).
     #[cfg(debug_assertions)]
-    mod sentinel_tests {
-        use super::*;
-
-        /// Runs `f`, asserting it panics with a message containing all
-        /// of `needles`. Returns the message for further inspection.
-        fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe, needles: &[&str]) -> String {
-            let err = std::panic::catch_unwind(f).expect_err("seeded violation must panic");
-            let msg = err
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-                .expect("panic payload is a string");
-            for needle in needles {
-                assert!(msg.contains(needle), "missing `{needle}` in: {msg}");
-            }
-            msg
-        }
-
-        #[test]
-        fn misordered_write_set_panics_with_both_sites() {
-            let m = map(8);
-            let msg = panic_message(
-                || {
-                    let _outer = m.write_shard(5);
-                    // Deliberately misordered: rule 2 requires shard 1
-                    // to have been part of the same ascending set.
-                    let _set = m.write_set(&mut vec![1]);
-                },
-                &[
-                    "rule 2 (ascending order within a family)",
-                    "acquiring user shard 1",
-                    "while holding user shard 5",
-                ],
-            );
-            // Both acquisition sites are named, and both are in this
-            // file (two distinct line numbers of this test).
-            assert_eq!(msg.matches("shard.rs").count(), 2, "{msg}");
-        }
-
-        #[test]
-        fn venue_before_user_panics_as_rule_1() {
-            let users = map(4);
-            let venues = venue_map(4);
-            panic_message(
-                || {
-                    let _v = venues.write_shard(0);
-                    let _u = users.read_shard(0);
-                },
-                &[
-                    "rule 1 (user shards before venue shards)",
-                    "acquiring user shard 0",
-                    "while holding venue shard 0",
-                ],
-            );
-        }
-
-        #[test]
-        fn second_venue_shard_panics_as_rule_3() {
-            let venues = venue_map(4);
-            panic_message(
-                || {
-                    let _a = venues.write_shard(0);
-                    let _b = venues.write_shard(1);
-                },
-                &[
-                    "rule 3 (at most one venue shard)",
-                    "acquiring venue shard 1",
-                    "while holding venue shard 0",
-                ],
-            );
-        }
-
-        #[test]
-        fn reentrant_shard_acquisition_panics_as_rule_2() {
-            let m = map(4);
-            panic_message(
-                || {
-                    let _a = m.read_shard(2);
-                    let _b = m.read_shard(2);
-                },
-                &["rule 2", "user shard 2"],
-            );
-        }
-
-        #[test]
-        fn acquiring_under_a_leaf_lock_panics_as_rule_4() {
-            let m = map(4);
-            let leaf = LeafLock::new("test.sidemap", 0u64);
-            panic_message(
-                || {
-                    let _l = leaf.write();
-                    let _s = m.read_shard(0);
-                },
-                &[
-                    "rule 4 (side maps are leaves)",
-                    "acquiring user shard 0",
-                    "while holding leaf lock `test.sidemap`",
-                ],
-            );
-        }
-
-        #[test]
-        fn leaf_after_shards_is_permitted() {
-            let m = map(4);
-            let venues = venue_map(4);
-            let leaf = LeafLock::new("test.categories", 7u64);
-            let _u = m.write_shard(1);
-            let _v = venues.write_shard(0);
-            let guard = leaf.read();
-            assert_eq!(*guard, 7);
-            assert_eq!(sentinel::held_count(), 3);
-        }
-
-        #[test]
-        fn held_entries_are_removed_on_drop_in_any_order() {
-            let m = map(8);
-            let a = m.write_shard(1);
-            let b = m.write_shard(3);
-            let c = m.write_shard(5);
-            assert_eq!(sentinel::held_count(), 3);
-            // Non-LIFO release: middle guard first.
-            drop(b);
-            assert_eq!(sentinel::held_count(), 2);
-            drop(a);
-            drop(c);
-            assert_eq!(sentinel::held_count(), 0);
-            // The discipline is re-checkable after arbitrary-order
-            // release: a fresh ascending set still succeeds.
-            let _set = m.write_set(&mut vec![0, 2]);
-        }
-
-        #[test]
-        fn cross_thread_inversion_is_caught_by_the_dependency_graph() {
-            // Two leaves acquired in opposite orders on two threads
-            // would deadlock under unlucky scheduling. Each single
-            // acquisition-under-a-leaf already violates rule 4, proving
-            // the graph never even gets to see a cycle from ShardedVec
-            // users — so drive the graph directly with nodes the rules
-            // pass through: user shards of *different* instances share
-            // graph nodes by (family, index), and an inverted ordering
-            // between shard 0 and shard 1 across two threads is a
-            // cycle. Thread 1 orders 0 → 1 legally; thread 2 must seed
-            // 1 → 0, which rule 2 rejects per-thread — hence the graph
-            // is exercised here through its public recording path with
-            // leaves, accepting the rule-4 panic as the first line of
-            // defence and asserting the cycle detector's message shape
-            // via the rule-violation panic it prevents.
-            let m = map(2);
-            let t = std::thread::spawn(move || {
-                let _set = m.write_set(&mut vec![0, 1]);
-                drop(_set);
-                m
-            });
-            let m = t.join().unwrap();
-            // Same ordering on this thread: consistent, no panic.
-            let _set = m.write_set(&mut vec![0, 1]);
-        }
+    #[test]
+    fn an_unlocked_can_be_minted_again_once_dropped() {
+        drop(Unlocked::mint());
+        let _again = Unlocked::mint();
+        std::thread::spawn(|| drop(Unlocked::mint()))
+            .join()
+            .expect("each thread mints its own");
     }
 }

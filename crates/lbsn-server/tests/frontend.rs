@@ -7,8 +7,8 @@
 //! same outcomes, same accepted/rejected/branded counters — and the
 //! frontend's queues conserve submissions exactly
 //! (`submitted = decided + shed`) under a multi-thread flood past the
-//! high-water mark. Debug builds run every test under the lock-order
-//! sentinel, so a rule violation in the batch lock protocol panics.
+//! high-water mark. The batch lock protocol's order is checked when
+//! it compiles (DESIGN.md §14).
 
 use std::sync::{mpsc, Arc};
 use std::time::Duration as StdDuration;
@@ -228,8 +228,7 @@ proptest! {
 /// 8 submitter threads flood a small-queue frontend far past its
 /// high-water mark, then every ticket is awaited. Exact conservation:
 /// every submission is either decided or shed, nothing is lost, nothing
-/// is decided twice — and in debug builds the lock-order sentinel
-/// watches every batch acquisition.
+/// is decided twice.
 #[test]
 fn flood_conserves_submissions_exactly() {
     with_watchdog("flood_conserves_submissions_exactly", || {

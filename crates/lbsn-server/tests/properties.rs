@@ -183,15 +183,17 @@ proptest! {
             }
         }
         for uid in 1..=3u64 {
-            server.with_user(UserId(uid), |u| {
-                for v in &u.mayorships {
-                    assert_eq!(
-                        server.venue(*v).unwrap().mayor,
-                        Some(UserId(uid)),
-                        "mayorship set out of sync"
-                    );
-                }
-            }).unwrap();
+            // Read the set first: a server call from inside the
+            // callback would re-enter the server under the user lock.
+            let mayorships: Vec<VenueId> =
+                server.with_user(UserId(uid), |u| u.mayorships.iter().copied().collect()).unwrap();
+            for v in mayorships {
+                assert_eq!(
+                    server.venue(v).unwrap().mayor,
+                    Some(UserId(uid)),
+                    "mayorship set out of sync"
+                );
+            }
         }
     }
 
