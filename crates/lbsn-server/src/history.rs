@@ -461,6 +461,8 @@ impl Iterator for BriefRev<'_> {
 
     fn next(&mut self) -> Option<BriefRecord> {
         let trailer = self.end.checked_sub(1)?;
+        #[cfg(test)]
+        brief_reads::bump();
         let start = trailer - usize::from(self.buf[trailer]);
         let mut pos = start;
         let venue = VenueId(varint_read(self.buf, &mut pos));
@@ -474,6 +476,25 @@ impl Iterator for BriefRev<'_> {
             at: Timestamp(at),
             rewarded,
         })
+    }
+}
+
+/// The test build's per-thread tally of records read by [`BriefRev`].
+#[cfg(test)]
+pub(crate) mod brief_reads {
+    use std::cell::Cell;
+
+    thread_local! {
+        static READS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(crate) fn bump() {
+        READS.with(|r| r.set(r.get() + 1));
+    }
+
+    /// The calling thread's brief reads since the last `take`.
+    pub(crate) fn take() -> u64 {
+        READS.with(|r| r.replace(0))
     }
 }
 

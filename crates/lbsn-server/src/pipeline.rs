@@ -47,7 +47,9 @@ use crate::cheatercode::{Detector, RuleContext};
 use crate::checkin::{CheatFlag, CheckinEvidence, CheckinRequest};
 use crate::metrics::{ServerMetrics, Stopwatch};
 use crate::policy::{DetectorConfig, PolicyConfig};
-use crate::rewards::{decide_mayor, evaluate_badges, Badge, PointsPolicy, VenueLookup};
+use crate::rewards::{
+    decide_mayor, evaluate_badges, note_mayor_checkin, seat_mayor, Badge, PointsPolicy, VenueLookup,
+};
 use crate::shard::{LeafLock, VenueLevel};
 use crate::user::User;
 use crate::venue::{SpecialKind, Venue, VenueCategory};
@@ -143,14 +145,18 @@ pub(crate) fn reward(
     level: &mut VenueLevel<'_>,
 ) -> RewardOutcome {
     // Most distinct check-in days in the trailing window takes the
-    // seat; ties keep the incumbent.
+    // seat; ties keep the incumbent. The seat's tally is written only
+    // here: built when a mayor is seated, updated when the sitting
+    // mayor checks in again.
     let became_mayor = decide_mayor(venue, user, incumbent.as_deref(), now);
     if became_mayor {
         if let Some(old) = incumbent {
             old.mayorships.remove(&request.venue);
         }
-        venue.mayor = Some(request.user);
+        seat_mayor(venue, user, now);
         user.mayorships.insert(request.venue);
+    } else if venue.mayor == Some(request.user) {
+        note_mayor_checkin(venue, now);
     }
     let is_mayor = venue.mayor == Some(request.user);
 

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use crate::history::BriefRecord;
 use crate::user::User;
 use crate::venue::{Venue, VenueCategory};
-use crate::VenueId;
+use crate::{UserId, VenueId};
 
 /// Point values for check-in events. Serde-round-trippable so a whole
 /// reward policy can live in a JSON scenario file (see
@@ -273,6 +273,93 @@ fn bender(user: &User, now: Timestamp) -> bool {
 /// days in the past 60 days" (§2.1).
 pub const MAYOR_WINDOW: Duration = Duration(60 * DAY);
 
+/// The start of the mayorship window ending at `now`.
+fn window_start(now: Timestamp) -> Timestamp {
+    Timestamp(now.secs().saturating_sub(MAYOR_WINDOW.as_secs()))
+}
+
+/// The seated mayor's check-in days at one venue: bit `k` of `mask` is
+/// set iff `user` has a rewarded check-in there on day `last_day - k`,
+/// no earlier than the start of the mayorship window in which they were
+/// seated. Every later window starts no earlier, so on every day a
+/// contest can count the bits are exact, except that a check-in on the
+/// seat window's first day may since have left the window.
+///
+/// Kept in the venue's activity block. [`seat_mayor`] builds it and
+/// [`note_mayor_checkin`] keeps it current, both called only from
+/// `pipeline::reward`, so while `user` holds the seat every one of their
+/// rewarded check-ins here has passed through one of the two. A strip
+/// leaves it behind, harmlessly: it is only read while its user is
+/// seated, and the next seat rebuilds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub(crate) struct MayorTally {
+    user: UserId,
+    last_day: u64,
+    mask: u64,
+}
+
+impl MayorTally {
+    /// The bit of `day`, or 0 when the mask does not reach it.
+    fn bit(&self, day: u64) -> u64 {
+        match self.last_day.checked_sub(day) {
+            Some(k) if k < 64 => 1 << k,
+            _ => 0,
+        }
+    }
+
+    /// Records a rewarded check-in on `day`.
+    fn note(&mut self, day: u64) {
+        if day > self.last_day {
+            let shift = day - self.last_day;
+            self.mask = if shift < 64 { self.mask << shift } else { 0 };
+            self.last_day = day;
+        }
+        self.mask |= self.bit(day);
+    }
+
+    /// For a window whose first day is `first_day`: the number of tallied
+    /// days strictly after it, and whether `first_day` itself is tallied.
+    /// `None` when the mask does not reach back to `first_day`.
+    fn window(&self, first_day: u64) -> Option<(u32, bool)> {
+        match self.last_day.checked_sub(first_day) {
+            None => Some((0, false)),
+            Some(k) if k < 64 => {
+                let after = (self.mask & ((1 << k) - 1)).count_ones();
+                Some((after, self.mask >> k & 1 == 1))
+            }
+            Some(_) => None,
+        }
+    }
+}
+
+/// Seats `mayor` at `venue` and builds their [`MayorTally`] with one walk
+/// of the mayorship window ending `now`, whose newest record is the
+/// winning check-in.
+pub(crate) fn seat_mayor(venue: &mut Venue, mayor: &User, now: Timestamp) {
+    let mut tally = MayorTally {
+        user: mayor.id,
+        last_day: now.day(),
+        mask: 0,
+    };
+    for r in mayor
+        .rewarded_since(window_start(now))
+        .filter(|r| r.venue == venue.id)
+    {
+        tally.mask |= tally.bit(r.at.day());
+    }
+    venue.mayor = Some(mayor.id);
+    venue.activity_mut().mayor_tally = Some(tally);
+}
+
+/// Notes a rewarded check-in at `now` by `venue`'s seated mayor: O(1).
+pub(crate) fn note_mayor_checkin(venue: &mut Venue, now: Timestamp) {
+    let mayor = venue.mayor;
+    if let Some(tally) = &mut venue.activity_mut().mayor_tally {
+        debug_assert_eq!(Some(tally.user), mayor, "tally of an unseated user");
+        tally.note(now.day());
+    }
+}
+
 /// Decides whether `challenger` takes the mayorship of `venue` at `now`,
 /// given read access to the incumbent's user record.
 ///
@@ -288,9 +375,21 @@ pub const MAYOR_WINDOW: Duration = Duration(60 * DAY);
 ///   §3.4 observation that "only one check-in is enough" on dormant
 ///   venues.
 ///
-/// The incumbent's days are counted first; the challenger's walk then
-/// stops as soon as it beats them (after one day when there is no
-/// incumbent, which in the pipeline is the check-in just appended). The
+/// When the venue holds the seated incumbent's day tally (a bitmask of
+/// their check-in days here, which the reward ladder builds when it
+/// seats a mayor and updates on each of the mayor's check-ins), their
+/// history is not read: with `after` tallied days strictly after the
+/// window's first day, the challenger's walk stops at `after + 2` days.
+/// At `after` or fewer the challenger loses, at `after + 2` they win,
+/// and at `after + 1` they win unless the first day is tallied. The
+/// window starts at `now - 60 d`, mid-day, so that day's check-in may
+/// fall before it: then the incumbent's window is counted by a scan.
+///
+/// Without a tally for the seated incumbent (or with no incumbent), the
+/// incumbent's days are counted by a scan first; the challenger's walk
+/// then stops as soon as it beats them (after one day when there is no
+/// incumbent, which in the pipeline is the check-in just appended).
+/// Debug builds check every answer against the two full scans. The
 /// histories' timestamps must not decrease (see
 /// [`User::distinct_days_at`]).
 pub fn decide_mayor(
@@ -299,10 +398,56 @@ pub fn decide_mayor(
     incumbent: Option<&User>,
     now: Timestamp,
 ) -> bool {
+    let won = decide_by_tally(venue, challenger, incumbent, now);
+    debug_assert_eq!(
+        won,
+        decide_by_scan(venue, challenger, incumbent, now),
+        "mayor tally of {:?} disagrees with the full scan at {:?}",
+        venue.id,
+        now
+    );
+    won
+}
+
+/// [`decide_mayor`] without its debug cross-check.
+fn decide_by_tally(
+    venue: &Venue,
+    challenger: &User,
+    incumbent: Option<&User>,
+    now: Timestamp,
+) -> bool {
+    let seated = incumbent.filter(|inc| venue.mayor == Some(inc.id));
+    let tally = seated.and_then(|inc| venue.mayor_tally().filter(|t| t.user == inc.id));
+    let (Some(inc), Some(tally)) = (seated, tally) else {
+        return decide_by_scan(venue, challenger, incumbent, now);
+    };
+    if inc.id == challenger.id {
+        return false; // already mayor; nothing to transfer
+    }
+    let window_start = window_start(now);
+    let Some((after, first)) = tally.window(window_start.day()) else {
+        return decide_by_scan(venue, challenger, incumbent, now);
+    };
+    let days = challenger.distinct_days_at_capped(venue.id, window_start, after + 2);
+    if days == after + 1 && first {
+        days > inc.distinct_days_at(venue.id, window_start)
+    } else {
+        days > after
+    }
+}
+
+/// The incumbent's day count by a scan of their window, then the
+/// challenger's walk up to one day more.
+fn decide_by_scan(
+    venue: &Venue,
+    challenger: &User,
+    incumbent: Option<&User>,
+    now: Timestamp,
+) -> bool {
     if venue.mayor == Some(challenger.id) {
         return false; // already mayor; nothing to transfer
     }
-    let window_start = Timestamp(now.secs().saturating_sub(MAYOR_WINDOW.as_secs()));
+    let window_start = window_start(now);
     let incumbent_days = incumbent.map_or(0, |inc| inc.distinct_days_at(venue.id, window_start));
     let to_win = incumbent_days.saturating_add(1);
     challenger.distinct_days_at_capped(venue.id, window_start, to_win) == to_win
@@ -690,8 +835,8 @@ mod tests {
 
     /// One generated check-in, decoded by [`replay_and_compare`]: a roll
     /// whose bit fields pick the submitter (bits 0–1), the reward bit
-    /// (2–5), the venue (8–15) and the gap class (16–19), then three gap
-    /// draws (seconds, hours, up to 20 days).
+    /// (2–5), the venue (8–15), the gap class (16–19) and a seat strip
+    /// (20–23), then three gap draws (seconds, hours, up to 20 days).
     type Step = (u32, u64, u64, u64);
 
     fn step() -> impl Strategy<Value = Step> {
@@ -706,11 +851,15 @@ mod tests {
         ]
     }
 
-    /// Replays `steps` into a challenger and an incumbent on one clock
-    /// and, after every rewarded challenger check-in (the point where
-    /// the pipeline runs the ladder), compares the production ladder
-    /// with [`reference`] — the mayorship both against the incumbent and
-    /// with the seat vacant.
+    /// Replays `steps` into two users on one clock, each venue id keeping
+    /// one [`Venue`] across steps. At every rewarded check-in (the point
+    /// where the pipeline runs the ladder) it compares [`decide_mayor`]
+    /// with [`reference`] against the venue's seated mayor, then seats or
+    /// notes through the calls `pipeline::reward` makes, so the tally is
+    /// exercised through seat loss, a user regaining the seat and strips
+    /// (`mayor = None`, one step in 16). On the first user's check-ins it
+    /// also compares the contest with the seat vacant and against an
+    /// untallied incumbent, and the badges.
     fn replay_and_compare(
         venues: u64,
         gyms: u64,
@@ -720,13 +869,13 @@ mod tests {
         steps: &[Step],
     ) -> Result<(), TestCaseError> {
         let lookup = GymMask(gyms);
-        let mut challenger = user(1);
+        let mut users = [user(1), user(2)];
         for (i, &badge) in Badge::ALL.iter().enumerate() {
             if held >> i & 1 == 1 {
-                challenger.badges.insert(badge);
+                users[0].badges.insert(badge);
             }
         }
-        let mut incumbent = user(2);
+        let mut seats: Vec<Venue> = (1..=venues).map(venue).collect();
         let mut now = start;
         for &(roll, secs, hours, spread) in steps {
             now += match roll >> 16 & 15 {
@@ -736,15 +885,14 @@ mod tests {
                 _ if sparse => spread,
                 _ => secs,
             };
-            let by_incumbent = roll & 3 == 0;
+            let who = usize::from(roll & 3 == 0);
             let rewarded = roll >> 2 & 15 < 11;
             let vid = 1 + u64::from(roll >> 8 & 0xff) % venues;
-            let who = if by_incumbent {
-                &mut incumbent
-            } else {
-                &mut challenger
-            };
-            who.push_record(CheckinRecord {
+            let seat = &mut seats[vid as usize - 1];
+            if roll >> 20 & 15 == 0 {
+                seat.mayor = None;
+            }
+            users[who].push_record(CheckinRecord {
                 venue: VenueId(vid),
                 at: Timestamp(now),
                 location: loc(),
@@ -759,27 +907,43 @@ mod tests {
             if !rewarded {
                 continue;
             }
-            who.valid_checkins += 1;
-            who.visited_venues.insert(VenueId(vid));
-            if by_incumbent {
+            users[who].valid_checkins += 1;
+            users[who].visited_venues.insert(VenueId(vid));
+            let now = Timestamp(now);
+            let (submitter, other) = (&users[who], &users[1 - who]);
+            seat.record_valid_checkin(submitter.id, 10);
+            let incumbent = Some(other).filter(|o| seat.mayor == Some(o.id));
+            let won = decide_mayor(seat, submitter, incumbent, now);
+            prop_assert_eq!(
+                won,
+                reference::decide_mayor(seat, submitter, incumbent, now),
+                "seated contest at {:?} for {:?}",
+                now,
+                seat.mayor_tally()
+            );
+            if won {
+                seat_mayor(seat, submitter, now);
+            } else if seat.mayor == Some(submitter.id) {
+                note_mayor_checkin(seat, now);
+            }
+            if who == 1 {
                 continue;
             }
-            let now = Timestamp(now);
             let mut v = venue(vid);
             prop_assert_eq!(
-                decide_mayor(&v, &challenger, None, now),
-                reference::decide_mayor(&v, &challenger, None, now)
+                decide_mayor(&v, submitter, None, now),
+                reference::decide_mayor(&v, submitter, None, now)
             );
-            v.mayor = Some(incumbent.id);
+            v.mayor = Some(other.id);
             prop_assert_eq!(
-                decide_mayor(&v, &challenger, Some(&incumbent), now),
-                reference::decide_mayor(&v, &challenger, Some(&incumbent), now),
+                decide_mayor(&v, submitter, Some(other), now),
+                reference::decide_mayor(&v, submitter, Some(other), now),
                 "mayor contest at {:?}",
                 now
             );
             prop_assert_eq!(
-                evaluate_badges(&challenger, &v, now, &lookup),
-                reference::evaluate_badges(&challenger, &v, now, &lookup),
+                evaluate_badges(submitter, &v, now, &lookup),
+                reference::evaluate_badges(submitter, &v, now, &lookup),
                 "badges at {:?}",
                 now
             );
@@ -790,11 +954,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The early-stopping ladder decides exactly as the full scan
-        /// on non-decreasing histories: rewarded and flagged records,
-        /// 1–6 venues with gyms among them, gaps from 1 s to 20 days
-        /// (whole hours included, so records land on window edges),
-        /// random held badges, and some histories past 2 000 records.
+        /// The early-stopping ladder and the seat's tally decide exactly
+        /// as the full scan on non-decreasing histories: rewarded and
+        /// flagged records, 1–6 venues with gyms among them, gaps from
+        /// 1 s to 20 days (whole hours included, so records land on
+        /// window edges and on the window's first day), seats won, lost,
+        /// regained and stripped, random held badges, and some histories
+        /// past 2 000 records.
         #[test]
         fn ladder_matches_full_scan_reference(
             venues in 1u64..=6,
@@ -806,6 +972,97 @@ mod tests {
         ) {
             replay_and_compare(venues, gyms, held, sparse, start, &steps)?;
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// [`ladder_matches_full_scan_reference`] on whale-length
+        /// histories, the size of the §4.2 club's members. Run in
+        /// release: `cargo test --release -p lbsn-server -- --ignored`.
+        #[test]
+        #[ignore = "whale-length histories; run in release"]
+        fn ladder_matches_full_scan_reference_on_whales(
+            venues in 1u64..=6,
+            gyms in 0u64..64,
+            held in any::<u32>(),
+            sparse in any::<bool>(),
+            start in 0u64..=5 * DAY,
+            steps in prop::collection::vec(step(), 10_000..10_400),
+        ) {
+            replay_and_compare(venues, gyms, held, sparse, start, &steps)?;
+        }
+    }
+
+    /// A tallied challenge reads none of the incumbent's records, only
+    /// the challenger's walk capped at `after + 2` days; the boundary case
+    /// reads the incumbent's window once. Counts are of [`BriefRev`]
+    /// records on this thread, taken on [`decide_by_tally`] so the debug
+    /// cross-check's scans stay out of them.
+    ///
+    /// [`BriefRev`]: crate::history::BriefRev
+    #[test]
+    fn tallied_challenge_reads_only_the_challenger() {
+        use crate::history::brief_reads;
+
+        let now = Timestamp(200 * DAY + 12 * HOUR);
+        // The window opens at day 140, 12:00. The incumbent holds days
+        // 150, 160 and 170 here (`after` = 3) among 1 200 hourly
+        // check-ins at venue 2 from day 141 on.
+        let mut stamps: Vec<(u64, u64)> = (0..1_200).map(|h| (2, 141 * DAY + h * HOUR)).collect();
+        stamps.extend([150, 160, 170].map(|d| (1, d * DAY + 30 * 60)));
+        stamps.sort_by_key(|&(_, at)| at);
+        let mut incumbent = user(2);
+        for &(v, at) in &stamps {
+            add_valid(&mut incumbent, v, at);
+        }
+        let mut v = venue(1);
+        seat_mayor(&mut v, &incumbent, now);
+        assert_eq!(
+            v.mayor_tally().and_then(|t| t.window(140)),
+            Some((3, false))
+        );
+
+        // Ten days here: the walk stops at `after + 2` = 5 of them.
+        let mut strong = user(1);
+        for d in 181..=190 {
+            add_valid(&mut strong, 1, d * DAY);
+        }
+        brief_reads::take();
+        assert!(decide_by_tally(&v, &strong, Some(&incumbent), now));
+        assert_eq!(brief_reads::take(), 5);
+
+        // Two days in the window and one before it: all three are read,
+        // the last one only to find the window's edge.
+        let mut weak = user(3);
+        for d in [100, 185, 186] {
+            add_valid(&mut weak, 1, d * DAY);
+        }
+        assert!(!decide_by_tally(&v, &weak, Some(&incumbent), now));
+        assert_eq!(brief_reads::take(), 3);
+
+        // The incumbent checked in here on day 140 at 01:00 and was
+        // seated a day before `now`, while that check-in was still in
+        // the window. It has left the window since, but day 140 is
+        // tallied, so a challenger at exactly `after + 1` = 4 days needs
+        // the incumbent's count. Its scan reads the 1 203 in-window
+        // records and the 01:00 one.
+        let mut boundary = user(2);
+        add_valid(&mut boundary, 1, 140 * DAY + HOUR);
+        for &(v, at) in &stamps {
+            add_valid(&mut boundary, v, at);
+        }
+        let mut v = venue(1);
+        seat_mayor(&mut v, &boundary, Timestamp(now.secs() - DAY));
+        assert_eq!(v.mayor_tally().and_then(|t| t.window(140)), Some((3, true)));
+        let mut four = user(1);
+        for d in 187..=190 {
+            add_valid(&mut four, 1, d * DAY);
+        }
+        brief_reads::take();
+        assert!(decide_by_tally(&v, &four, Some(&boundary), now));
+        assert_eq!(brief_reads::take(), 4 + 1_203 + 1);
+        assert!(reference::decide_mayor(&v, &four, Some(&boundary), now));
     }
 
     #[test]
