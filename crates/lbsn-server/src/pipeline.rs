@@ -33,9 +33,10 @@
 //! Detectors get immutable borrows of the submitting user and the
 //! claimed venue only. The reward ladder gets mutable borrows of the
 //! submitting user, the incumbent mayor and the claimed venue — handles
-//! the admission loop looked up once under the held locks — plus the
-//! append-only category table (a leaf lock, per rule 4 of the locking
-//! discipline documented on the `shard` module). Verifiers run before
+//! the admission loop looked up once under the held locks; debug builds
+//! also read the append-only category table (a leaf lock, per rule 4 of
+//! the locking discipline documented on the `shard` module) to check
+//! the badges against a history scan. Verifiers run before
 //! locks exist and see only the request, the venue's registered
 //! location, and the evidence.
 
@@ -48,7 +49,8 @@ use crate::checkin::{CheatFlag, CheckinEvidence, CheckinRequest};
 use crate::metrics::{ServerMetrics, Stopwatch};
 use crate::policy::{DetectorConfig, PolicyConfig};
 use crate::rewards::{
-    decide_mayor, evaluate_badges, note_mayor_checkin, seat_mayor, Badge, PointsPolicy, VenueLookup,
+    decide_by_scan, decide_mayor, earned_badges, evaluate_badges_by_scan, Badge, PointsPolicy,
+    VenueLookup,
 };
 use crate::shard::{LeafLock, VenueLevel};
 use crate::user::User;
@@ -108,7 +110,8 @@ pub(crate) struct RewardOutcome {
     pub special_unlocked: Option<String>,
 }
 
-/// Category lookup backed by the server's append-only category table.
+/// Category lookup backed by the server's append-only category table:
+/// the badge scan oracle's, in debug builds.
 struct CategoryTable<'a>(&'a [VenueCategory]);
 
 impl VenueLookup for CategoryTable<'_> {
@@ -128,9 +131,15 @@ impl VenueLookup for CategoryTable<'_> {
 /// history; `venue` is the claimed venue, the check-in already counted
 /// on it. `incumbent` is the venue's mayor when that is someone else:
 /// the admission loop holds the incumbent's shard, so a seated mayor is
-/// always passed. `categories` is the append-only category table, read
+/// always passed.
+///
+/// The contest and the badges read the users' running reward windows,
+/// not their histories; the `Loyalty` special's lifetime count is the
+/// ladder's one history read. Debug builds check the contest and the
+/// badges against history scans. The badge scan takes Gym Rat's
+/// categories from `categories`, the append-only category table, read
 /// as a leaf lock (rule 4 of the `shard` module) at the held venue
-/// shard's `level` only while badges are evaluated.
+/// shard's `level`; release builds never take that lock.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn reward(
     policy: &PointsPolicy,
@@ -145,25 +154,40 @@ pub(crate) fn reward(
     level: &mut VenueLevel<'_>,
 ) -> RewardOutcome {
     // Most distinct check-in days in the trailing window takes the
-    // seat; ties keep the incumbent. The seat's tally is written only
-    // here: built when a mayor is seated, updated when the sitting
-    // mayor checks in again.
+    // seat; ties keep the incumbent.
     let became_mayor = decide_mayor(venue, user, incumbent.as_deref(), now);
+    debug_assert_eq!(
+        became_mayor,
+        decide_by_scan(venue, user, incumbent.as_deref(), now),
+        "mayor contest at {:?} disagrees with the history scan at {:?}",
+        venue.id,
+        now
+    );
     if became_mayor {
         if let Some(old) = incumbent {
             old.mayorships.remove(&request.venue);
         }
-        seat_mayor(venue, user, now);
+        venue.mayor = Some(request.user);
         user.mayorships.insert(request.venue);
-    } else if venue.mayor == Some(request.user) {
-        note_mayor_checkin(venue, now);
     }
     let is_mayor = venue.mayor == Some(request.user);
 
-    let new_badges = {
+    let new_badges = earned_badges(user, venue, now);
+    if cfg!(debug_assertions) {
         let categories = categories.read(level);
-        evaluate_badges(user, venue, now, &CategoryTable(&categories))
-    };
+        debug_assert_eq!(
+            new_badges,
+            evaluate_badges_by_scan(user, venue, now, &CategoryTable(&categories)),
+            "badges of {:?} disagree with the history scan at {:?}",
+            request.user,
+            now
+        );
+    }
+    // Gym Rat's look-back holds earlier gym check-ins: note this one
+    // only now that its badges are decided.
+    if venue.category == VenueCategory::Gym {
+        user.note_gym_checkin(now);
+    }
     for &badge in &new_badges {
         user.badges.insert(badge);
     }

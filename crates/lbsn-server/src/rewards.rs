@@ -8,13 +8,15 @@
 //! levels (Fig 4.2 compares badge counts across users under the same
 //! policy).
 
+use lbsn_obs::MemFootprint;
 use lbsn_sim::{Duration, Timestamp, DAY, HOUR};
 use serde::{Deserialize, Serialize};
 
+use crate::compact::BadgeSet;
 use crate::history::BriefRecord;
 use crate::user::User;
 use crate::venue::{Venue, VenueCategory};
-use crate::{UserId, VenueId};
+use crate::VenueId;
 
 /// Point values for check-in events. Serde-round-trippable so a whole
 /// reward policy can live in a JSON scenario file (see
@@ -165,24 +167,33 @@ impl VenueLookup for [Venue] {
 /// latest valid check-in (already appended to `user.history`) was at
 /// `venue` at time `now`.
 ///
-/// Badges already held are never re-awarded, and their criteria are
-/// skipped without a scan. Windowed criteria scan the history from the
-/// newest end, without decoding coordinates, and stop at the window
-/// boundary or as soon as the count reaches the badge's threshold, so
-/// cost is bounded by the threshold and the per-window activity, not by
-/// lifetime history. The history's timestamps must not decrease (see
-/// [`User::distinct_days_at`]).
+/// Badges already held are never re-awarded. Every windowed criterion
+/// is answered from the user's reward windows (`RewardWindows`), which
+/// [`User::push_record`] keeps current, so no history record is read.
+/// Gym Rat counts the current check-in when `venue` is a gym, plus the
+/// earlier gym check-ins `pipeline::reward` noted; `venues` is not read.
+/// `now` must be no earlier than the user's newest rewarded check-in.
 pub fn evaluate_badges(
     user: &User,
     venue: &Venue,
     now: Timestamp,
-    venues: &(impl VenueLookup + ?Sized),
+    _venues: &(impl VenueLookup + ?Sized),
 ) -> Vec<Badge> {
+    earned_badges(user, venue, now)
+}
+
+/// [`evaluate_badges`] without the unread category lookup.
+pub(crate) fn earned_badges(user: &User, venue: &Venue, now: Timestamp) -> Vec<Badge> {
     let mut earned = Vec::new();
     let mut check = |badge: Badge, achieved: &dyn Fn() -> bool| {
         if !user.badges.contains(&badge) && achieved() {
             earned.push(badge);
         }
+    };
+    let windows = user.reward_windows();
+    let within = |k: usize, span: u64| {
+        let since = Timestamp(now.secs().saturating_sub(span));
+        windows.is_some_and(|w| w.recent_since(k, since))
     };
 
     let distinct = user.visited_venues.len();
@@ -191,28 +202,17 @@ pub fn evaluate_badges(
     check(Badge::Explorer, &|| distinct >= 25);
     check(Badge::Superstar, &|| distinct >= 50);
     check(Badge::Warhol, &|| distinct >= 100);
-    check(Badge::Bender, &|| bender(user, now));
-
-    // Local: 3 valid check-ins at this venue in the trailing week.
-    let week_ago = Timestamp(now.secs().saturating_sub(7 * DAY));
+    check(Badge::Bender, &|| {
+        let today = Timestamp::at_day(now.day());
+        user.has_valid_checkin_since(today) && windows.is_some_and(RewardWindows::bender)
+    });
     check(Badge::Local, &|| {
-        at_least(user, week_ago, 3, |r| r.venue == venue.id)
+        let week_ago = Timestamp(now.secs().saturating_sub(LOCAL_WINDOW));
+        windows.is_some_and(|w| w.local(venue.id, week_ago))
     });
-
-    // Super User: 30 valid check-ins in the trailing 30 days.
-    let month_ago = Timestamp(now.secs().saturating_sub(30 * DAY));
-    check(Badge::SuperUser, &|| {
-        at_least(user, month_ago, 30, |_| true)
-    });
-
-    // Crunked / Overshare: bursts within 12 hours.
-    let half_day_ago = Timestamp(now.secs().saturating_sub(12 * HOUR));
-    check(Badge::Crunked, &|| {
-        at_least(user, half_day_ago, 4, |_| true)
-    });
-    check(Badge::Overshare, &|| {
-        at_least(user, half_day_ago, 10, |_| true)
-    });
+    check(Badge::SuperUser, &|| within(30, 30 * DAY));
+    check(Badge::Crunked, &|| within(4, 12 * HOUR));
+    check(Badge::Overshare, &|| within(10, 12 * HOUR));
 
     // School Night: the triggering check-in landed between 01:00–04:00.
     let hour_of_day = (now.secs() % DAY) / HOUR;
@@ -227,11 +227,12 @@ pub fn evaluate_badges(
     });
 
     // Gym Rat: 10 gym check-ins in the trailing 30 days (check-ins, not
-    // distinct venues — loyalty to one gym counts).
+    // distinct venues — loyalty to one gym counts), this one included
+    // when it is at a gym.
     check(Badge::GymRat, &|| {
-        at_least(user, month_ago, 10, |r| {
-            venues.category_of(r.venue) == Some(VenueCategory::Gym)
-        })
+        let month_ago = Timestamp(now.secs().saturating_sub(30 * DAY));
+        let at_gym = venue.category == VenueCategory::Gym;
+        windows.is_some_and(|w| w.gym_since(at_gym, month_ago))
     });
 
     check(Badge::SuperMayor, &|| user.mayorships.len() >= 10);
@@ -239,34 +240,71 @@ pub fn evaluate_badges(
     earned
 }
 
-/// Whether at least `n` valid check-ins since `since` satisfy `keep`;
-/// the newest-first count stops at `n`.
-fn at_least(user: &User, since: Timestamp, n: usize, keep: impl Fn(&BriefRecord) -> bool) -> bool {
-    user.rewarded_since(since)
-        .filter(|r| keep(r))
-        .take(n)
-        .count()
-        == n
-}
-
-/// Bender: valid check-ins on each of the 4 consecutive days ending
-/// today. Bit `k` of the mask is "a check-in `k` days before today";
-/// the scan stops once all four are set.
-fn bender(user: &User, now: Timestamp) -> bool {
-    let today = now.day();
-    let Some(first) = today.checked_sub(3) else {
-        return false;
+/// The badge rules as windowed history scans, newest first, each
+/// stopping at its window or threshold: the oracle `pipeline::reward`
+/// checks [`evaluate_badges`] against in debug builds.
+pub(crate) fn evaluate_badges_by_scan(
+    user: &User,
+    venue: &Venue,
+    now: Timestamp,
+    venues: &(impl VenueLookup + ?Sized),
+) -> Vec<Badge> {
+    let mut earned = Vec::new();
+    let mut check = |badge: Badge, achieved: &dyn Fn() -> bool| {
+        if !user.badges.contains(&badge) && achieved() {
+            earned.push(badge);
+        }
     };
-    let mut seen = 0u8;
-    for r in user.rewarded_since(Timestamp::at_day(first)) {
-        if let Some(back) = today.checked_sub(r.at.day()) {
-            seen |= 1 << back;
-        }
-        if seen == 0b1111 {
-            return true;
-        }
-    }
-    false
+    // Whether at least `n` valid check-ins since `since` satisfy `keep`.
+    let at_least = |since: Timestamp, n: usize, keep: &dyn Fn(&BriefRecord) -> bool| {
+        user.rewarded_since(since)
+            .filter(|r| keep(r))
+            .take(n)
+            .count()
+            == n
+    };
+
+    let distinct = user.visited_venues.len();
+    check(Badge::Newbie, &|| user.valid_checkins >= 1);
+    check(Badge::Adventurer, &|| distinct >= 10);
+    check(Badge::Explorer, &|| distinct >= 25);
+    check(Badge::Superstar, &|| distinct >= 50);
+    check(Badge::Warhol, &|| distinct >= 100);
+    // Bender: bit `k` of the mask is "a check-in `k` days before today".
+    check(Badge::Bender, &|| {
+        let today = now.day();
+        today.checked_sub(3).is_some_and(|first| {
+            let seen = user
+                .rewarded_since(Timestamp::at_day(first))
+                .filter_map(|r| today.checked_sub(r.at.day()))
+                .fold(0u8, |seen, back| seen | 1 << back);
+            seen & 0b1111 == 0b1111
+        })
+    });
+    let week_ago = Timestamp(now.secs().saturating_sub(7 * DAY));
+    check(Badge::Local, &|| {
+        at_least(week_ago, 3, &|r| r.venue == venue.id)
+    });
+    let month_ago = Timestamp(now.secs().saturating_sub(30 * DAY));
+    check(Badge::SuperUser, &|| at_least(month_ago, 30, &|_| true));
+    let half_day_ago = Timestamp(now.secs().saturating_sub(12 * HOUR));
+    check(Badge::Crunked, &|| at_least(half_day_ago, 4, &|_| true));
+    check(Badge::Overshare, &|| at_least(half_day_ago, 10, &|_| true));
+    let hour_of_day = (now.secs() % DAY) / HOUR;
+    check(Badge::SchoolNight, &|| (1..4).contains(&hour_of_day));
+    check(Badge::FreshBrew, &|| {
+        user.venues_by_category.count(VenueCategory::Coffee) >= 5
+    });
+    check(Badge::JetSetter, &|| {
+        user.venues_by_category.count(VenueCategory::Airport) >= 5
+    });
+    check(Badge::GymRat, &|| {
+        at_least(month_ago, 10, &|r| {
+            venues.category_of(r.venue) == Some(VenueCategory::Gym)
+        })
+    });
+    check(Badge::SuperMayor, &|| user.mayorships.len() >= 10);
+    earned
 }
 
 /// The mayorship window: "the user who checked in to that venue the most
@@ -278,85 +316,309 @@ fn window_start(now: Timestamp) -> Timestamp {
     Timestamp(now.secs().saturating_sub(MAYOR_WINDOW.as_secs()))
 }
 
-/// The seated mayor's check-in days at one venue: bit `k` of `mask` is
-/// set iff `user` has a rewarded check-in there on day `last_day - k`,
-/// no earlier than the start of the mayorship window in which they were
-/// seated. Every later window starts no earlier, so on every day a
-/// contest can count the bits are exact, except that a check-in on the
-/// seat window's first day may since have left the window.
+/// Rewarded times Super User (30th newest), Crunked (4th) and Overshare
+/// (10th) look back over.
+const RECENT: usize = 30;
+/// The badges the recent times serve: once all three are held they are
+/// dropped.
+const RECENT_BADGES: [Badge; 3] = [Badge::SuperUser, Badge::Crunked, Badge::Overshare];
+/// Earlier gym check-ins Gym Rat looks back over: nine when the current
+/// check-in is at a gym, ten when it is not.
+const GYM_LOOKBACK: usize = 10;
+/// Local's window.
+const LOCAL_WINDOW: u64 = 7 * DAY;
+/// How far before the newest time a re-based origin lands: past every
+/// window the rules ask about, so the times it clamps are never asked.
+const REBASE_MARGIN: u64 = MAYOR_WINDOW.0 + DAY;
+
+/// A user's rewarded check-ins, reduced to what §2.1's windowed rules
+/// ask: the running state behind [`decide_mayor`] and
+/// [`evaluate_badges`]. [`User::push_record`] notes every rewarded
+/// check-in and `pipeline::reward` every rewarded gym check-in, so the
+/// state is current whenever the ladder runs; it is serialized with the
+/// user. Allocated on the user's first rewarded check-in.
 ///
-/// Kept in the venue's activity block. [`seat_mayor`] builds it and
-/// [`note_mayor_checkin`] keeps it current, both called only from
-/// `pipeline::reward`, so while `user` holds the seat every one of their
-/// rewarded check-ins here has passed through one of the two. A strip
-/// leaves it behind, harmlessly: it is only read while its user is
-/// seated, and the next seat rebuilds it.
+/// Times are stored as `u32` offsets from `base`: offset `v > 0` is the
+/// time `base + v - 1`, and 0 means "before `base`" (or none). When a
+/// time no longer fits, `base` moves up to [`REBASE_MARGIN`] before it
+/// and older times clamp to 0: by then they lie outside every window.
+/// Timestamps must not decrease from one note to the next.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub(crate) struct RewardWindows {
+    /// The origin of every stored offset.
+    base: u64,
+    /// Mayorship: one entry per (venue, day) with a rewarded check-in,
+    /// sorted by venue and then time. Entries older than the mayorship
+    /// window are dropped when their venue is touched and by a
+    /// whole-list pass on the first rewarded check-in of each day, so
+    /// none is 61 days old.
+    days: Vec<DayEntry>,
+    /// Local: per venue, the two rewarded times before the newest there,
+    /// sorted by venue. Kept only while the newer one is less than a
+    /// week old (else no third check-in can fall in one week with them)
+    /// and until Local is held.
+    local: Vec<LocalEntry>,
+    /// Two runs of times, each oldest first: the last [`GYM_LOOKBACK`]
+    /// rewarded gym check-ins (`..gym`), noted after the badges of each
+    /// were evaluated, then the last [`RECENT`] rewarded check-ins, kept
+    /// until the three [`RECENT_BADGES`] are held.
+    times: Vec<u32>,
+    /// The length of the gym run.
+    gym: u8,
+    /// Bender: bit `k` is set iff there is a rewarded check-in `k` days
+    /// before the newest one's day.
+    bender: u8,
+}
+
+/// A venue's rewarded check-ins on one day: the latest one's offset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub(crate) struct MayorTally {
-    user: UserId,
-    last_day: u64,
-    mask: u64,
+struct DayEntry {
+    /// The venue's [`venue_key`].
+    venue: u32,
+    /// The day's latest rewarded time here.
+    latest: u32,
 }
 
-impl MayorTally {
-    /// The bit of `day`, or 0 when the mask does not reach it.
-    fn bit(&self, day: u64) -> u64 {
-        match self.last_day.checked_sub(day) {
-            Some(k) if k < 64 => 1 << k,
-            _ => 0,
+/// The two rewarded times at a venue before the newest there, newest
+/// first, as offsets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+struct LocalEntry {
+    venue: u32,
+    before: [u32; 2],
+}
+
+/// Inserts `entry` at `at`, growing `list` by a quarter when it is full:
+/// inserts into a sorted list shift its tail anyway, and a small step
+/// keeps the spare capacity of many short lists small.
+fn insert<T>(list: &mut Vec<T>, at: usize, entry: T) {
+    if list.len() == list.capacity() {
+        list.reserve_exact(list.len() / 4 + 4);
+    }
+    list.insert(at, entry);
+}
+
+/// Appends `at` to the run `times[start..]` of at most `cap` times,
+/// dropping its oldest when full.
+fn note_time(times: &mut Vec<u32>, start: usize, at: u32, cap: usize) {
+    if times.len() - start == cap {
+        times.copy_within(start + 1.., start);
+        times.pop();
+    }
+    insert(times, times.len(), at);
+}
+
+/// Whether the `k`-th newest time (`k` ≥ 1) of the run `run` is at
+/// least `floor`.
+fn kth_newest_from(run: &[u32], k: usize, floor: u64) -> bool {
+    k <= run.len() && u64::from(run[run.len() - k]) >= floor
+}
+
+/// The key a venue's entries sort by. Ids are dense from 1, so every
+/// venue a server can hold fits in 32 bits.
+fn venue_key(venue: VenueId) -> u32 {
+    venue.value() as u32
+}
+
+impl RewardWindows {
+    /// Empty state whose offsets start at `at`.
+    pub(crate) fn new(at: Timestamp) -> Self {
+        RewardWindows {
+            base: at.secs(),
+            days: Vec::new(),
+            local: Vec::new(),
+            times: Vec::new(),
+            gym: 0,
+            bender: 0,
         }
     }
 
-    /// Records a rewarded check-in on `day`.
-    fn note(&mut self, day: u64) {
-        if day > self.last_day {
-            let shift = day - self.last_day;
-            self.mask = if shift < 64 { self.mask << shift } else { 0 };
-            self.last_day = day;
-        }
-        self.mask |= self.bit(day);
+    /// The smallest offset at or after `since`: a stored offset `v` is
+    /// in the window starting at `since` iff `v >= floor(since)`.
+    fn floor(&self, since: Timestamp) -> u64 {
+        since.secs().saturating_sub(self.base) + 1
     }
 
-    /// For a window whose first day is `first_day`: the number of tallied
-    /// days strictly after it, and whether `first_day` itself is tallied.
-    /// `None` when the mask does not reach back to `first_day`.
-    fn window(&self, first_day: u64) -> Option<(u32, bool)> {
-        match self.last_day.checked_sub(first_day) {
-            None => Some((0, false)),
-            Some(k) if k < 64 => {
-                let after = (self.mask & ((1 << k) - 1)).count_ones();
-                Some((after, self.mask >> k & 1 == 1))
+    /// The day of a nonzero offset.
+    fn day_of(&self, offset: u32) -> u64 {
+        (self.base + u64::from(offset).saturating_sub(1)) / DAY
+    }
+
+    /// The offset of `at`, moving `base` up first when `at` lies past
+    /// the offsets' reach.
+    fn encode(&mut self, at: Timestamp) -> u32 {
+        if at.secs().saturating_sub(self.base) >= u64::from(u32::MAX) {
+            self.rebase(at.secs() - REBASE_MARGIN);
+        }
+        (at.secs().saturating_sub(self.base) + 1) as u32
+    }
+
+    /// Moves the origin up to `base`, clamping earlier times to 0 and
+    /// dropping the entries they leave stale.
+    fn rebase(&mut self, base: u64) {
+        let old = self.base;
+        let shift = move |v: &mut u32| {
+            *v = match (old + u64::from(*v)).checked_sub(base) {
+                Some(from_base) if *v > 0 => from_base as u32,
+                _ => 0,
             }
-            Some(_) => None,
+        };
+        self.days.iter_mut().for_each(|e| shift(&mut e.latest));
+        self.days.retain(|e| e.latest > 0);
+        self.local
+            .iter_mut()
+            .for_each(|e| e.before.iter_mut().for_each(shift));
+        self.local.retain(|e| e.before[0] > 0);
+        self.times.iter_mut().for_each(shift);
+        self.base = base;
+    }
+
+    /// Notes a rewarded check-in at `venue` at `at`. `last_day` is the
+    /// day of the user's previous rewarded check-in; `held` their
+    /// badges before this one.
+    pub(crate) fn note(
+        &mut self,
+        venue: VenueId,
+        at: Timestamp,
+        last_day: Option<u64>,
+        held: &BadgeSet,
+    ) {
+        let now = self.encode(at);
+        let new_day = last_day != Some(at.day());
+        self.bender = match last_day.map(|d| at.day().saturating_sub(d)) {
+            Some(0) => self.bender | 1,
+            Some(gap) if gap < 4 => (self.bender << gap | 1) & 0b1111,
+            _ => 1,
+        };
+        let gym = usize::from(self.gym);
+        if !RECENT_BADGES.iter().all(|b| held.contains(b)) {
+            note_time(&mut self.times, gym, now, RECENT);
+        } else if self.times.len() > gym {
+            self.times.truncate(gym);
+            self.times.shrink_to_fit();
+        }
+
+        // This venue's day run: drop its stale prefix, then extend
+        // today's entry or append one after it.
+        let stale = self.floor(window_start(at));
+        let week = self.floor(Timestamp(at.secs().saturating_sub(LOCAL_WINDOW)));
+        let key = venue_key(venue);
+        let lo = self.days.partition_point(|e| e.venue < key);
+        let run = self.days[lo..].partition_point(|e| e.venue == key);
+        let dead = self.days[lo..lo + run].partition_point(|e| u64::from(e.latest) < stale);
+        self.days.drain(lo..lo + dead);
+        let end = lo + run - dead;
+        let newest = self.days[lo..end].last().map(|e| e.latest);
+        match newest {
+            Some(latest) if self.day_of(latest) == at.day() => self.days[end - 1].latest = now,
+            _ => insert(
+                &mut self.days,
+                end,
+                DayEntry {
+                    venue: key,
+                    latest: now,
+                },
+            ),
+        }
+
+        // Local's look-back: the previous newest time here and the one
+        // before it, while the former is within a week.
+        if held.contains(&Badge::Local) {
+            self.local = Vec::new();
+        } else {
+            let slot = self.local.binary_search_by_key(&key, |e| e.venue);
+            let older = slot.map_or(0, |i| self.local[i].before[0]);
+            match (newest.filter(|&n| u64::from(n) >= week), slot) {
+                (Some(n), Ok(i)) => self.local[i].before = [n, older],
+                (Some(n), Err(i)) => insert(
+                    &mut self.local,
+                    i,
+                    LocalEntry {
+                        venue: key,
+                        before: [n, older],
+                    },
+                ),
+                (None, Ok(i)) => {
+                    self.local.remove(i);
+                }
+                (None, Err(_)) => {}
+            }
+        }
+
+        if new_day {
+            self.days.retain(|e| u64::from(e.latest) >= stale);
+            self.local.retain(|e| u64::from(e.before[0]) >= week);
         }
     }
-}
 
-/// Seats `mayor` at `venue` and builds their [`MayorTally`] with one walk
-/// of the mayorship window ending `now`, whose newest record is the
-/// winning check-in.
-pub(crate) fn seat_mayor(venue: &mut Venue, mayor: &User, now: Timestamp) {
-    let mut tally = MayorTally {
-        user: mayor.id,
-        last_day: now.day(),
-        mask: 0,
-    };
-    for r in mayor
-        .rewarded_since(window_start(now))
-        .filter(|r| r.venue == venue.id)
-    {
-        tally.mask |= tally.bit(r.at.day());
+    /// Notes a rewarded gym check-in at `at`, after the badges it may
+    /// earn were evaluated.
+    pub(crate) fn note_gym(&mut self, at: Timestamp) {
+        let now = self.encode(at);
+        let gym = usize::from(self.gym);
+        if gym == GYM_LOOKBACK {
+            self.times.copy_within(1..gym, 0);
+            self.times[gym - 1] = now;
+        } else {
+            insert(&mut self.times, gym, now);
+            self.gym += 1;
+        }
     }
-    venue.mayor = Some(mayor.id);
-    venue.activity_mut().mayor_tally = Some(tally);
+
+    /// Days with a rewarded check-in at `venue` in the mayorship window
+    /// ending `now`. Exact: a day counts iff its latest check-in there
+    /// is in the window, the window's mid-day first day included.
+    pub(crate) fn mayor_days(&self, venue: VenueId, now: Timestamp) -> u32 {
+        let key = venue_key(venue);
+        let lo = self.days.partition_point(|e| e.venue < key);
+        let hi = self.days.partition_point(|e| e.venue <= key);
+        let floor = self.floor(window_start(now));
+        (hi - lo - self.days[lo..hi].partition_point(|e| u64::from(e.latest) < floor)) as u32
+    }
+
+    /// Local: whether the two rewarded check-ins at `venue` before the
+    /// newest there are at or after `since`.
+    fn local(&self, venue: VenueId, since: Timestamp) -> bool {
+        let floor = self.floor(since);
+        self.local
+            .binary_search_by_key(&venue_key(venue), |e| e.venue)
+            .is_ok_and(|i| u64::from(self.local[i].before[1]) >= floor)
+    }
+
+    /// Whether the `k`-th newest rewarded check-in is at or after
+    /// `since`. Asked only while one of [`RECENT_BADGES`] is not held.
+    fn recent_since(&self, k: usize, since: Timestamp) -> bool {
+        let recent = &self.times[usize::from(self.gym)..];
+        kth_newest_from(recent, k, self.floor(since))
+    }
+
+    /// Whether ten gym check-ins are at or after `since`: the current
+    /// one, when `at_gym`, and the earlier ones noted.
+    fn gym_since(&self, at_gym: bool, since: Timestamp) -> bool {
+        let gym = &self.times[..usize::from(self.gym)];
+        kth_newest_from(gym, GYM_LOOKBACK - usize::from(at_gym), self.floor(since))
+    }
+
+    /// Whether the newest rewarded check-in's day and the three before
+    /// it all have one.
+    fn bender(&self) -> bool {
+        self.bender == 0b1111
+    }
 }
 
-/// Notes a rewarded check-in at `now` by `venue`'s seated mayor: O(1).
-pub(crate) fn note_mayor_checkin(venue: &mut Venue, now: Timestamp) {
-    let mayor = venue.mayor;
-    if let Some(tally) = &mut venue.activity_mut().mayor_tally {
-        debug_assert_eq!(Some(tally.user), mayor, "tally of an unseated user");
-        tally.note(now.day());
+// `u32` offsets and ids, inline.
+lbsn_obs::mem_footprint_inline!(DayEntry, LocalEntry);
+
+impl MemFootprint for RewardWindows {
+    fn heap_bytes(&self) -> usize {
+        let RewardWindows {
+            base: _,
+            days,
+            local,
+            times,
+            gym: _,
+            bender: _,
+        } = self;
+        days.heap_bytes() + local.heap_bytes() + times.heap_bytes()
     }
 }
 
@@ -375,70 +637,30 @@ pub(crate) fn note_mayor_checkin(venue: &mut Venue, now: Timestamp) {
 ///   §3.4 observation that "only one check-in is enough" on dormant
 ///   venues.
 ///
-/// When the venue holds the seated incumbent's day tally (a bitmask of
-/// their check-in days here, which the reward ladder builds when it
-/// seats a mayor and updates on each of the mayor's check-ins), their
-/// history is not read: with `after` tallied days strictly after the
-/// window's first day, the challenger's walk stops at `after + 2` days.
-/// At `after` or fewer the challenger loses, at `after + 2` they win,
-/// and at `after + 1` they win unless the first day is tallied. The
-/// window starts at `now - 60 d`, mid-day, so that day's check-in may
-/// fall before it: then the incumbent's window is counted by a scan.
-///
-/// Without a tally for the seated incumbent (or with no incumbent), the
-/// incumbent's days are counted by a scan first; the challenger's walk
-/// then stops as soon as it beats them (after one day when there is no
-/// incumbent, which in the pipeline is the check-in just appended).
-/// Debug builds check every answer against the two full scans. The
-/// histories' timestamps must not decrease (see
-/// [`User::distinct_days_at`]).
+/// Both day counts come from the users' reward windows
+/// (`RewardWindows`): no history record is read. `now` must be no
+/// earlier than either user's newest rewarded check-in.
 pub fn decide_mayor(
     venue: &Venue,
     challenger: &User,
     incumbent: Option<&User>,
     now: Timestamp,
 ) -> bool {
-    let won = decide_by_tally(venue, challenger, incumbent, now);
-    debug_assert_eq!(
-        won,
-        decide_by_scan(venue, challenger, incumbent, now),
-        "mayor tally of {:?} disagrees with the full scan at {:?}",
-        venue.id,
-        now
-    );
-    won
-}
-
-/// [`decide_mayor`] without its debug cross-check.
-fn decide_by_tally(
-    venue: &Venue,
-    challenger: &User,
-    incumbent: Option<&User>,
-    now: Timestamp,
-) -> bool {
-    let seated = incumbent.filter(|inc| venue.mayor == Some(inc.id));
-    let tally = seated.and_then(|inc| venue.mayor_tally().filter(|t| t.user == inc.id));
-    let (Some(inc), Some(tally)) = (seated, tally) else {
-        return decide_by_scan(venue, challenger, incumbent, now);
-    };
-    if inc.id == challenger.id {
+    if venue.mayor == Some(challenger.id) {
         return false; // already mayor; nothing to transfer
     }
-    let window_start = window_start(now);
-    let Some((after, first)) = tally.window(window_start.day()) else {
-        return decide_by_scan(venue, challenger, incumbent, now);
+    let days = |u: &User| {
+        u.reward_windows()
+            .map_or(0, |w| w.mayor_days(venue.id, now))
     };
-    let days = challenger.distinct_days_at_capped(venue.id, window_start, after + 2);
-    if days == after + 1 && first {
-        days > inc.distinct_days_at(venue.id, window_start)
-    } else {
-        days > after
-    }
+    days(challenger) > incumbent.map_or(0, days)
 }
 
-/// The incumbent's day count by a scan of their window, then the
-/// challenger's walk up to one day more.
-fn decide_by_scan(
+/// [`decide_mayor`] by history scans: the incumbent's day count by a
+/// scan of their window, then the challenger's walk up to one day more.
+/// The oracle `pipeline::reward` checks [`decide_mayor`] against in
+/// debug builds.
+pub(crate) fn decide_by_scan(
     venue: &Venue,
     challenger: &User,
     incumbent: Option<&User>,
@@ -468,7 +690,11 @@ mod tests {
     }
 
     fn venue(id: u64) -> Venue {
-        Venue::sealed(VenueId(id), VenueSpec::new("V", loc()))
+        venue_in(id, VenueCategory::Other)
+    }
+
+    fn venue_in(id: u64, category: VenueCategory) -> Venue {
+        Venue::sealed(VenueId(id), VenueSpec::new("V", loc()).category(category))
     }
 
     fn user(id: u64) -> User {
@@ -604,20 +830,22 @@ mod tests {
     }
 
     #[test]
-    fn category_badges_use_lookup() {
-        struct Gyms;
-        impl VenueLookup for Gyms {
-            fn category_of(&self, _: VenueId) -> Option<VenueCategory> {
-                Some(VenueCategory::Gym)
-            }
-        }
+    fn category_badges_use_user_state() {
+        // Gym Rat: nine noted gym check-ins plus this one, at a gym.
+        let gym = venue_in(1, VenueCategory::Gym);
         let mut u = user(1);
         for i in 0..10 {
             add_valid(&mut u, 1, i * DAY + i * HOUR);
+            if i < 9 {
+                u.note_gym_checkin(Timestamp(i * DAY + i * HOUR));
+            }
         }
         let now = Timestamp(9 * DAY + 9 * HOUR);
-        let badges = evaluate_badges(&u, &venue(1), now, &Gyms);
+        let badges = evaluate_badges(&u, &gym, now, &NoVenues);
         assert!(badges.contains(&Badge::GymRat));
+        // The same check-in anywhere but a gym is the ninth, not the tenth.
+        let badges = evaluate_badges(&u, &venue(1), now, &NoVenues);
+        assert!(!badges.contains(&Badge::GymRat));
 
         // FreshBrew counts distinct venues per category from user state.
         let mut c = user(2);
@@ -731,7 +959,7 @@ mod tests {
         use super::super::*;
         use std::collections::HashSet;
 
-        fn distinct_days_at(user: &User, venue: VenueId, since: Timestamp) -> u32 {
+        pub fn distinct_days_at(user: &User, venue: VenueId, since: Timestamp) -> u32 {
             let days: HashSet<u64> = user
                 .valid_checkins_since(since)
                 .filter(|r| r.venue == venue)
@@ -744,7 +972,7 @@ mod tests {
             user: &User,
             venue: &Venue,
             now: Timestamp,
-            venues: &impl VenueLookup,
+            venues: &(impl VenueLookup + ?Sized),
         ) -> Vec<Badge> {
             let mut earned = Vec::new();
             let mut check = |badge: Badge, achieved: bool| {
@@ -835,8 +1063,10 @@ mod tests {
 
     /// One generated check-in, decoded by [`replay_and_compare`]: a roll
     /// whose bit fields pick the submitter (bits 0–1), the reward bit
-    /// (2–5), the venue (8–15), the gap class (16–19) and a seat strip
-    /// (20–23), then three gap draws (seconds, hours, up to 20 days).
+    /// (2–5), the venue (8–15), the gap class (16–19), a seat strip
+    /// (20–23) and, for the edge and jump classes, a window (24–25) and
+    /// an offset (26–27); then three gap draws (seconds, hours, up to 20
+    /// days).
     type Step = (u32, u64, u64, u64);
 
     fn step() -> impl Strategy<Value = Step> {
@@ -851,15 +1081,96 @@ mod tests {
         ]
     }
 
+    /// A first timestamp near the clock's origin, or past `u32::MAX`
+    /// seconds.
+    fn start() -> impl Strategy<Value = u64> {
+        prop_oneof![0u64..=5 * DAY, (1u64 << 32)..=(1u64 << 32) + 5 * DAY]
+    }
+
+    /// The windows the rules ask about, which edge steps land on.
+    const WINDOWS: [u64; 4] = [60 * DAY, 30 * DAY, 7 * DAY, 12 * HOUR];
+
+    /// The next clock reading after `now` for `step`, given every
+    /// earlier check-in's time in `stamps`. Edge steps land exactly one
+    /// rule window (±1 s) after an earlier check-in, so records sit on
+    /// every window's first second; rare jumps move the clock by about
+    /// `u32::MAX` seconds, past the reach of the windows' offsets.
+    fn advance(now: u64, (roll, secs, hours, spread): Step, sparse: bool, stamps: &[u64]) -> u64 {
+        let window = WINDOWS[(roll >> 24 & 3) as usize];
+        match roll >> 16 & 15 {
+            0..=3 => now + secs,
+            4 => {
+                let edge = stamps
+                    .get(spread as usize % stamps.len().max(1))
+                    .map_or(0, |at| at + window + u64::from(roll >> 26 & 3) - 1);
+                edge.max(now + secs)
+            }
+            5 if roll >> 24 == 0 => now + u64::from(u32::MAX) - secs,
+            6..=10 => now + hours * HOUR,
+            11..=13 => now + spread % (2 * DAY) + 1,
+            14..=15 if sparse => now + spread,
+            _ => now + secs,
+        }
+    }
+
+    /// Checks `user`'s day list against their history at `now`: each
+    /// venue's window count equals the reference's, and the list holds
+    /// one entry per (venue, day), sorted. When `user` has just checked
+    /// in (`fresh`), no entry is 61 days old or more.
+    fn check_day_list(
+        user: &User,
+        venues: u64,
+        now: Timestamp,
+        fresh: bool,
+    ) -> Result<(), TestCaseError> {
+        let Some(w) = user.reward_windows() else {
+            prop_assert_eq!(user.valid_checkins, 0);
+            return Ok(());
+        };
+        for id in 1..=venues {
+            prop_assert_eq!(
+                w.mayor_days(VenueId(id), now),
+                reference::distinct_days_at(user, VenueId(id), window_start(now)),
+                "day count at {:?} on {:?}",
+                VenueId(id),
+                now
+            );
+        }
+        // The offset of the first second less than 61 days old.
+        let young = match now.secs().checked_sub(61 * DAY) {
+            Some(at) if fresh => w.floor(Timestamp(at + 1)),
+            _ => 0,
+        };
+        for pair in w.days.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            prop_assert!(
+                (a.venue, w.day_of(a.latest)) < (b.venue, w.day_of(b.latest)),
+                "unsorted or repeated entries {:?}, {:?}",
+                a,
+                b
+            );
+        }
+        for e in &w.days {
+            prop_assert!(
+                u64::from(e.latest) >= young,
+                "stale entry {:?} at {:?}",
+                e,
+                now
+            );
+        }
+        Ok(())
+    }
+
     /// Replays `steps` into two users on one clock, each venue id keeping
-    /// one [`Venue`] across steps. At every rewarded check-in (the point
-    /// where the pipeline runs the ladder) it compares [`decide_mayor`]
-    /// with [`reference`] against the venue's seated mayor, then seats or
-    /// notes through the calls `pipeline::reward` makes, so the tally is
-    /// exercised through seat loss, a user regaining the seat and strips
-    /// (`mayor = None`, one step in 16). On the first user's check-ins it
-    /// also compares the contest with the seat vacant and against an
-    /// untallied incumbent, and the badges.
+    /// one [`Venue`] (a gym when `gyms` says so) across steps. At every
+    /// rewarded check-in it runs what `pipeline::reward` runs and compares
+    /// each answer with [`reference`]: the contest against the venue's
+    /// seated mayor (seats are won, lost, regained and stripped, one step
+    /// in 16), the contest with the seat vacant and against the other
+    /// user, both users' day lists, and the badges. The first user keeps
+    /// the badges they earn, as the pipeline does, so held badges drop
+    /// out and the recent-times ring is freed; the second never does, so
+    /// every windowed badge is asked on each of their check-ins.
     fn replay_and_compare(
         venues: u64,
         gyms: u64,
@@ -875,16 +1186,15 @@ mod tests {
                 users[0].badges.insert(badge);
             }
         }
-        let mut seats: Vec<Venue> = (1..=venues).map(venue).collect();
+        let mut seats: Vec<Venue> = (1..=venues)
+            .map(|id| venue_in(id, lookup.category_of(VenueId(id)).unwrap()))
+            .collect();
+        let mut stamps = Vec::with_capacity(steps.len());
         let mut now = start;
-        for &(roll, secs, hours, spread) in steps {
-            now += match roll >> 16 & 15 {
-                0..=5 => secs,
-                6..=10 => hours * HOUR,
-                11..=13 => spread % (2 * DAY) + 1,
-                _ if sparse => spread,
-                _ => secs,
-            };
+        for &step in steps {
+            now = advance(now, step, sparse, &stamps);
+            stamps.push(now);
+            let roll = step.0;
             let who = usize::from(roll & 3 == 0);
             let rewarded = roll >> 2 & 15 < 11;
             let vid = 1 + u64::from(roll >> 8 & 0xff) % venues;
@@ -910,24 +1220,23 @@ mod tests {
             users[who].valid_checkins += 1;
             users[who].visited_venues.insert(VenueId(vid));
             let now = Timestamp(now);
-            let (submitter, other) = (&users[who], &users[1 - who]);
+            let [first, second] = &mut users;
+            let (submitter, other) = if who == 0 {
+                (first, &*second)
+            } else {
+                (second, &*first)
+            };
             seat.record_valid_checkin(submitter.id, 10);
             let incumbent = Some(other).filter(|o| seat.mayor == Some(o.id));
             let won = decide_mayor(seat, submitter, incumbent, now);
             prop_assert_eq!(
                 won,
                 reference::decide_mayor(seat, submitter, incumbent, now),
-                "seated contest at {:?} for {:?}",
-                now,
-                seat.mayor_tally()
+                "seated contest at {:?}",
+                now
             );
             if won {
-                seat_mayor(seat, submitter, now);
-            } else if seat.mayor == Some(submitter.id) {
-                note_mayor_checkin(seat, now);
-            }
-            if who == 1 {
-                continue;
+                seat.mayor = Some(submitter.id);
             }
             let mut v = venue(vid);
             prop_assert_eq!(
@@ -941,12 +1250,23 @@ mod tests {
                 "mayor contest at {:?}",
                 now
             );
+            check_day_list(submitter, venues, now, true)?;
+            check_day_list(other, venues, now, false)?;
+            let earned = evaluate_badges(submitter, seat, now, &NoVenues);
             prop_assert_eq!(
-                evaluate_badges(submitter, &v, now, &lookup),
-                reference::evaluate_badges(submitter, &v, now, &lookup),
+                &earned,
+                &reference::evaluate_badges(submitter, seat, now, &lookup),
                 "badges at {:?}",
                 now
             );
+            if who == 0 {
+                for badge in earned {
+                    submitter.badges.insert(badge);
+                }
+            }
+            if seat.category == VenueCategory::Gym {
+                submitter.note_gym_checkin(now);
+            }
         }
         Ok(())
     }
@@ -954,20 +1274,22 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The early-stopping ladder and the seat's tally decide exactly
-        /// as the full scan on non-decreasing histories: rewarded and
-        /// flagged records, 1–6 venues with gyms among them, gaps from
-        /// 1 s to 20 days (whole hours included, so records land on
-        /// window edges and on the window's first day), seats won, lost,
-        /// regained and stripped, random held badges, and some histories
-        /// past 2 000 records.
+        /// The running reward windows answer exactly as the full scan on
+        /// non-decreasing histories: rewarded and flagged records, 1–6
+        /// venues with gyms among them, gaps from 1 s to 20 days (whole
+        /// hours, and edge steps one window ±1 s after an earlier
+        /// check-in, so records land on every window's first second and
+        /// on the mayorship window's mid-day first day), clock jumps of
+        /// about `u32::MAX` seconds, starts past `u32::MAX`, seats won,
+        /// lost, regained and stripped, random held badges, and some
+        /// histories past 2 000 records.
         #[test]
         fn ladder_matches_full_scan_reference(
             venues in 1u64..=6,
             gyms in 0u64..64,
             held in any::<u32>(),
             sparse in any::<bool>(),
-            start in 0u64..=5 * DAY,
+            start in start(),
             steps in history(),
         ) {
             replay_and_compare(venues, gyms, held, sparse, start, &steps)?;
@@ -987,82 +1309,150 @@ mod tests {
             gyms in 0u64..64,
             held in any::<u32>(),
             sparse in any::<bool>(),
-            start in 0u64..=5 * DAY,
+            start in start(),
             steps in prop::collection::vec(step(), 10_000..10_400),
         ) {
             replay_and_compare(venues, gyms, held, sparse, start, &steps)?;
         }
     }
 
-    /// A tallied challenge reads none of the incumbent's records, only
-    /// the challenger's walk capped at `after + 2` days; the boundary case
-    /// reads the incumbent's window once. Counts are of [`BriefRev`]
-    /// records on this thread, taken on [`decide_by_tally`] so the debug
-    /// cross-check's scans stay out of them.
+    /// Offsets re-base when the clock passes their reach: a check-in
+    /// about `u32::MAX` seconds after the first keeps every count exact,
+    /// and the times it clamps are outside every window.
+    #[test]
+    fn windows_rebase_past_u32_reach() {
+        let mut u = user(1);
+        let far = u64::from(u32::MAX) + 3 * DAY;
+        let stamps = [
+            10,
+            DAY,
+            2 * DAY,
+            far,
+            far + HOUR,
+            far + DAY,
+            far + 2 * DAY,
+            far + 3 * DAY,
+        ];
+        let v = venue(1);
+        for at in stamps {
+            add_valid(&mut u, 1, at);
+            let now = Timestamp(at);
+            assert_eq!(
+                u.reward_windows().unwrap().mayor_days(VenueId(1), now),
+                reference::distinct_days_at(&u, VenueId(1), window_start(now))
+            );
+            assert_eq!(
+                evaluate_badges(&u, &v, now, &NoVenues),
+                reference::evaluate_badges(&u, &v, now, &NoVenues)
+            );
+        }
+        assert!(
+            u.reward_windows().unwrap().base > far - 62 * DAY,
+            "offsets re-based"
+        );
+        let badges = evaluate_badges(&u, &v, Timestamp(far + 3 * DAY), &NoVenues);
+        assert!(badges.contains(&Badge::Bender) && badges.contains(&Badge::Local));
+    }
+
+    /// The ladder reads no history record: a whale's contest, the
+    /// contest whose window opens on the incumbent's mid-day first day,
+    /// and a seat, each with the badges that follow, and the append
+    /// itself. Counts are of [`BriefRev`] records on this thread.
     ///
     /// [`BriefRev`]: crate::history::BriefRev
     #[test]
-    fn tallied_challenge_reads_only_the_challenger() {
+    fn ladder_reads_no_history() {
         use crate::history::brief_reads;
 
         let now = Timestamp(200 * DAY + 12 * HOUR);
-        // The window opens at day 140, 12:00. The incumbent holds days
-        // 150, 160 and 170 here (`after` = 3) among 1 200 hourly
-        // check-ins at venue 2 from day 141 on.
+        // A whale: 1 200 hourly check-ins at venue 2 from day 141 on,
+        // and days 150, 160 and 170 at venue 1, which they hold.
         let mut stamps: Vec<(u64, u64)> = (0..1_200).map(|h| (2, 141 * DAY + h * HOUR)).collect();
         stamps.extend([150, 160, 170].map(|d| (1, d * DAY + 30 * 60)));
         stamps.sort_by_key(|&(_, at)| at);
-        let mut incumbent = user(2);
+        let mut whale = user(2);
         for &(v, at) in &stamps {
-            add_valid(&mut incumbent, v, at);
+            add_valid(&mut whale, v, at);
         }
         let mut v = venue(1);
-        seat_mayor(&mut v, &incumbent, now);
-        assert_eq!(
-            v.mayor_tally().and_then(|t| t.window(140)),
-            Some((3, false))
-        );
-
-        // Ten days here: the walk stops at `after + 2` = 5 of them.
-        let mut strong = user(1);
+        v.mayor = Some(whale.id);
+        let mut challenger = user(1);
         for d in 181..=190 {
-            add_valid(&mut strong, 1, d * DAY);
+            add_valid(&mut challenger, 1, d * DAY);
         }
         brief_reads::take();
-        assert!(decide_by_tally(&v, &strong, Some(&incumbent), now));
-        assert_eq!(brief_reads::take(), 5);
+        add_valid(&mut challenger, 1, now.secs());
+        assert!(decide_mayor(&v, &challenger, Some(&whale), now));
+        evaluate_badges(&challenger, &v, now, &NoVenues);
+        assert_eq!(brief_reads::take(), 0, "whale contest");
 
-        // Two days in the window and one before it: all three are read,
-        // the last one only to find the window's edge.
-        let mut weak = user(3);
-        for d in [100, 185, 186] {
-            add_valid(&mut weak, 1, d * DAY);
-        }
-        assert!(!decide_by_tally(&v, &weak, Some(&incumbent), now));
-        assert_eq!(brief_reads::take(), 3);
-
-        // The incumbent checked in here on day 140 at 01:00 and was
-        // seated a day before `now`, while that check-in was still in
-        // the window. It has left the window since, but day 140 is
-        // tallied, so a challenger at exactly `after + 1` = 4 days needs
-        // the incumbent's count. Its scan reads the 1 203 in-window
-        // records and the 01:00 one.
-        let mut boundary = user(2);
-        add_valid(&mut boundary, 1, 140 * DAY + HOUR);
+        // The window opens at day 140, 12:00. The incumbent's day 140
+        // check-in at 01:00 has left it, so they hold 3 days and a
+        // challenger with 4 wins; one with 3 does not.
+        let mut first_day = user(2);
+        add_valid(&mut first_day, 1, 140 * DAY + HOUR);
         for &(v, at) in &stamps {
-            add_valid(&mut boundary, v, at);
+            add_valid(&mut first_day, v, at);
         }
-        let mut v = venue(1);
-        seat_mayor(&mut v, &boundary, Timestamp(now.secs() - DAY));
-        assert_eq!(v.mayor_tally().and_then(|t| t.window(140)), Some((3, true)));
         let mut four = user(1);
         for d in 187..=190 {
             add_valid(&mut four, 1, d * DAY);
         }
+        let mut three = user(3);
+        for d in 188..=190 {
+            add_valid(&mut three, 1, d * DAY);
+        }
         brief_reads::take();
-        assert!(decide_by_tally(&v, &four, Some(&boundary), now));
-        assert_eq!(brief_reads::take(), 4 + 1_203 + 1);
-        assert!(reference::decide_mayor(&v, &four, Some(&boundary), now));
+        assert!(decide_mayor(&v, &four, Some(&first_day), now));
+        assert!(!decide_mayor(&v, &three, Some(&first_day), now));
+        evaluate_badges(&four, &v, now, &NoVenues);
+        assert_eq!(brief_reads::take(), 0, "first-day contest");
+        assert!(reference::decide_mayor(&v, &four, Some(&first_day), now));
+        assert!(!reference::decide_mayor(&v, &three, Some(&first_day), now));
+
+        // A seat: the vacant venue is claimed by one check-in.
+        let mut vacant = venue(3);
+        let mut newcomer = user(4);
+        brief_reads::take();
+        add_valid(&mut newcomer, 3, now.secs());
+        assert!(decide_mayor(&vacant, &newcomer, None, now));
+        vacant.mayor = Some(newcomer.id);
+        assert!(!decide_mayor(&vacant, &newcomer, None, now));
+        evaluate_badges(&newcomer, &vacant, now, &NoVenues);
+        assert_eq!(brief_reads::take(), 0, "seat");
+    }
+
+    /// A user survives a JSON round trip with their reward windows, and
+    /// answers every contest and badge as before.
+    #[test]
+    fn reward_windows_round_trip_through_serde() {
+        let mut u = user(1);
+        for (i, at) in (0..40u64).map(|i| (i, 100 * DAY + i * 5 * HOUR)) {
+            add_valid(&mut u, 1 + i % 3, at);
+            if i % 2 == 0 {
+                u.note_gym_checkin(Timestamp(at));
+            }
+        }
+        let back: User = serde_json::from_str(&serde_json::to_string(&u).unwrap()).unwrap();
+        assert_eq!(back.reward_windows(), u.reward_windows());
+        let now = Timestamp(100 * DAY + 39 * 5 * HOUR);
+        let mut rival = user(2);
+        add_valid(&mut rival, 1, now.secs());
+        for id in 1..=3 {
+            let v = venue_in(id, VenueCategory::Gym);
+            assert_eq!(
+                decide_mayor(&v, &rival, Some(&back), now),
+                decide_mayor(&v, &rival, Some(&u), now)
+            );
+            assert_eq!(
+                evaluate_badges(&back, &v, now, &NoVenues),
+                evaluate_badges(&u, &v, now, &NoVenues)
+            );
+        }
+        let badges = evaluate_badges(&back, &venue_in(1, VenueCategory::Gym), now, &NoVenues);
+        for badge in [Badge::SuperUser, Badge::Local, Badge::Bender, Badge::GymRat] {
+            assert!(badges.contains(&badge), "{badge:?}");
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@ use serde::{Deserialize, Serialize};
 use crate::checkin::CheckinRecord;
 use crate::compact::{BadgeSet, CategoryCounts, IdSet};
 use crate::history::{BriefRecord, PackedHistory, PackedRecord};
+use crate::rewards::RewardWindows;
 use crate::{UserId, VenueId};
 
 /// Sentinel for "no rewarded check-in yet" in [`User::latest_rewarded_off`].
@@ -119,6 +120,9 @@ pub struct UserCold {
     pub visited_venues: IdSet<VenueId>,
     /// Distinct venues per category (drives category badges).
     pub venues_by_category: CategoryCounts,
+    /// The running state behind the windowed §2.1 rewards, allocated on
+    /// the first rewarded check-in and kept by [`User::push_record`].
+    pub(crate) reward_windows: Option<Box<RewardWindows>>,
 }
 
 impl Deref for User {
@@ -177,12 +181,19 @@ impl User {
     }
 
     /// Appends a check-in to the history, bumping the submitted-total
-    /// and maintaining the latest-rewarded cache. All history growth
-    /// must go through here — encoding records elsewhere desyncs
-    /// [`User::last_valid_checkin`].
+    /// and maintaining the latest-rewarded cache and the reward windows.
+    /// All history growth must go through here — encoding records
+    /// elsewhere desyncs [`User::last_valid_checkin`] and the §2.1
+    /// rewards.
     pub fn push_record(&mut self, record: CheckinRecord) {
         let off = self.history.push(&record);
         if record.rewarded {
+            let last_day =
+                (self.latest_rewarded_off != NO_REWARDED).then(|| self.latest_rewarded_at.day());
+            let cold = &mut *self.cold;
+            cold.reward_windows
+                .get_or_insert_with(|| Box::new(RewardWindows::new(record.at)))
+                .note(record.venue, record.at, last_day, &cold.badges);
             self.latest_rewarded_off = off;
             self.latest_rewarded_at = record.at;
         }
@@ -204,6 +215,20 @@ impl User {
                 self.history
                     .decode_at(self.latest_rewarded_off, self.latest_rewarded_at),
             )
+        }
+    }
+
+    /// The running state behind the windowed §2.1 rewards, once the
+    /// user has a rewarded check-in.
+    pub(crate) fn reward_windows(&self) -> Option<&RewardWindows> {
+        self.cold.reward_windows.as_deref()
+    }
+
+    /// Notes a rewarded gym check-in at `at` for Gym Rat, after the
+    /// badges it may earn were evaluated.
+    pub(crate) fn note_gym_checkin(&mut self, at: Timestamp) {
+        if let Some(windows) = &mut self.cold.reward_windows {
+            windows.note_gym(at);
         }
     }
 
@@ -298,6 +323,7 @@ impl User {
             friends,
             visited_venues,
             venues_by_category: _,
+            reward_windows: _,
         } = &mut *self.cold;
         if let Some(name) = username {
             name.shrink_to_fit();
@@ -339,6 +365,7 @@ impl MemFootprint for UserCold {
             friends,
             visited_venues,
             venues_by_category,
+            reward_windows,
         } = self;
         username.heap_bytes()
             + badges.heap_bytes()
@@ -346,6 +373,7 @@ impl MemFootprint for UserCold {
             + friends.heap_bytes()
             + visited_venues.heap_bytes()
             + venues_by_category.heap_bytes()
+            + reward_windows.heap_bytes()
     }
 }
 

@@ -14,7 +14,6 @@ use lbsn_sim::Timestamp;
 use serde::{Deserialize, Serialize};
 
 use crate::compact::{ArenaStr, IdSet, StrArena};
-use crate::rewards::MayorTally;
 use crate::{UserId, VenueId};
 
 /// Coarse venue category, used by category badges (Fresh Brew, Gym Rat…)
@@ -205,8 +204,6 @@ pub struct VenueActivity {
     pub recent_visitors: Vec<UserId>,
     /// User-left tips, newest first.
     pub tips: Vec<Tip>,
-    /// The seated mayor's check-in days here (see [`MayorTally`]).
-    pub(crate) mayor_tally: Option<MayorTally>,
 }
 
 impl std::ops::Deref for Venue {
@@ -308,11 +305,6 @@ impl Venue {
     /// User-left tips, newest first.
     pub fn tips(&self) -> &[Tip] {
         self.cold.activity.as_ref().map_or(&EMPTY_TIPS, |a| &a.tips)
-    }
-
-    /// The mayor tally, if a mayor was ever seated here.
-    pub(crate) fn mayor_tally(&self) -> Option<&MayorTally> {
-        self.cold.activity.as_ref()?.mayor_tally.as_ref()
     }
 
     /// The activity block, allocated on first use.
@@ -419,9 +411,7 @@ impl MemFootprint for VenueActivity {
             unique_visitors,
             recent_visitors,
             tips,
-            mayor_tally: _,
         } = self;
-        // The tally is inline: no owned heap.
         unique_visitors.heap_bytes() + recent_visitors.heap_bytes() + tips.heap_bytes()
     }
 }
